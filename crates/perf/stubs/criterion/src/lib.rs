@@ -1,0 +1,1 @@
+//! Resolution-only placeholder (see Cargo.toml).
