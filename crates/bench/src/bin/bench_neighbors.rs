@@ -8,14 +8,22 @@
 //! Times each of the step's neighbor-bound sweeps (`neighbor_counts`,
 //! `density_gradh`, `iad_divv_curlv`, `momentum_energy`) on all three paths,
 //! plus the composite five-traversal step with the list build amortized in,
-//! median of 7 reps, on Evrard and subsonic-turbulence particle clouds.
+//! median of 7 reps, on Evrard and subsonic-turbulence particle clouds — two
+//! cache-resident ones and a 46³ turbulence cloud (the `turb_100k` size of
+//! `crates/perf`), where the list is ~0.5 GB and how it is laid out in
+//! memory shows (its slow grid-walk columns take 3 reps).
 //! Regenerate with:
 //!
 //! ```sh
 //! cargo run --release -p bench --bin bench_neighbors
-//! # CI smoke (build + one rep, no file rewrite):
+//! # CI check (build + one rep, no file rewrite):
 //! cargo run --release -p bench --bin bench_neighbors -- --check
 //! ```
+//!
+//! Either way the run exits non-zero if any cloud's list holds more than
+//! [`MAX_BYTES_PER_PAIR`] resident bytes per stored pair — an exact count,
+//! so it cannot flake, and it fails the day a second copy of the list (a
+//! splice target, build scratch) comes back.
 
 use std::time::Instant;
 
@@ -31,6 +39,13 @@ use sph::{
 };
 
 const REPS: usize = 7;
+/// Reps for the grid-walk columns of the 46³ cloud (seconds per sweep).
+const BIG_GRID_REPS: usize = 3;
+
+/// Residency bound on `csr_bytes / pair_count`: 1.5 × the 28 B a pair costs
+/// (a `u32` index + three `f64` deltas). One in-place copy with its `Vec`
+/// growth slack sits at 1.1–1.3×; the spliced two-copy layout sat at 2.3×.
+const MAX_BYTES_PER_PAIR: f64 = 1.5 * 28.0;
 
 #[derive(Serialize)]
 struct SweepTiming {
@@ -54,6 +69,9 @@ struct WorkloadReport {
     particles: usize,
     avg_neighbors: f64,
     max_neighbors: usize,
+    /// Stored candidate pairs, self-pairs included.
+    pair_count: usize,
+    /// Resident bytes of the list (capacity, sorted copies included).
     csr_bytes: usize,
     /// Median seconds to rebuild the shared list in place.
     build_seconds: f64,
@@ -97,7 +115,15 @@ fn five_sweeps<N: NeighborSearch + Sync>(
     momentum_energy(parts, nb, bbox, kernel);
 }
 
-fn measure(workload: &str, mut parts: Particles, bbox: Box3, reps: usize) -> WorkloadReport {
+/// `grid_reps` is the sample count for the columns that re-walk the grid
+/// per sweep (the slow pre-list baseline); everything else takes `reps`.
+fn measure(
+    workload: &str,
+    mut parts: Particles,
+    bbox: Box3,
+    reps: usize,
+    grid_reps: usize,
+) -> WorkloadReport {
     let kernel = Kernel::CubicSpline;
     let n = parts.x.len();
     let h_max = parts.h.iter().cloned().fold(1e-6, f64::max);
@@ -130,7 +156,7 @@ fn measure(workload: &str, mut parts: Particles, bbox: Box3, reps: usize) -> Wor
     };
     {
         let p = &mut parts;
-        let g = median_secs(reps, || {
+        let g = median_secs(grid_reps, || {
             let _ = neighbor_counts(p, &grid, &bbox, kernel);
         });
         let l = median_secs(reps, || {
@@ -142,7 +168,9 @@ fn measure(workload: &str, mut parts: Particles, bbox: Box3, reps: usize) -> Wor
         timed("neighbor_counts", g, l, s);
     }
     {
-        let g = median_secs(reps, || density_gradh(&mut parts, &grid, &bbox, kernel));
+        let g = median_secs(grid_reps, || {
+            density_gradh(&mut parts, &grid, &bbox, kernel)
+        });
         let l = median_secs(reps, || density_gradh(&mut parts, &nlist, &bbox, kernel));
         let s = median_secs(reps, || {
             density_gradh(&mut parts, &ScalarReplay(&nlist), &bbox, kernel)
@@ -150,7 +178,9 @@ fn measure(workload: &str, mut parts: Particles, bbox: Box3, reps: usize) -> Wor
         timed("density_gradh", g, l, s);
     }
     {
-        let g = median_secs(reps, || iad_divv_curlv(&mut parts, &grid, &bbox, kernel));
+        let g = median_secs(grid_reps, || {
+            iad_divv_curlv(&mut parts, &grid, &bbox, kernel)
+        });
         let l = median_secs(reps, || iad_divv_curlv(&mut parts, &nlist, &bbox, kernel));
         let s = median_secs(reps, || {
             iad_divv_curlv(&mut parts, &ScalarReplay(&nlist), &bbox, kernel)
@@ -158,7 +188,9 @@ fn measure(workload: &str, mut parts: Particles, bbox: Box3, reps: usize) -> Wor
         timed("iad_divv_curlv", g, l, s);
     }
     {
-        let g = median_secs(reps, || momentum_energy(&mut parts, &grid, &bbox, kernel));
+        let g = median_secs(grid_reps, || {
+            momentum_energy(&mut parts, &grid, &bbox, kernel)
+        });
         let l = median_secs(reps, || momentum_energy(&mut parts, &nlist, &bbox, kernel));
         let s = median_secs(reps, || {
             momentum_energy(&mut parts, &ScalarReplay(&nlist), &bbox, kernel)
@@ -166,7 +198,7 @@ fn measure(workload: &str, mut parts: Particles, bbox: Box3, reps: usize) -> Wor
         timed("momentum_energy", g, l, s);
     }
 
-    let full_grid = median_secs(reps, || five_sweeps(&mut parts, &grid, &bbox, kernel));
+    let full_grid = median_secs(grid_reps, || five_sweeps(&mut parts, &grid, &bbox, kernel));
     let full_list = median_secs(reps, || {
         nlist.build_adaptive_into(&grid, &parts.x, &parts.y, &parts.z, n, &radii);
         five_sweeps(&mut parts, &nlist, &bbox, kernel);
@@ -181,6 +213,7 @@ fn measure(workload: &str, mut parts: Particles, bbox: Box3, reps: usize) -> Wor
         particles: n,
         avg_neighbors: nlist.avg_neighbors(),
         max_neighbors: nlist.max_neighbors(),
+        pair_count: nlist.pair_count(),
         csr_bytes: nlist.csr_bytes(),
         build_seconds,
         sweeps,
@@ -220,19 +253,29 @@ fn main() {
 
     let ev = evrard(18);
     let tb = subsonic_turbulence(20, 0.3, 9);
+    let big = subsonic_turbulence(46, 0.3, 9);
     let results = vec![
-        measure("evrard_cloud", ev.parts, ev.bbox, reps),
-        measure("turbulence_cloud", tb.parts, tb.bbox, reps),
+        measure("evrard_cloud", ev.parts, ev.bbox, reps, reps),
+        measure("turbulence_cloud", tb.parts, tb.bbox, reps, reps),
+        measure(
+            "turbulence_100k",
+            big.parts,
+            big.bbox,
+            reps,
+            reps.min(BIG_GRID_REPS),
+        ),
     ];
 
     for r in &results {
         println!(
-            "\n{} — {} particles, avg {:.1} / max {} candidates per row, CSR {:.1} KiB, build {:.2} ms",
+            "\n{} — {} particles, avg {:.1} / max {} candidates per row, {} pairs, CSR {:.1} KiB ({:.1} B/pair), build {:.2} ms",
             r.workload,
             r.particles,
             r.avg_neighbors,
             r.max_neighbors,
+            r.pair_count,
             r.csr_bytes as f64 / 1024.0,
+            r.csr_bytes as f64 / r.pair_count as f64,
             r.build_seconds * 1e3,
         );
         let rows: Vec<Vec<String>> = r
@@ -263,8 +306,24 @@ fn main() {
         );
     }
 
+    let fat: Vec<&WorkloadReport> = results
+        .iter()
+        .filter(|r| r.csr_bytes as f64 > MAX_BYTES_PER_PAIR * r.pair_count as f64)
+        .collect();
+    for r in &fat {
+        eprintln!(
+            "error: {} holds {} bytes for {} pairs ({:.1} B/pair > {MAX_BYTES_PER_PAIR})",
+            r.workload,
+            r.csr_bytes,
+            r.pair_count,
+            r.csr_bytes as f64 / r.pair_count as f64,
+        );
+    }
+    if !fat.is_empty() {
+        std::process::exit(1);
+    }
     if cli.check {
-        eprintln!("--check: smoke rep complete, not rewriting {out_path}");
+        eprintln!("--check: one rep complete, residency bound held, not rewriting {out_path}");
         return;
     }
     let report = Report {

@@ -8,6 +8,51 @@
 use serde::{Deserialize, Serialize};
 
 use crate::box3::Box3;
+use crate::neighborlist::{RowChunk, SortedCoords};
+
+/// The minimum-image displacement of the list build, in select form: the
+/// same operations as [`Box3::delta`]'s branches, shared by the portable
+/// scan and the AVX2 scan's remainder lanes so both compute the same
+/// expressions (same bits).
+#[derive(Clone, Copy)]
+struct MinImage {
+    periodic: bool,
+    /// Box edge lengths and their halves, per axis.
+    l: [f64; 3],
+    h: [f64; 3],
+}
+
+impl MinImage {
+    fn new(bbox: &Box3) -> Self {
+        let l = [bbox.lx(), bbox.ly(), bbox.lz()];
+        MinImage {
+            periodic: bbox.periodic,
+            l,
+            h: l.map(|l| 0.5 * l),
+        }
+    }
+
+    /// `(dx, dy, dz, d2)` of candidate `(x, y, z)` relative to `(px, py, pz)`.
+    #[inline(always)]
+    fn delta(&self, x: f64, y: f64, z: f64, px: f64, py: f64, pz: f64) -> (f64, f64, f64, f64) {
+        let wrap = |d: f64, l: f64, h: f64| {
+            d - if d > h {
+                l
+            } else if d < -h {
+                -l
+            } else {
+                0.0
+            }
+        };
+        let (mut dx, mut dy, mut dz) = (x - px, y - py, z - pz);
+        if self.periodic {
+            dx = wrap(dx, self.l[0], self.h[0]);
+            dy = wrap(dy, self.l[1], self.h[1]);
+            dz = wrap(dz, self.l[2], self.h[2]);
+        }
+        (dx, dy, dz, dx * dx + dy * dy + dz * dz)
+    }
+}
 
 /// CSR-layout uniform grid over particle positions.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -164,150 +209,151 @@ impl CellList {
         &self.order
     }
 
-    /// The [`for_neighbors`](CellList::for_neighbors) walk, reading candidate
-    /// positions from *cell-sorted coordinate copies* (`xs[k]` must hold the
-    /// position of particle `order()[k]`) and emitting the minimum-image
-    /// displacement instead of just the distance: `emit(j, dx, dy, dz, d2)`
-    /// with `(dx, dy, dz) = r_j - r_i` for every candidate with `d2 <= r²`.
-    ///
-    /// The emitted `(j, d2)` sequence is bit-identical to the one
-    /// `for_neighbors` produces for the same query: the cell visit order is
-    /// the same code, IEEE negation is exact (`b - a == -(a - b)`, squares
-    /// agree), and the branch-free select form of the periodic wrap below
-    /// performs the same operations as [`Box3::delta`]'s branches
-    /// (`d - 0.0 == d` and `d - (-l) == d + l` exactly).
-    ///
-    /// Each cell run is scanned in 4-lane chunks: deltas, wraps and `d2` are
-    /// computed branch-free for the whole chunk (the pass rate at the list
-    /// radius is ~10-40%, so the scan dominates the build), then the rare
-    /// passing lanes are emitted in index order — the emitted values and
-    /// sequence are exactly the per-candidate loop's. The chunked body is
-    /// dispatched through an AVX2 clone when available (see
-    /// [`crate::simd`]; same operations, wider registers, same bits).
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn for_candidate_deltas<F: FnMut(u32, f64, f64, f64, f64)>(
-        &self,
-        px: f64,
-        py: f64,
-        pz: f64,
-        r: f64,
-        xs: &[f64],
-        ys: &[f64],
-        zs: &[f64],
-        emit: F,
-    ) {
-        #[cfg(target_arch = "x86_64")]
-        if crate::simd::avx2() {
-            // SAFETY: AVX2 support was just checked; the clone has no other
-            // precondition (it is the portable body under different codegen).
-            return unsafe {
-                self.for_candidate_deltas_avx2::<false, F>(px, py, pz, r, &[], xs, ys, zs, emit)
-            };
-        }
-        self.for_candidate_deltas_impl::<false, F>(px, py, pz, r, &[], xs, ys, zs, emit)
-    }
-
-    /// [`CellList::for_candidate_deltas`] with a per-candidate radius
-    /// floor: candidate `k` passes if `d2 <= max(r², rs2[k])`, where
-    /// `rs2[k]` is the candidate's own squared search radius in cell-sorted
-    /// slot order (`rs2[k]` belongs to particle `order()[k]`). This is the
-    /// h-aware neighbor-list build rule — a pair is stored when it is
-    /// within *either* particle's reach — which keeps every row complete
-    /// for queries up to the row's own radius while dropping the far
-    /// candidates a globally-maximal radius would haul in. The emitted
-    /// subsequence and its values are exactly the plain scan's (the pass
-    /// set is widened, never reordered).
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn for_candidate_deltas_adaptive<F: FnMut(u32, f64, f64, f64, f64)>(
-        &self,
-        px: f64,
-        py: f64,
-        pz: f64,
-        r: f64,
-        rs2: &[f64],
-        xs: &[f64],
-        ys: &[f64],
-        zs: &[f64],
-        emit: F,
-    ) {
-        debug_assert_eq!(rs2.len(), xs.len(), "per-candidate radii mismatch");
-        #[cfg(target_arch = "x86_64")]
-        if crate::simd::avx2() {
-            // SAFETY: AVX2 support was just checked; the clone has no other
-            // precondition (it is the portable body under different codegen).
-            return unsafe {
-                self.for_candidate_deltas_avx2::<true, F>(px, py, pz, r, rs2, xs, ys, zs, emit)
-            };
-        }
-        self.for_candidate_deltas_impl::<true, F>(px, py, pz, r, rs2, xs, ys, zs, emit)
-    }
-
-    /// Hand-vectorized AVX2 scan: the auto-vectorizer's cost model keeps
-    /// the chunked scalar body on 128-bit ops, so the 4-lane delta / wrap /
-    /// `d2` math is spelled with explicit 256-bit intrinsics here. Every
-    /// intrinsic is the same correctly-rounded IEEE-754 double operation
-    /// the scalar body performs, on the same values in the same order:
-    /// `vsubpd`/`vmulpd`/`vaddpd` per lane; the wrap as mask-and-or
-    /// (`lx` where `dx > hx`, `-lx` where `dx < -hx`, else `+0.0` — the
-    /// scalar path also subtracts `0.0` in its else arm, and the two
-    /// compare masks are mutually exclusive, so the merged subtrahend is
-    /// identical); ordered compares matching `>`/`<`/`<=`. Passing lanes
-    /// are emitted in index order from a 4-lane spill. Chunks where no
-    /// lane passes (the common case at ~10-40% pass rates) skip the spill
-    /// and emit loop entirely on the movemask.
-    ///
-    /// With `ADAPTIVE` the pass limit per lane is `max(r², rs2[k])`
-    /// (`vmaxpd` — identical to `f64::max` on the positive finite radii
-    /// involved); without it `rs2` is unused and the limit folds to the
-    /// scalar constant.
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2")]
-    #[allow(clippy::too_many_arguments)]
-    unsafe fn for_candidate_deltas_avx2<const ADAPTIVE: bool, F: FnMut(u32, f64, f64, f64, f64)>(
-        &self,
-        px: f64,
-        py: f64,
-        pz: f64,
-        r: f64,
-        rs2: &[f64],
-        xs: &[f64],
-        ys: &[f64],
-        zs: &[f64],
-        mut emit: F,
-    ) {
-        use std::arch::x86_64::*;
+    /// Slot ranges `(start, end)` into [`order`](CellList::order) covering
+    /// the stencil cells around a point, in exactly the order
+    /// [`for_neighbors`](CellList::for_neighbors) visits them (cells whose
+    /// slots abut are returned as one range), as a fixed array plus count
+    /// (no heap, like `axis_candidates`).
+    fn stencil_runs(&self, px: f64, py: f64, pz: f64) -> ([(usize, usize); 27], usize) {
         let (ux, uy, uz) = self.bbox.normalize(px, py, pz);
         let cx = ((ux * self.nx as f64) as isize).min(self.nx as isize - 1);
         let cy = ((uy * self.ny as f64) as isize).min(self.ny as isize - 1);
         let cz = ((uz * self.nz as f64) as isize).min(self.nz as isize - 1);
-        let r2 = r * r;
-        let periodic = self.bbox.periodic;
-        let (lx, ly, lz) = (self.bbox.lx(), self.bbox.ly(), self.bbox.lz());
-        let (hx, hy, hz) = (0.5 * lx, 0.5 * ly, 0.5 * lz);
         let (sx, xn) = self.axis_candidates(cx, self.nx);
         let (sy, yn) = self.axis_candidates(cy, self.ny);
         let (sz, zn) = self.axis_candidates(cz, self.nz);
+        let mut runs = [(0usize, 0usize); 27];
+        let mut n = 0;
+        for &ix in &sx[..xn] {
+            for &iy in &sy[..yn] {
+                for &iz in &sz[..zn] {
+                    let c = (ix * self.ny + iy) * self.nz + iz;
+                    let (s, e) = (self.cell_start[c] as usize, self.cell_start[c + 1] as usize);
+                    // Cells adjacent in z are adjacent in `order`: extend
+                    // the previous run instead of opening a new one (same
+                    // slots, same sequence, fewer remainder lanes).
+                    if n > 0 && runs[n - 1].1 == s {
+                        runs[n - 1].1 = e;
+                    } else {
+                        runs[n] = (s, e);
+                        n += 1;
+                    }
+                }
+            }
+        }
+        (runs, n)
+    }
+
+    /// The [`for_neighbors`](CellList::for_neighbors) walk around `p`,
+    /// reading candidate positions from the *cell-sorted* copies in `src`
+    /// and appending every passing candidate — its index and its
+    /// minimum-image displacement `r_j - r_i` — straight to `out`'s four
+    /// columns. Nothing is emitted through a callback and nothing is copied
+    /// afterwards: `out` is the neighbor list's own storage.
+    ///
+    /// A candidate in slot `k` passes if `d2 <= r²`, or — when `src` carries
+    /// per-candidate squared radii (`src.r2` non-empty, the h-aware build) —
+    /// if `d2 <= max(r², src.r2[k])`: a pair is stored when it is within
+    /// *either* particle's reach, which keeps every row complete for
+    /// queries up to the row's own radius while dropping the far candidates
+    /// a globally-maximal radius would haul in. The adaptive rule widens
+    /// the pass set, never reorders it.
+    ///
+    /// The appended `(j, d2)` sequence (`d2 = dx² + dy² + dz²` of the stored
+    /// delta) is bit-identical to the one `for_neighbors` produces for the
+    /// same query: the cell visit order is the same, IEEE negation is exact
+    /// (`b - a == -(a - b)`, squares agree), and the select form of the
+    /// periodic wrap in [`MinImage`] performs the same operations as
+    /// [`Box3::delta`]'s branches (`d - 0.0 == d` and `d - (-l) == d + l`
+    /// exactly). The pass rate at the list radius is ~10-40 %, so the scan
+    /// dominates the build; it is dispatched to a hand-written AVX2 body
+    /// when available ([`crate::simd`]).
+    pub(crate) fn scan_into(&self, p: [f64; 3], r: f64, src: &SortedCoords, out: &mut RowChunk) {
+        #[cfg(target_arch = "x86_64")]
+        if crate::simd::avx2() {
+            // SAFETY: AVX2 and POPCNT support was just checked; the body has
+            // no other precondition.
+            return unsafe {
+                if src.r2.is_empty() {
+                    self.scan_into_avx2::<false>(p, r, src, out)
+                } else {
+                    self.scan_into_avx2::<true>(p, r, src, out)
+                }
+            };
+        }
+        self.scan_into_portable(p, r, src, out)
+    }
+
+    /// Portable scan: one candidate at a time, pushed when it passes.
+    fn scan_into_portable(
+        &self,
+        [px, py, pz]: [f64; 3],
+        r: f64,
+        src: &SortedCoords,
+        out: &mut RowChunk,
+    ) {
+        let adaptive = !src.r2.is_empty();
+        let r2 = r * r;
+        let wrap = MinImage::new(&self.bbox);
+        let (runs, n) = self.stencil_runs(px, py, pz);
+        for &(s, e) in &runs[..n] {
+            for k in s..e {
+                let (dx, dy, dz, d2) = wrap.delta(src.x[k], src.y[k], src.z[k], px, py, pz);
+                let lim = if adaptive { r2.max(src.r2[k]) } else { r2 };
+                if d2 <= lim {
+                    out.push(self.order[k], dx, dy, dz);
+                }
+            }
+        }
+    }
+
+    /// Hand-vectorized AVX2 scan. Every intrinsic is the same
+    /// correctly-rounded IEEE-754 double operation the portable body
+    /// performs, on the same values in the same order: `vsubpd`/`vmulpd`/
+    /// `vaddpd` per lane; the wrap as mask-and-or (`lx` where `dx > hx`,
+    /// `-lx` where `dx < -hx`, else `+0.0` — the scalar form also subtracts
+    /// `0.0` in its else arm, and the two compare masks are mutually
+    /// exclusive, so the merged subtrahend is identical); ordered compares
+    /// matching `>`/`<`/`<=`; `vmaxpd` for the adaptive limit (identical to
+    /// `f64::max` on the positive finite radii involved).
+    ///
+    /// Emission has no per-lane branch: per 4-lane chunk the passing lanes
+    /// are left-packed ([`crate::simd::pack_store_pd`]) and stored at the
+    /// output cursor `len`, which then advances by `popcnt(mask)` — at the
+    /// build's ~13 % pass rate a per-lane `if` mispredicts more often than
+    /// four permutes cost. The one branch left skips a chunk in which no
+    /// lane passes; it predicts well because failing chunks come in long
+    /// runs (the far cells of the stencil fail whole), and on h-graded
+    /// clouds, where cells hold thousands of candidates per passing one, it
+    /// halves the build. One `reserve(run + 4)` per cell run covers every
+    /// store of the run; the up-to-3 remainder candidates are pushed by the
+    /// scalar expressions.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2,popcnt")]
+    unsafe fn scan_into_avx2<const ADAPTIVE: bool>(
+        &self,
+        [px, py, pz]: [f64; 3],
+        r: f64,
+        src: &SortedCoords,
+        out: &mut RowChunk,
+    ) {
+        use crate::simd::{pack_store_pd, pack_store_u32};
+        use std::arch::x86_64::*;
+        let r2 = r * r;
+        let wrap = MinImage::new(&self.bbox);
         let vpx = _mm256_set1_pd(px);
         let vpy = _mm256_set1_pd(py);
         let vpz = _mm256_set1_pd(pz);
         let vr2 = _mm256_set1_pd(r2);
-        let (vlx, vly, vlz) = (_mm256_set1_pd(lx), _mm256_set1_pd(ly), _mm256_set1_pd(lz));
-        let (vnlx, vnly, vnlz) = (
-            _mm256_set1_pd(-lx),
-            _mm256_set1_pd(-ly),
-            _mm256_set1_pd(-lz),
-        );
-        let (vhx, vhy, vhz) = (_mm256_set1_pd(hx), _mm256_set1_pd(hy), _mm256_set1_pd(hz));
-        let (vnhx, vnhy, vnhz) = (
-            _mm256_set1_pd(-hx),
-            _mm256_set1_pd(-hy),
-            _mm256_set1_pd(-hz),
-        );
-        // dx -= (lx where dx > hx) | (-lx where dx < -hx) | (+0.0 else);
-        // the masks are disjoint, so or-merging the masked constants is
-        // exactly the scalar if/else-if/else subtrahend.
+        let [vlx, vly, vlz] = wrap.l.map(|l| _mm256_set1_pd(l));
+        let [vnlx, vnly, vnlz] = wrap.l.map(|l| _mm256_set1_pd(-l));
+        let [vhx, vhy, vhz] = wrap.h.map(|h| _mm256_set1_pd(h));
+        let [vnhx, vnhy, vnhz] = wrap.h.map(|h| _mm256_set1_pd(-h));
+        // d -= (l where d > h) | (-l where d < -h) | (+0.0 else); the masks
+        // are disjoint, so or-merging the masked constants is exactly the
+        // scalar if/else-if/else subtrahend.
         #[inline(always)]
-        unsafe fn wrap(
+        unsafe fn wrap4(
             d: __m256d,
             vh: __m256d,
             vnh: __m256d,
@@ -319,211 +365,71 @@ impl CellList {
             let adj = _mm256_or_pd(_mm256_and_pd(hi, vl), _mm256_and_pd(lo, vnl));
             _mm256_sub_pd(d, adj)
         }
-        // Scalar remainder: identical expressions to the portable body.
-        let candidate = |k: usize| {
-            let mut dx = xs[k] - px;
-            let mut dy = ys[k] - py;
-            let mut dz = zs[k] - pz;
-            if periodic {
-                dx -= if dx > hx {
-                    lx
-                } else if dx < -hx {
-                    -lx
-                } else {
-                    0.0
-                };
-                dy -= if dy > hy {
-                    ly
-                } else if dy < -hy {
-                    -ly
-                } else {
-                    0.0
-                };
-                dz -= if dz > hz {
-                    lz
-                } else if dz < -hz {
-                    -lz
-                } else {
-                    0.0
-                };
-            }
-            (dx, dy, dz, dx * dx + dy * dy + dz * dz)
-        };
-        for &ix in &sx[..xn] {
-            for &iy in &sy[..yn] {
-                for &iz in &sz[..zn] {
-                    let c = (ix * self.ny + iy) * self.nz + iz;
-                    let (s, e) = (self.cell_start[c] as usize, self.cell_start[c + 1] as usize);
-                    let mut k = s;
-                    while k + 4 <= e {
-                        let mut dx = _mm256_sub_pd(_mm256_loadu_pd(xs.as_ptr().add(k)), vpx);
-                        let mut dy = _mm256_sub_pd(_mm256_loadu_pd(ys.as_ptr().add(k)), vpy);
-                        let mut dz = _mm256_sub_pd(_mm256_loadu_pd(zs.as_ptr().add(k)), vpz);
-                        if periodic {
-                            dx = wrap(dx, vhx, vnhx, vlx, vnlx);
-                            dy = wrap(dy, vhy, vnhy, vly, vnly);
-                            dz = wrap(dz, vhz, vnhz, vlz, vnlz);
-                        }
-                        let d2 = _mm256_add_pd(
-                            _mm256_add_pd(_mm256_mul_pd(dx, dx), _mm256_mul_pd(dy, dy)),
-                            _mm256_mul_pd(dz, dz),
-                        );
-                        let vlim = if ADAPTIVE {
-                            _mm256_max_pd(vr2, _mm256_loadu_pd(rs2.as_ptr().add(k)))
-                        } else {
-                            vr2
-                        };
-                        let mask = _mm256_movemask_pd(_mm256_cmp_pd::<_CMP_LE_OQ>(d2, vlim));
-                        if mask != 0 {
-                            let mut a = [0.0f64; 4];
-                            let mut b = [0.0f64; 4];
-                            let mut cc = [0.0f64; 4];
-                            let mut q = [0.0f64; 4];
-                            _mm256_storeu_pd(a.as_mut_ptr(), dx);
-                            _mm256_storeu_pd(b.as_mut_ptr(), dy);
-                            _mm256_storeu_pd(cc.as_mut_ptr(), dz);
-                            _mm256_storeu_pd(q.as_mut_ptr(), d2);
-                            for l in 0..4 {
-                                if mask & (1 << l) != 0 {
-                                    emit(self.order[k + l], a[l], b[l], cc[l], q[l]);
-                                }
-                            }
-                        }
-                        k += 4;
-                    }
-                    while k < e {
-                        let (dx, dy, dz, d2) = candidate(k);
-                        let lim = if ADAPTIVE { r2.max(rs2[k]) } else { r2 };
-                        if d2 <= lim {
-                            emit(self.order[k], dx, dy, dz, d2);
-                        }
-                        k += 1;
-                    }
+        // The cursor below is shared by the four columns.
+        assert!(
+            out.dx.len() == out.j.len()
+                && out.dy.len() == out.j.len()
+                && out.dz.len() == out.j.len(),
+            "row chunk columns out of step"
+        );
+        let (runs, n) = self.stencil_runs(px, py, pz);
+        for &(s, e) in &runs[..n] {
+            // Checked once per run; every vector load below stays inside
+            // these sub-slices.
+            let (xr, yr, zr, jr) = (&src.x[s..e], &src.y[s..e], &src.z[s..e], &self.order[s..e]);
+            let rr = if ADAPTIVE { &src.r2[s..e] } else { &[][..] };
+            let run = e - s;
+            out.reserve(run + 4);
+            let mut len = out.j.len();
+            let mut t = 0;
+            while t + 4 <= run {
+                // SAFETY: `t + 4 <= run`, the length of `xr`/`yr`/`zr`/`jr`
+                // (and of `rr` when ADAPTIVE), so each 4-lane load is in
+                // bounds.
+                let mut dx = _mm256_sub_pd(_mm256_loadu_pd(xr.as_ptr().add(t)), vpx);
+                let mut dy = _mm256_sub_pd(_mm256_loadu_pd(yr.as_ptr().add(t)), vpy);
+                let mut dz = _mm256_sub_pd(_mm256_loadu_pd(zr.as_ptr().add(t)), vpz);
+                let vj = _mm_loadu_si128(jr.as_ptr().add(t).cast());
+                if wrap.periodic {
+                    dx = wrap4(dx, vhx, vnhx, vlx, vnlx);
+                    dy = wrap4(dy, vhy, vnhy, vly, vnly);
+                    dz = wrap4(dz, vhz, vnhz, vlz, vnlz);
                 }
+                let d2 = _mm256_add_pd(
+                    _mm256_add_pd(_mm256_mul_pd(dx, dx), _mm256_mul_pd(dy, dy)),
+                    _mm256_mul_pd(dz, dz),
+                );
+                let vlim = if ADAPTIVE {
+                    _mm256_max_pd(vr2, _mm256_loadu_pd(rr.as_ptr().add(t)))
+                } else {
+                    vr2
+                };
+                let mask = _mm256_movemask_pd(_mm256_cmp_pd::<_CMP_LE_OQ>(d2, vlim)) as usize;
+                if mask == 0 {
+                    t += 4;
+                    continue;
+                }
+                // SAFETY: `reserve(run + 4)` above left `run + 4` spare
+                // slots behind the run's starting length in each column,
+                // and `len` has advanced by at most `t` since — so
+                // `len + 4 <= capacity` for all four stores (each
+                // debug-asserts it). `mask` is a 4-bit movemask.
+                pack_store_u32(&mut out.j, len, vj, mask);
+                pack_store_pd(&mut out.dx, len, dx, mask);
+                pack_store_pd(&mut out.dy, len, dy, mask);
+                pack_store_pd(&mut out.dz, len, dz, mask);
+                len += mask.count_ones() as usize;
+                t += 4;
             }
-        }
-    }
-
-    #[inline(always)]
-    #[allow(clippy::too_many_arguments)]
-    fn for_candidate_deltas_impl<const ADAPTIVE: bool, F: FnMut(u32, f64, f64, f64, f64)>(
-        &self,
-        px: f64,
-        py: f64,
-        pz: f64,
-        r: f64,
-        rs2: &[f64],
-        xs: &[f64],
-        ys: &[f64],
-        zs: &[f64],
-        mut emit: F,
-    ) {
-        let (ux, uy, uz) = self.bbox.normalize(px, py, pz);
-        let cx = ((ux * self.nx as f64) as isize).min(self.nx as isize - 1);
-        let cy = ((uy * self.ny as f64) as isize).min(self.ny as isize - 1);
-        let cz = ((uz * self.nz as f64) as isize).min(self.nz as isize - 1);
-        let r2 = r * r;
-        let periodic = self.bbox.periodic;
-        let (lx, ly, lz) = (self.bbox.lx(), self.bbox.ly(), self.bbox.lz());
-        let (hx, hy, hz) = (0.5 * lx, 0.5 * ly, 0.5 * lz);
-        let (sx, xn) = self.axis_candidates(cx, self.nx);
-        let (sy, yn) = self.axis_candidates(cy, self.ny);
-        let (sz, zn) = self.axis_candidates(cz, self.nz);
-        // One candidate's delta/wrap/d2 — shared by the chunked lanes and
-        // the remainder so both compute the same expressions (same bits).
-        let candidate = |k: usize| {
-            let mut dx = xs[k] - px;
-            let mut dy = ys[k] - py;
-            let mut dz = zs[k] - pz;
-            if periodic {
-                dx -= if dx > hx {
-                    lx
-                } else if dx < -hx {
-                    -lx
-                } else {
-                    0.0
-                };
-                dy -= if dy > hy {
-                    ly
-                } else if dy < -hy {
-                    -ly
-                } else {
-                    0.0
-                };
-                dz -= if dz > hz {
-                    lz
-                } else if dz < -hz {
-                    -lz
-                } else {
-                    0.0
-                };
-            }
-            (dx, dy, dz, dx * dx + dy * dy + dz * dz)
-        };
-        for &ix in &sx[..xn] {
-            for &iy in &sy[..yn] {
-                for &iz in &sz[..zn] {
-                    let c = (ix * self.ny + iy) * self.nz + iz;
-                    let (s, e) = (self.cell_start[c] as usize, self.cell_start[c + 1] as usize);
-                    let mut k = s;
-                    while k + 4 <= e {
-                        // Structure-of-arrays lanes, filled by component-wise
-                        // sub-loops: each is a straight 4-wide map the SLP
-                        // vectorizer turns into one 256-bit op (an
-                        // array-of-tuples chunk defeats it with shuffles).
-                        let mut dxv = [0.0f64; 4];
-                        let mut dyv = [0.0f64; 4];
-                        let mut dzv = [0.0f64; 4];
-                        let mut d2v = [0.0f64; 4];
-                        for l in 0..4 {
-                            dxv[l] = xs[k + l] - px;
-                            dyv[l] = ys[k + l] - py;
-                            dzv[l] = zs[k + l] - pz;
-                        }
-                        if periodic {
-                            for l in 0..4 {
-                                dxv[l] -= if dxv[l] > hx {
-                                    lx
-                                } else if dxv[l] < -hx {
-                                    -lx
-                                } else {
-                                    0.0
-                                };
-                                dyv[l] -= if dyv[l] > hy {
-                                    ly
-                                } else if dyv[l] < -hy {
-                                    -ly
-                                } else {
-                                    0.0
-                                };
-                                dzv[l] -= if dzv[l] > hz {
-                                    lz
-                                } else if dzv[l] < -hz {
-                                    -lz
-                                } else {
-                                    0.0
-                                };
-                            }
-                        }
-                        for l in 0..4 {
-                            d2v[l] = dxv[l] * dxv[l] + dyv[l] * dyv[l] + dzv[l] * dzv[l];
-                        }
-                        for l in 0..4 {
-                            let lim = if ADAPTIVE { r2.max(rs2[k + l]) } else { r2 };
-                            if d2v[l] <= lim {
-                                emit(self.order[k + l], dxv[l], dyv[l], dzv[l], d2v[l]);
-                            }
-                        }
-                        k += 4;
-                    }
-                    while k < e {
-                        let (dx, dy, dz, d2) = candidate(k);
-                        let lim = if ADAPTIVE { r2.max(rs2[k]) } else { r2 };
-                        if d2 <= lim {
-                            emit(self.order[k], dx, dy, dz, d2);
-                        }
-                        k += 1;
-                    }
+            // SAFETY: slots up to `len` were initialised by the pack stores
+            // (each advanced `len` by exactly its count of meaningful
+            // lanes), and `len <= capacity` by the reserve above.
+            out.set_len(len);
+            for k in t..run {
+                let (dx, dy, dz, d2) = wrap.delta(xr[k], yr[k], zr[k], px, py, pz);
+                let lim = if ADAPTIVE { r2.max(rr[k]) } else { r2 };
+                if d2 <= lim {
+                    out.push(jr[k], dx, dy, dz);
                 }
             }
         }
@@ -619,43 +525,133 @@ mod tests {
         }
     }
 
+    fn sorted(
+        cl: &CellList,
+        x: &[f64],
+        y: &[f64],
+        z: &[f64],
+        radii: Option<&[f64]>,
+    ) -> SortedCoords {
+        let mut src = SortedCoords::default();
+        src.fill(cl.order(), x, y, z);
+        if let Some(rr) = radii {
+            src.fill_radii(cl.order(), rr);
+        }
+        src
+    }
+
+    /// A chunk's columns as comparable bits.
+    fn chunk_bits(ch: &RowChunk) -> (Vec<u32>, Vec<[u64; 3]>) {
+        let d = (0..ch.j.len())
+            .map(|k| [ch.dx[k].to_bits(), ch.dy[k].to_bits(), ch.dz[k].to_bits()])
+            .collect();
+        (ch.j.clone(), d)
+    }
+
     #[test]
-    fn candidate_deltas_replay_for_neighbors_bitwise() {
-        // The neighbor-list build rests on this: the sorted-coordinate delta
-        // walk must emit the same (j, d2) sequence — same order, same bits —
+    fn scan_replays_for_neighbors_bitwise() {
+        // The neighbor-list build rests on this: the sorted-coordinate scan
+        // must append the same (j, d2) sequence — same order, same bits —
         // as for_neighbors, and its deltas must equal Box3::delta(j, i).
         for periodic in [true, false] {
             let (x, y, z) = cloud(250, 8);
             let bbox = Box3::cube(0.0, 1.0, periodic);
             let r = 0.14;
             let cl = CellList::build(&x, &y, &z, &bbox, r);
-            let order = cl.order();
-            let xs: Vec<f64> = order.iter().map(|&j| x[j as usize]).collect();
-            let ys: Vec<f64> = order.iter().map(|&j| y[j as usize]).collect();
-            let zs: Vec<f64> = order.iter().map(|&j| z[j as usize]).collect();
+            let src = sorted(&cl, &x, &y, &z, None);
             for i in (0..250).step_by(9) {
                 let mut direct = Vec::new();
                 cl.for_neighbors(x[i], y[i], z[i], r, &x, &y, &z, |j, d2| {
                     direct.push((j, d2.to_bits()));
                 });
+                let mut out = RowChunk::default();
+                cl.scan_into([x[i], y[i], z[i]], r, &src, &mut out);
                 let mut replay = Vec::new();
-                cl.for_candidate_deltas(x[i], y[i], z[i], r, &xs, &ys, &zs, |j, dx, dy, dz, d2| {
-                    let (ex, ey, ez) = bbox.delta(
-                        x[j as usize],
-                        y[j as usize],
-                        z[j as usize],
-                        x[i],
-                        y[i],
-                        z[i],
-                    );
+                for k in 0..out.j.len() {
+                    let j = out.j[k] as usize;
+                    let (dx, dy, dz) = (out.dx[k], out.dy[k], out.dz[k]);
+                    let (ex, ey, ez) = bbox.delta(x[j], y[j], z[j], x[i], y[i], z[i]);
                     assert_eq!(dx.to_bits(), ex.to_bits(), "dx of pair ({i},{j})");
                     assert_eq!(dy.to_bits(), ey.to_bits(), "dy of pair ({i},{j})");
                     assert_eq!(dz.to_bits(), ez.to_bits(), "dz of pair ({i},{j})");
-                    replay.push((j as usize, d2.to_bits()));
-                });
+                    replay.push((j, (dx * dx + dy * dy + dz * dz).to_bits()));
+                }
                 assert_eq!(direct, replay, "particle {i}, periodic={periodic}");
             }
         }
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn avx2_and_portable_scans_agree_on_every_mask_and_run_length() {
+        // Drive both bodies on the same inputs and compare bits. Sparse
+        // clouds give cell runs of every length 0..=9 (no full chunk, one
+        // chunk with 0..=3 remainder lanes, two chunks with a remainder);
+        // a radius near the cell size gives a pass rate around one half, so
+        // every one of the 16 four-lane pass masks occurs. Both are checked
+        // from first principles, not assumed.
+        if !crate::simd::avx2() {
+            return;
+        }
+        let mut seen_mask = [false; 16];
+        let mut seen_run = [false; 10];
+        for (seed, n, periodic) in [
+            (5, 90, true),
+            (6, 160, false),
+            (7, 260, true),
+            (8, 40, false),
+        ] {
+            let (x, y, z) = cloud(n, seed);
+            let bbox = Box3::cube(0.0, 1.0, periodic);
+            let cell = 0.3;
+            let cl = CellList::build(&x, &y, &z, &bbox, cell);
+            let radii: Vec<f64> = (0..n).map(|i| 0.12 + 0.16 * (i % 6) as f64 / 5.0).collect();
+            let wrap = MinImage::new(&bbox);
+            for rr in [None, Some(radii.as_slice())] {
+                let src = sorted(&cl, &x, &y, &z, rr);
+                // Appended to across queries, so stores land at every
+                // cursor alignment and behind earlier rows.
+                let mut fast = RowChunk::default();
+                let mut slow = RowChunk::default();
+                for i in 0..n {
+                    let p = [x[i], y[i], z[i]];
+                    let r = rr.map_or(0.21, |rr| rr[i]);
+                    let (runs, nr) = cl.stencil_runs(p[0], p[1], p[2]);
+                    for &(s, e) in &runs[..nr] {
+                        if e - s <= 9 {
+                            seen_run[e - s] = true;
+                        }
+                        for c in (s..e).step_by(4).filter(|c| c + 4 <= e) {
+                            let mut mask = 0;
+                            for l in 0..4 {
+                                let k = c + l;
+                                let d2 =
+                                    wrap.delta(src.x[k], src.y[k], src.z[k], p[0], p[1], p[2]).3;
+                                let lim = if rr.is_some() {
+                                    (r * r).max(src.r2[k])
+                                } else {
+                                    r * r
+                                };
+                                mask |= ((d2 <= lim) as usize) << l;
+                            }
+                            seen_mask[mask] = true;
+                        }
+                    }
+                    // SAFETY: AVX2 and POPCNT support was checked above.
+                    unsafe {
+                        match rr {
+                            Some(_) => cl.scan_into_avx2::<true>(p, r, &src, &mut fast),
+                            None => cl.scan_into_avx2::<false>(p, r, &src, &mut fast),
+                        }
+                    }
+                    cl.scan_into_portable(p, r, &src, &mut slow);
+                    assert_eq!(fast.j.len(), slow.j.len(), "query {i}, seed {seed}");
+                }
+                assert_eq!(chunk_bits(&fast), chunk_bits(&slow), "seed {seed}");
+            }
+        }
+        assert_eq!(seen_mask, [true; 16], "every 4-lane pass mask exercised");
+        assert_eq!(seen_run, [true; 10], "cell runs of length 0..=9 exercised");
     }
 
     #[test]

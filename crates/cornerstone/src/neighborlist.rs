@@ -12,11 +12,15 @@
 //! keeps rows of small-`h` particles from hauling in candidates out to the
 //! global maximum radius.
 //!
-//! The build itself is single-pass: candidate positions are gathered once
-//! into cell-sorted coordinate copies (contiguous scans instead of `order`
-//! indirections), rows are pushed directly (serial) or into per-chunk
-//! scratch buffers spliced back in row order (parallel) — both produce
-//! identical arrays.
+//! The build is single-pass and in place: candidate positions are gathered
+//! once into cell-sorted coordinate copies (contiguous scans instead of
+//! `order` indirections), rows are cut into fixed chunks of 128
+//! (`ROWS_PER_CHUNK`), and each chunk's worker scans its rows' stencils
+//! straight into that chunk's own columns (`CellList::scan_into`). Those
+//! per-chunk columns *are* the list — there is no flat array to splice them
+//! into, so no serial pass and no second copy. One worker runs the same loop
+//! over the same chunks, so the stored bits do not depend on the worker
+//! count.
 //!
 //! ## Positions-unchanged contract
 //!
@@ -36,7 +40,7 @@
 //! `d2` is recomputed from the stored delta as `dx² + dy² + dz²` — the same
 //! value [`Box3::dist2`] produces, to the bit: the stored delta is the exact
 //! IEEE negation of `dist2`'s internal `r_i - r_j` (see
-//! `CellList::for_candidate_deltas`), squares erase the sign, and the
+//! `CellList::scan_into`), squares erase the sign, and the
 //! summation order matches. This requires the grid's cells to be at least
 //! `R` wide — the same precondition the direct path already has — which
 //! [`NeighborList::build`] cannot check (the grid does not expose its cell
@@ -54,14 +58,19 @@
 //!
 //! ## Memory cost model
 //!
-//! `28·pairs + 8·(n+1) + 24·stored` bytes: a `u32` index plus three `f64`
-//! delta components per candidate pair, `usize` offsets, and one cell-sorted
-//! coordinate copy per stored particle (plus transient per-chunk build
-//! scratch of the same shape as the pair arrays). At the laptop scale
-//! (~160 candidates per row) this is ~4.5 KiB/particle — a deliberate trade:
-//! the five sweeps re-read each pair's geometry 6× per step (IAD twice), and
-//! streaming 28 B beats re-gathering three scattered positions plus a
-//! minimum-image computation each time.
+//! `28·pairs + 4·(n + chunks) + 24·stored` bytes (`+ 8·stored` for the
+//! adaptive build's squared radii): a `u32` index plus three `f64` delta
+//! components per candidate pair, one `u32` chunk-local row start per row
+//! and one more per chunk, and one cell-sorted coordinate copy per stored
+//! particle. There is no transient build scratch — the columns are filled
+//! where they stay — so the only overhead on top of the model is column
+//! growth slack: capacity above length, bounded near 25 % (columns grow by a
+//! quarter, not by doubling) and kept across steps so the steady state
+//! allocates nothing. At the laptop scale (~160 candidates per row)
+//! this is ~4.5 KiB/particle — a deliberate trade: the five sweeps re-read
+//! each pair's geometry 6× per step (IAD twice), and streaming 28 B beats
+//! re-gathering three scattered positions plus a minimum-image computation
+//! each time.
 
 use crate::box3::Box3;
 use crate::celllist::CellList;
@@ -93,7 +102,8 @@ pub trait NeighborSearch {
     );
 
     /// The concrete CSR list behind this source, if any. The SPH sweeps use
-    /// it to take the cache-blocked row path ([`NeighborList::filter_row_into`])
+    /// it to take the cache-blocked row path ([`NeighborList::row_deltas`],
+    /// [`NeighborList::filter_pairs_into`], [`NeighborList::count_within`])
     /// instead of the per-pair callback replay. Sources whose candidates are
     /// not stored CSR rows — the direct grid walk, the [`ScalarReplay`]
     /// adapter — return `None` and keep the callback path.
@@ -117,29 +127,26 @@ impl NeighborSearch for CellList {
     }
 }
 
-/// Rows per parallel build chunk. Output is chunk-size independent (chunks
-/// are spliced back in row order), so this only tunes load balance against
-/// splice/scratch overhead.
+/// Rows per chunk: the unit of parallel build work and of storage. Row
+/// contents are chunk-size independent (a row's candidates are the same
+/// wherever the row lives), so this only tunes load balance against
+/// per-chunk overhead.
 const ROWS_PER_CHUNK: usize = 128;
-
-/// Below this row count the scoped-thread spawn overhead of the chunked
-/// build dominates; build serially instead.
-const PAR_BUILD_MIN_ROWS: usize = 256;
 
 /// Cell-sorted coordinate copies: slot `k` holds the position of the
 /// particle in the grid's CSR slot `k`, so candidate scans are contiguous.
 /// The adaptive build additionally keeps each candidate's squared search
 /// radius in the same slot order (`r2`, empty for fixed-radius builds).
 #[derive(Debug, Clone, Default)]
-struct SortedCoords {
-    x: Vec<f64>,
-    y: Vec<f64>,
-    z: Vec<f64>,
-    r2: Vec<f64>,
+pub(crate) struct SortedCoords {
+    pub(crate) x: Vec<f64>,
+    pub(crate) y: Vec<f64>,
+    pub(crate) z: Vec<f64>,
+    pub(crate) r2: Vec<f64>,
 }
 
 impl SortedCoords {
-    fn fill(&mut self, order: &[u32], x: &[f64], y: &[f64], z: &[f64]) {
+    pub(crate) fn fill(&mut self, order: &[u32], x: &[f64], y: &[f64], z: &[f64]) {
         let n = order.len();
         self.x.clear();
         self.y.clear();
@@ -158,7 +165,7 @@ impl SortedCoords {
 
     /// Gather squared per-particle radii into cell-sorted slots (adaptive
     /// builds only).
-    fn fill_radii(&mut self, order: &[u32], radii: &[f64]) {
+    pub(crate) fn fill_radii(&mut self, order: &[u32], radii: &[f64]) {
         self.r2.clear();
         self.r2.resize(order.len(), 0.0);
         for (k, &j) in order.iter().enumerate() {
@@ -173,41 +180,96 @@ impl SortedCoords {
     }
 }
 
-/// Per-chunk scratch of the parallel build: a contiguous run of rows'
-/// candidates plus per-row counts, spliced into the main arrays serially.
+/// Up to [`ROWS_PER_CHUNK`] consecutive rows, stored where they were built:
+/// four parallel candidate columns in visit order plus chunk-local CSR row
+/// starts (local row `r` spans `starts[r]..starts[r + 1]`; `u32` because a
+/// chunk holds at most `128 × stored` candidates). The four columns always
+/// have equal length.
 #[derive(Debug, Clone, Default)]
-struct BuildChunk {
-    counts: Vec<u32>,
-    j: Vec<u32>,
-    dx: Vec<f64>,
-    dy: Vec<f64>,
-    dz: Vec<f64>,
+pub(crate) struct RowChunk {
+    starts: Vec<u32>,
+    /// Candidate particle indices (self included).
+    pub(crate) j: Vec<u32>,
+    /// Wrapped displacement `r_j - r_i` per candidate, recorded at build
+    /// time (valid while positions are unchanged — see module docs).
+    pub(crate) dx: Vec<f64>,
+    pub(crate) dy: Vec<f64>,
+    pub(crate) dz: Vec<f64>,
 }
 
-impl BuildChunk {
-    fn clear(&mut self) {
-        self.counts.clear();
+impl RowChunk {
+    /// Drop all rows, keeping capacity; the first row starts at slot 0.
+    fn reset(&mut self) {
+        self.starts.clear();
+        self.starts.push(0);
         self.j.clear();
         self.dx.clear();
         self.dy.clear();
         self.dz.clear();
     }
 
+    /// Append one candidate to the four columns.
+    #[inline]
+    pub(crate) fn push(&mut self, j: u32, dx: f64, dy: f64, dz: f64) {
+        self.j.push(j);
+        self.dx.push(dx);
+        self.dy.push(dy);
+        self.dz.push(dz);
+    }
+
+    /// Make room for `additional` more candidates in every column. Growth
+    /// is by a quarter of the length rather than `Vec`'s doubling: the
+    /// columns are the bulk of the step's resident memory and are kept
+    /// across steps, so slack is bounded at ~25 % instead of ~100 %.
+    #[inline]
+    pub(crate) fn reserve(&mut self, additional: usize) {
+        #[inline]
+        fn grow<T>(v: &mut Vec<T>, additional: usize) {
+            if v.capacity() - v.len() < additional {
+                v.reserve_exact(additional.max(v.len() / 4));
+            }
+        }
+        grow(&mut self.j, additional);
+        grow(&mut self.dx, additional);
+        grow(&mut self.dy, additional);
+        grow(&mut self.dz, additional);
+    }
+
+    /// Set the length of all four columns.
+    ///
+    /// # Safety
+    ///
+    /// As [`Vec::set_len`], for each column: `len <= capacity` and slots
+    /// `..len` initialised.
+    #[inline]
+    pub(crate) unsafe fn set_len(&mut self, len: usize) {
+        self.j.set_len(len);
+        self.dx.set_len(len);
+        self.dy.set_len(len);
+        self.dz.set_len(len);
+    }
+
+    /// Close the current row: its candidates end where the columns end now.
+    fn end_row(&mut self) {
+        let end = u32::try_from(self.j.len()).expect("a chunk's candidates fit u32");
+        self.starts.push(end);
+    }
+
     fn bytes(&self) -> usize {
-        (self.counts.capacity() + self.j.capacity()) * std::mem::size_of::<u32>()
+        (self.starts.capacity() + self.j.capacity()) * std::mem::size_of::<u32>()
             + (self.dx.capacity() + self.dy.capacity() + self.dz.capacity())
                 * std::mem::size_of::<f64>()
     }
 }
 
-/// One row's radius-filtered candidates, compacted into contiguous lane
-/// buffers: parallel arrays of neighbor index, wrapped displacement
-/// `r_j - r_i`, and squared distance, in visit order. The blocked sweeps
-/// fill one of these per row (thread-local, reused) and run their pair math
-/// as passes over the buffers.
+/// One row's interacting pairs ([`NeighborList::filter_pairs_into`]),
+/// compacted into contiguous lane buffers: parallel arrays of neighbor
+/// index, wrapped displacement `r_j - r_i`, and squared distance, in visit
+/// order. A blocked sweep fills one of these per row (thread-local, reused)
+/// and runs its pair math as passes over the buffers.
 #[derive(Debug, Clone, Default)]
 pub struct FilteredRow {
-    /// Passing candidate indices (self included), visit order.
+    /// Passing candidate indices, visit order.
     pub j: Vec<u32>,
     /// Wrapped displacement components `r_j - r_i`.
     pub dx: Vec<f64>,
@@ -250,35 +312,28 @@ impl FilteredRow {
 /// recorded with their minimum-image deltas at a fixed superset radius or
 /// under the h-aware per-pair rule (see the module docs).
 ///
-/// Buffers are reusable across steps via [`NeighborList::build_into`]; a
-/// rebuild only reallocates when the pair count grows past capacity.
+/// Rows live in 128-row chunks (`ROWS_PER_CHUNK`), each owning its columns; the
+/// chunks are reused across steps via [`NeighborList::build_into`], so a
+/// rebuild only reallocates when a chunk's pair count grows past capacity.
 #[derive(Debug, Clone, Default)]
 pub struct NeighborList {
-    /// Row `i` spans slot range `offsets[i]..offsets[i + 1]`.
-    offsets: Vec<usize>,
-    /// Candidate particle indices in cell-list visit order (self included).
-    pairs: Vec<u32>,
-    /// Wrapped displacement `r_j - r_i` per candidate pair, recorded at
-    /// build time (valid while positions are unchanged — see module docs).
-    dx: Vec<f64>,
-    dy: Vec<f64>,
-    dz: Vec<f64>,
+    /// Row `i` is local row `i % ROWS_PER_CHUNK` of chunk
+    /// `i / ROWS_PER_CHUNK`; exactly `n_rows.div_ceil(ROWS_PER_CHUNK)`
+    /// chunks are held.
+    chunks: Vec<RowChunk>,
+    n_rows: usize,
     /// The superset radius rows were recorded at — `max(radii)` for
     /// adaptive builds, where it bounds any *global*-radius query; row `i`
     /// individually answers queries up to its own `radii[i]`.
     radius: f64,
-    /// Build scratch, reused across steps.
+    /// Cell-sorted build input, reused across steps.
     sorted: SortedCoords,
-    chunks: Vec<BuildChunk>,
 }
 
 impl NeighborList {
     /// An empty list (no rows); fill it with [`NeighborList::build_into`].
     pub fn new() -> Self {
-        NeighborList {
-            offsets: vec![0],
-            ..NeighborList::default()
-        }
+        Self::default()
     }
 
     /// Build a fresh list: rows for particles `0..n_query` holding every
@@ -298,15 +353,13 @@ impl NeighborList {
         nl
     }
 
-    /// Rebuild in place, reusing the CSR allocations of a previous step.
+    /// Rebuild in place, reusing the chunk allocations of a previous step.
     ///
-    /// Single traversal per row over cell-sorted coordinate copies: the
-    /// serial path pushes candidates straight into the CSR arrays; the
-    /// parallel path fills fixed-size row chunks into per-chunk scratch
-    /// (each chunk owned by one worker via `par_for_each_mut`) and splices
-    /// them back in row order. Both paths produce bit-identical arrays, and
-    /// the emitted `(j, d2)` sequence per row is bit-identical to the
-    /// direct grid walk (see `CellList::for_candidate_deltas`).
+    /// Single traversal per row over cell-sorted coordinate copies, each
+    /// chunk of rows filled by one worker (`par_for_each_mut`) directly
+    /// into the columns it is read from afterwards. The emitted `(j, d2)`
+    /// sequence per row is bit-identical to the direct grid walk (see
+    /// `CellList::scan_into`) at any worker count.
     pub fn build_into(
         &mut self,
         grid: &CellList,
@@ -327,11 +380,12 @@ impl NeighborList {
     /// results are unchanged — while rows of small-radius particles no
     /// longer haul in every candidate out to the *global* maximum radius.
     /// On strongly h-graded workloads (Evrard collapse) this shrinks rows
-    /// severalfold; with uniform radii the stored arrays are bit-identical
+    /// severalfold; with uniform radii the stored rows are bit-identical
     /// to [`NeighborList::build_into`] at that radius.
     ///
     /// The grid's cells must be at least `max(radii)` wide (the same
-    /// precondition as the fixed-radius build at that maximum).
+    /// precondition as the fixed-radius build at that maximum). An empty
+    /// particle set yields an empty list.
     pub fn build_adaptive_into(
         &mut self,
         grid: &CellList,
@@ -361,7 +415,12 @@ impl NeighborList {
         radius: f64,
         radii: Option<&[f64]>,
     ) {
-        assert!(radius > 0.0, "neighbor radius must be positive");
+        // A rank that owns and imports nothing is legal: no particles, no
+        // radius to speak of, no rows.
+        assert!(
+            x.is_empty() || radius > 0.0,
+            "neighbor radius must be positive"
+        );
         assert!(n_query <= x.len(), "query range exceeds stored particles");
         assert_eq!(
             grid.len(),
@@ -369,121 +428,23 @@ impl NeighborList {
             "grid and coordinate arrays disagree on particle count"
         );
         self.radius = radius;
+        self.n_rows = n_query;
         self.sorted.fill(grid.order(), x, y, z);
         if let Some(rr) = radii {
             self.sorted.fill_radii(grid.order(), rr);
         }
-        self.offsets.clear();
-        self.offsets.reserve(n_query + 1);
-        self.offsets.push(0);
-        self.pairs.clear();
-        self.dx.clear();
-        self.dy.clear();
-        self.dz.clear();
-        if par::max_threads() <= 1 || n_query < PAR_BUILD_MIN_ROWS {
-            self.fill_rows_serial(grid, x, y, z, n_query, radius, radii);
-        } else {
-            self.fill_rows_chunked(grid, x, y, z, n_query, radius, radii);
-        }
-    }
-
-    /// Serial single-pass fill: rows pushed directly into the CSR arrays.
-    #[allow(clippy::too_many_arguments)]
-    fn fill_rows_serial(
-        &mut self,
-        grid: &CellList,
-        x: &[f64],
-        y: &[f64],
-        z: &[f64],
-        n_query: usize,
-        radius: f64,
-        radii: Option<&[f64]>,
-    ) {
-        let Self {
-            offsets,
-            pairs,
-            dx,
-            dy,
-            dz,
-            sorted,
-            ..
-        } = self;
-        for i in 0..n_query {
-            let emit = |j: u32, a: f64, b: f64, c: f64, _d2: f64| {
-                pairs.push(j);
-                dx.push(a);
-                dy.push(b);
-                dz.push(c);
-            };
-            match radii {
-                Some(rr) => grid.for_candidate_deltas_adaptive(
-                    x[i], y[i], z[i], rr[i], &sorted.r2, &sorted.x, &sorted.y, &sorted.z, emit,
-                ),
-                None => grid.for_candidate_deltas(
-                    x[i], y[i], z[i], radius, &sorted.x, &sorted.y, &sorted.z, emit,
-                ),
-            }
-            offsets.push(pairs.len());
-        }
-    }
-
-    /// Parallel fill: fixed-size row chunks into per-chunk scratch, then an
-    /// order-preserving serial splice. Chunk size cannot affect the output —
-    /// every row's candidates land in the same final slots.
-    #[allow(clippy::too_many_arguments)]
-    fn fill_rows_chunked(
-        &mut self,
-        grid: &CellList,
-        x: &[f64],
-        y: &[f64],
-        z: &[f64],
-        n_query: usize,
-        radius: f64,
-        radii: Option<&[f64]>,
-    ) {
-        let nchunks = n_query.div_ceil(ROWS_PER_CHUNK);
-        self.chunks.resize_with(nchunks, BuildChunk::default);
+        self.chunks
+            .resize_with(n_query.div_ceil(ROWS_PER_CHUNK), RowChunk::default);
         let sorted = &self.sorted;
-        par::par_for_each_mut(&mut self.chunks[..nchunks], |ci, ch| {
-            ch.clear();
+        par::par_for_each_mut(&mut self.chunks, |ci, ch| {
+            ch.reset();
             let lo = ci * ROWS_PER_CHUNK;
-            let hi = ((ci + 1) * ROWS_PER_CHUNK).min(n_query);
-            for i in lo..hi {
-                let before = ch.j.len();
-                let emit = |j: u32, a: f64, b: f64, c: f64, _d2: f64| {
-                    ch.j.push(j);
-                    ch.dx.push(a);
-                    ch.dy.push(b);
-                    ch.dz.push(c);
-                };
-                match radii {
-                    Some(rr) => grid.for_candidate_deltas_adaptive(
-                        x[i], y[i], z[i], rr[i], &sorted.r2, &sorted.x, &sorted.y, &sorted.z, emit,
-                    ),
-                    None => grid.for_candidate_deltas(
-                        x[i], y[i], z[i], radius, &sorted.x, &sorted.y, &sorted.z, emit,
-                    ),
-                }
-                ch.counts.push((ch.j.len() - before) as u32);
+            for i in lo..(lo + ROWS_PER_CHUNK).min(n_query) {
+                let r = radii.map_or(radius, |rr| rr[i]);
+                grid.scan_into([x[i], y[i], z[i]], r, sorted, ch);
+                ch.end_row();
             }
         });
-        let total: usize = self.chunks[..nchunks].iter().map(|c| c.j.len()).sum();
-        self.pairs.reserve(total);
-        self.dx.reserve(total);
-        self.dy.reserve(total);
-        self.dz.reserve(total);
-        let mut running = 0usize;
-        for ch in &self.chunks[..nchunks] {
-            for &c in &ch.counts {
-                running += c as usize;
-                self.offsets.push(running);
-            }
-            self.pairs.extend_from_slice(&ch.j);
-            self.dx.extend_from_slice(&ch.dx);
-            self.dy.extend_from_slice(&ch.dy);
-            self.dz.extend_from_slice(&ch.dz);
-        }
-        debug_assert_eq!(running, total, "chunk counts and payload disagree");
     }
 
     /// The superset radius rows were recorded at (`max(radii)` for
@@ -494,16 +455,16 @@ impl NeighborList {
 
     /// Number of rows (query particles).
     pub fn len(&self) -> usize {
-        self.offsets.len() - 1
+        self.n_rows
     }
 
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.n_rows == 0
     }
 
     /// Candidate indices of row `i`, in visit order (includes `i` itself).
     pub fn row(&self, i: usize) -> &[u32] {
-        &self.pairs[self.offsets[i]..self.offsets[i + 1]]
+        self.row_deltas(i).0
     }
 
     /// Row `i`'s raw candidates with their stored deltas, unfiltered:
@@ -512,200 +473,72 @@ impl NeighborList {
     /// kernel evaluates to exact zero beyond support, or because they apply
     /// the radius cut themselves) iterate this directly and skip the
     /// compaction pass entirely.
+    ///
+    /// This is the one place a global row index is resolved to its chunk
+    /// and local row; every other accessor goes through it.
+    #[inline]
     pub fn row_deltas(&self, i: usize) -> (&[u32], &[f64], &[f64], &[f64]) {
-        let (s, e) = (self.offsets[i], self.offsets[i + 1]);
-        (
-            &self.pairs[s..e],
-            &self.dx[s..e],
-            &self.dy[s..e],
-            &self.dz[s..e],
-        )
+        let ch = &self.chunks[i / ROWS_PER_CHUNK];
+        let r = i % ROWS_PER_CHUNK;
+        let (s, e) = (ch.starts[r] as usize, ch.starts[r + 1] as usize);
+        (&ch.j[s..e], &ch.dx[s..e], &ch.dy[s..e], &ch.dz[s..e])
     }
 
-    /// Compact row `i`'s candidates within `r` (inclusive) into `out`, in
+    /// Compact row `i`'s candidates with `0 < d2 <= r²` into `out`, in
     /// visit order — index, stored delta and recomputed `d2` per passing
-    /// candidate. Distances are evaluated in 4-lane chunks with the
-    /// pass/fail pushes kept in index order (remainder lanes likewise), so
-    /// the emitted sequence is exactly the scalar replay's, bit for bit.
-    /// Dispatched through an AVX2 clone when available ([`crate::simd`]).
-    pub fn filter_row_into(&self, i: usize, r: f64, out: &mut FilteredRow) {
+    /// candidate, exactly the scalar replay's passing sequence minus the
+    /// zero-distance candidates, bit for bit. `d2 == 0` happens exactly for
+    /// the self-pair and coincident particles — the set every
+    /// pair-interaction sweep skips (`j == i || d2 == 0`), so fusing the
+    /// skip into the filter saves those sweeps a second compaction pass.
+    /// Dispatched to an AVX2 body when available ([`crate::simd`]).
+    pub fn filter_pairs_into(&self, i: usize, r: f64, out: &mut FilteredRow) {
+        debug_assert!(
+            r <= self.radius,
+            "query radius {r} exceeds the recorded superset radius {}",
+            self.radius
+        );
         #[cfg(target_arch = "x86_64")]
         if crate::simd::avx2() {
-            // SAFETY: AVX2 support was just checked; the clone has no other
-            // precondition (portable body under different codegen).
-            return unsafe { self.filter_row_into_avx2(i, r, out) };
+            // SAFETY: AVX2 and POPCNT support was just checked; the body
+            // has no other precondition.
+            return unsafe { self.filter_pairs_into_avx2(i, r, out) };
         }
-        self.filter_row_into_impl(i, r, out)
+        self.filter_pairs_into_portable(i, r, out)
     }
 
-    /// Hand-vectorized AVX2 compaction (the auto-vectorizer keeps the
-    /// chunked portable body scalar): `d2` for four candidates per
-    /// `vmulpd`/`vaddpd` — the same `(a·a + b·b) + c·c` association, hence
-    /// the same bits — then an ordered compare + movemask picks the passing
-    /// lanes, pushed in index order straight from the stored slices. Chunks
-    /// with no passing lane skip the push loop entirely.
+    /// Hand-vectorized compaction: `d2` for four candidates per
+    /// `vmulpd`/`vaddpd` — the same `(a·a + b·b) + c·c` association as the
+    /// portable body, hence the same bits — then the pair condition
+    /// `0 < d2 <= r²` as two ordered compares and-ed into one mask, and the
+    /// passing lanes of all five columns left-packed at the output cursor
+    /// ([`crate::simd::pack_store_pd`]; the scan of the list build uses the
+    /// same step).
     #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2")]
-    unsafe fn filter_row_into_avx2(&self, i: usize, r: f64, out: &mut FilteredRow) {
+    #[target_feature(enable = "avx2,popcnt")]
+    unsafe fn filter_pairs_into_avx2(&self, i: usize, r: f64, out: &mut FilteredRow) {
+        use crate::simd::{pack_store_pd, pack_store_u32};
         use std::arch::x86_64::*;
-        debug_assert!(
-            r <= self.radius,
-            "query radius {r} exceeds the recorded superset radius {}",
-            self.radius
-        );
         out.clear();
-        let (s, e) = (self.offsets[i], self.offsets[i + 1]);
-        let n = e - s;
-        let (jj, xs, ys, zs) = (
-            &self.pairs[s..e],
-            &self.dx[s..e],
-            &self.dy[s..e],
-            &self.dz[s..e],
-        );
-        out.j.reserve(n);
-        out.dx.reserve(n);
-        out.dy.reserve(n);
-        out.dz.reserve(n);
-        out.d2.reserve(n);
-        let r2 = r * r;
-        let vr2 = _mm256_set1_pd(r2);
-        let mut k = 0;
-        while k + 4 <= n {
-            let x = _mm256_loadu_pd(xs.as_ptr().add(k));
-            let y = _mm256_loadu_pd(ys.as_ptr().add(k));
-            let z = _mm256_loadu_pd(zs.as_ptr().add(k));
-            let q = _mm256_add_pd(
-                _mm256_add_pd(_mm256_mul_pd(x, x), _mm256_mul_pd(y, y)),
-                _mm256_mul_pd(z, z),
-            );
-            let mask = _mm256_movemask_pd(_mm256_cmp_pd::<_CMP_LE_OQ>(q, vr2));
-            if mask != 0 {
-                let mut ql = [0.0f64; 4];
-                _mm256_storeu_pd(ql.as_mut_ptr(), q);
-                for l in 0..4 {
-                    if mask & (1 << l) != 0 {
-                        out.push(jj[k + l], xs[k + l], ys[k + l], zs[k + l], ql[l]);
-                    }
-                }
-            }
-            k += 4;
-        }
-        while k < n {
-            let (a, b, c) = (xs[k], ys[k], zs[k]);
-            let q = a * a + b * b + c * c;
-            if q <= r2 {
-                out.push(jj[k], a, b, c, q);
-            }
-            k += 1;
-        }
-    }
-
-    #[inline(always)]
-    fn filter_row_into_impl(&self, i: usize, r: f64, out: &mut FilteredRow) {
-        debug_assert!(
-            r <= self.radius,
-            "query radius {r} exceeds the recorded superset radius {}",
-            self.radius
-        );
-        out.clear();
-        let (s, e) = (self.offsets[i], self.offsets[i + 1]);
-        let n = e - s;
-        let (jj, xs, ys, zs) = (
-            &self.pairs[s..e],
-            &self.dx[s..e],
-            &self.dy[s..e],
-            &self.dz[s..e],
-        );
-        out.j.reserve(n);
-        out.dx.reserve(n);
-        out.dy.reserve(n);
-        out.dz.reserve(n);
-        out.d2.reserve(n);
-        let r2 = r * r;
-        let mut k = 0;
-        while k + 4 <= n {
-            let mut q = [0.0f64; 4];
-            for l in 0..4 {
-                let (a, b, c) = (xs[k + l], ys[k + l], zs[k + l]);
-                q[l] = a * a + b * b + c * c;
-            }
-            for l in 0..4 {
-                if q[l] <= r2 {
-                    out.push(jj[k + l], xs[k + l], ys[k + l], zs[k + l], q[l]);
-                }
-            }
-            k += 4;
-        }
-        while k < n {
-            let (a, b, c) = (xs[k], ys[k], zs[k]);
-            let q = a * a + b * b + c * c;
-            if q <= r2 {
-                out.push(jj[k], a, b, c, q);
-            }
-            k += 1;
-        }
-    }
-
-    /// [`NeighborList::filter_row_into`] minus the zero-distance
-    /// candidates: compact row `i`'s candidates with `0 < d2 <= r²` into
-    /// `out`, in visit order. `d2 == 0` happens exactly for the self-pair
-    /// and coincident particles — the set every pair-interaction sweep
-    /// skips (`j == i || d2 == 0`), so fusing the skip into the filter
-    /// saves those sweeps a second compaction pass. With `NEGATE` the
-    /// stored `r_j - r_i` deltas are emitted negated (`r_i - r_j`, the
-    /// momentum equation's direction); IEEE negation is exact and `d2` is
-    /// unchanged (squares erase sign).
-    /// Dispatched through an AVX2 clone when available ([`crate::simd`]).
-    pub fn filter_pairs_into<const NEGATE: bool>(&self, i: usize, r: f64, out: &mut FilteredRow) {
-        #[cfg(target_arch = "x86_64")]
-        if crate::simd::avx2() {
-            // SAFETY: AVX2 support was just checked; the clone has no other
-            // precondition (portable body under different codegen).
-            return unsafe { self.filter_pairs_into_avx2::<NEGATE>(i, r, out) };
-        }
-        self.filter_pairs_into_impl::<NEGATE>(i, r, out)
-    }
-
-    /// Hand-vectorized like [`NeighborList::filter_row_into_avx2`], with
-    /// the pair condition `0 < d2 <= r²` as two ordered compares and-ed
-    /// into one mask. Negation (under `NEGATE`) stays scalar on the pushed
-    /// values — exact IEEE sign flips, `d2` untouched.
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2")]
-    unsafe fn filter_pairs_into_avx2<const NEGATE: bool>(
-        &self,
-        i: usize,
-        r: f64,
-        out: &mut FilteredRow,
-    ) {
-        use std::arch::x86_64::*;
-        debug_assert!(
-            r <= self.radius,
-            "query radius {r} exceeds the recorded superset radius {}",
-            self.radius
-        );
-        out.clear();
-        let (s, e) = (self.offsets[i], self.offsets[i + 1]);
-        let n = e - s;
-        let (jj, xs, ys, zs) = (
-            &self.pairs[s..e],
-            &self.dx[s..e],
-            &self.dy[s..e],
-            &self.dz[s..e],
-        );
-        out.j.reserve(n);
-        out.dx.reserve(n);
-        out.dy.reserve(n);
-        out.dz.reserve(n);
-        out.d2.reserve(n);
+        let (jj, xs, ys, zs) = self.row_deltas(i);
+        let n = jj.len();
+        out.j.reserve(n + 4);
+        out.dx.reserve(n + 4);
+        out.dy.reserve(n + 4);
+        out.dz.reserve(n + 4);
+        out.d2.reserve(n + 4);
         let r2 = r * r;
         let vr2 = _mm256_set1_pd(r2);
         let vzero = _mm256_setzero_pd();
+        let mut len = 0;
         let mut k = 0;
         while k + 4 <= n {
+            // SAFETY: `k + 4 <= n`, the length of all four row slices, so
+            // each 4-lane load is in bounds.
             let x = _mm256_loadu_pd(xs.as_ptr().add(k));
             let y = _mm256_loadu_pd(ys.as_ptr().add(k));
             let z = _mm256_loadu_pd(zs.as_ptr().add(k));
+            let vj = _mm_loadu_si128(jj.as_ptr().add(k).cast());
             let q = _mm256_add_pd(
                 _mm256_add_pd(_mm256_mul_pd(x, x), _mm256_mul_pd(y, y)),
                 _mm256_mul_pd(z, z),
@@ -714,104 +547,66 @@ impl NeighborList {
                 _mm256_cmp_pd::<_CMP_GT_OQ>(q, vzero),
                 _mm256_cmp_pd::<_CMP_LE_OQ>(q, vr2),
             );
-            let mask = _mm256_movemask_pd(pass);
-            if mask != 0 {
-                let mut ql = [0.0f64; 4];
-                _mm256_storeu_pd(ql.as_mut_ptr(), q);
-                for l in 0..4 {
-                    if mask & (1 << l) != 0 {
-                        let (a, b, c) = (xs[k + l], ys[k + l], zs[k + l]);
-                        if NEGATE {
-                            out.push(jj[k + l], -a, -b, -c, ql[l]);
-                        } else {
-                            out.push(jj[k + l], a, b, c, ql[l]);
-                        }
-                    }
-                }
-            }
+            let mask = _mm256_movemask_pd(pass) as usize;
+            // SAFETY: the columns were cleared and `reserve(n + 4)`-ed
+            // above, and `len <= k <= n - 4` here — so `len + 4 <=
+            // capacity` for all five stores (each debug-asserts it). `mask`
+            // is a 4-bit movemask.
+            pack_store_u32(&mut out.j, len, vj, mask);
+            pack_store_pd(&mut out.dx, len, x, mask);
+            pack_store_pd(&mut out.dy, len, y, mask);
+            pack_store_pd(&mut out.dz, len, z, mask);
+            pack_store_pd(&mut out.d2, len, q, mask);
+            len += mask.count_ones() as usize;
             k += 4;
         }
-        while k < n {
+        // SAFETY: slots `..len` of every column were initialised by the
+        // pack stores (each advanced `len` by exactly its count of
+        // meaningful lanes), and `len <= n <= capacity`.
+        out.j.set_len(len);
+        out.dx.set_len(len);
+        out.dy.set_len(len);
+        out.dz.set_len(len);
+        out.d2.set_len(len);
+        for k in k..n {
             let (a, b, c) = (xs[k], ys[k], zs[k]);
             let q = a * a + b * b + c * c;
             if q > 0.0 && q <= r2 {
-                if NEGATE {
-                    out.push(jj[k], -a, -b, -c, q);
-                } else {
-                    out.push(jj[k], a, b, c, q);
-                }
+                out.push(jj[k], a, b, c, q);
             }
-            k += 1;
         }
     }
 
-    #[inline(always)]
-    fn filter_pairs_into_impl<const NEGATE: bool>(&self, i: usize, r: f64, out: &mut FilteredRow) {
-        debug_assert!(
-            r <= self.radius,
-            "query radius {r} exceeds the recorded superset radius {}",
-            self.radius
-        );
+    fn filter_pairs_into_portable(&self, i: usize, r: f64, out: &mut FilteredRow) {
         out.clear();
-        let (s, e) = (self.offsets[i], self.offsets[i + 1]);
-        let n = e - s;
-        let (jj, xs, ys, zs) = (
-            &self.pairs[s..e],
-            &self.dx[s..e],
-            &self.dy[s..e],
-            &self.dz[s..e],
-        );
-        out.j.reserve(n);
-        out.dx.reserve(n);
-        out.dy.reserve(n);
-        out.dz.reserve(n);
-        out.d2.reserve(n);
+        let (jj, xs, ys, zs) = self.row_deltas(i);
         let r2 = r * r;
-        let mut k = 0;
-        while k + 4 <= n {
-            let mut q = [0.0f64; 4];
-            for l in 0..4 {
-                let (a, b, c) = (xs[k + l], ys[k + l], zs[k + l]);
-                q[l] = a * a + b * b + c * c;
-            }
-            for l in 0..4 {
-                if q[l] > 0.0 && q[l] <= r2 {
-                    let (a, b, c) = (xs[k + l], ys[k + l], zs[k + l]);
-                    if NEGATE {
-                        out.push(jj[k + l], -a, -b, -c, q[l]);
-                    } else {
-                        out.push(jj[k + l], a, b, c, q[l]);
-                    }
-                }
-            }
-            k += 4;
-        }
-        while k < n {
+        for k in 0..jj.len() {
             let (a, b, c) = (xs[k], ys[k], zs[k]);
             let q = a * a + b * b + c * c;
             if q > 0.0 && q <= r2 {
-                if NEGATE {
-                    out.push(jj[k], -a, -b, -c, q);
-                } else {
-                    out.push(jj[k], a, b, c, q);
-                }
+                out.push(jj[k], a, b, c, q);
             }
-            k += 1;
         }
     }
 
     /// Count row `i`'s candidates within `r` (inclusive), self-pair
     /// included. Counting is order-insensitive, so the four lane counters
     /// need no ordered combine.
-    /// Dispatched through an AVX2 clone when available ([`crate::simd`]).
+    /// Dispatched to an AVX2 body when available ([`crate::simd`]).
     pub fn count_within(&self, i: usize, r: f64) -> usize {
+        debug_assert!(
+            r <= self.radius,
+            "query radius {r} exceeds the recorded superset radius {}",
+            self.radius
+        );
         #[cfg(target_arch = "x86_64")]
         if crate::simd::avx2() {
-            // SAFETY: AVX2 support was just checked; the clone has no other
-            // precondition (portable body under different codegen).
+            // SAFETY: AVX2 support was just checked; the body has no other
+            // precondition.
             return unsafe { self.count_within_avx2(i, r) };
         }
-        self.count_within_impl(i, r)
+        self.count_within_portable(i, r)
     }
 
     /// Hand-vectorized count: the pass mask (all-ones = -1 per passing
@@ -823,20 +618,17 @@ impl NeighborList {
     #[target_feature(enable = "avx2")]
     unsafe fn count_within_avx2(&self, i: usize, r: f64) -> usize {
         use std::arch::x86_64::*;
-        debug_assert!(
-            r <= self.radius,
-            "query radius {r} exceeds the recorded superset radius {}",
-            self.radius
-        );
-        let (s, e) = (self.offsets[i], self.offsets[i + 1]);
+        let (_, xs, ys, zs) = self.row_deltas(i);
+        let n = xs.len();
         let r2 = r * r;
         let vr2 = _mm256_set1_pd(r2);
         let mut vcount = _mm256_setzero_si256();
-        let mut k = s;
-        while k + 4 <= e {
-            let x = _mm256_loadu_pd(self.dx.as_ptr().add(k));
-            let y = _mm256_loadu_pd(self.dy.as_ptr().add(k));
-            let z = _mm256_loadu_pd(self.dz.as_ptr().add(k));
+        let mut k = 0;
+        while k + 4 <= n {
+            // SAFETY: `k + 4 <= n`, the length of all three delta slices.
+            let x = _mm256_loadu_pd(xs.as_ptr().add(k));
+            let y = _mm256_loadu_pd(ys.as_ptr().add(k));
+            let z = _mm256_loadu_pd(zs.as_ptr().add(k));
             let q = _mm256_add_pd(
                 _mm256_add_pd(_mm256_mul_pd(x, x), _mm256_mul_pd(y, y)),
                 _mm256_mul_pd(z, z),
@@ -848,44 +640,24 @@ impl NeighborList {
         let mut lanes = [0i64; 4];
         _mm256_storeu_si256(lanes.as_mut_ptr() as *mut __m256i, vcount);
         let mut total = (lanes[0] + lanes[1] + lanes[2] + lanes[3]) as usize;
-        while k < e {
-            let (a, b, c) = (self.dx[k], self.dy[k], self.dz[k]);
+        for k in k..n {
+            let (a, b, c) = (xs[k], ys[k], zs[k]);
             total += ((a * a + b * b + c * c) <= r2) as usize;
-            k += 1;
         }
         total
     }
 
-    #[inline(always)]
-    fn count_within_impl(&self, i: usize, r: f64) -> usize {
-        debug_assert!(
-            r <= self.radius,
-            "query radius {r} exceeds the recorded superset radius {}",
-            self.radius
-        );
-        let (s, e) = (self.offsets[i], self.offsets[i + 1]);
+    fn count_within_portable(&self, i: usize, r: f64) -> usize {
+        let (_, xs, ys, zs) = self.row_deltas(i);
         let r2 = r * r;
-        let mut lanes = [0usize; 4];
-        let mut k = s;
-        while k + 4 <= e {
-            for (l, lane) in lanes.iter_mut().enumerate() {
-                let (a, b, c) = (self.dx[k + l], self.dy[k + l], self.dz[k + l]);
-                *lane += ((a * a + b * b + c * c) <= r2) as usize;
-            }
-            k += 4;
-        }
-        let mut total = (lanes[0] + lanes[1]) + (lanes[2] + lanes[3]);
-        while k < e {
-            let (a, b, c) = (self.dx[k], self.dy[k], self.dz[k]);
-            total += ((a * a + b * b + c * c) <= r2) as usize;
-            k += 1;
-        }
-        total
+        (0..xs.len())
+            .filter(|&k| xs[k] * xs[k] + ys[k] * ys[k] + zs[k] * zs[k] <= r2)
+            .count()
     }
 
     /// Total stored candidate pairs (self-pairs included).
     pub fn pair_count(&self) -> usize {
-        *self.offsets.last().expect("offsets never empty")
+        self.chunks.iter().map(|ch| ch.j.len()).sum()
     }
 
     /// Mean candidates per row, excluding the self-pair.
@@ -898,24 +670,23 @@ impl NeighborList {
 
     /// Largest row, excluding the self-pair.
     pub fn max_neighbors(&self) -> usize {
-        self.offsets
-            .windows(2)
-            .map(|w| w[1] - w[0])
+        self.chunks
+            .iter()
+            .flat_map(|ch| ch.starts.windows(2))
+            .map(|w| (w[1] - w[0]) as usize)
             .max()
             .unwrap_or(0)
             .saturating_sub(1)
     }
 
-    /// Resident bytes of the CSR arrays plus build scratch (capacity, not
+    /// Resident bytes of the list: every chunk's columns and row starts,
+    /// the chunk headers, and the cell-sorted build input (capacity, not
     /// just length — this is what the buffer reuse actually holds onto
-    /// across steps).
+    /// across steps). There is no other copy and no build scratch.
     pub fn csr_bytes(&self) -> usize {
-        self.offsets.capacity() * std::mem::size_of::<usize>()
-            + self.pairs.capacity() * std::mem::size_of::<u32>()
-            + (self.dx.capacity() + self.dy.capacity() + self.dz.capacity())
-                * std::mem::size_of::<f64>()
+        self.chunks.iter().map(RowChunk::bytes).sum::<usize>()
+            + self.chunks.capacity() * std::mem::size_of::<RowChunk>()
             + self.sorted.bytes()
-            + self.chunks.iter().map(BuildChunk::bytes).sum::<usize>()
     }
 }
 
@@ -940,11 +711,12 @@ impl NeighborSearch for NeighborList {
             self.radius
         );
         let r2 = r * r;
-        for k in self.offsets[i]..self.offsets[i + 1] {
-            let (a, b, c) = (self.dx[k], self.dy[k], self.dz[k]);
+        let (jj, xs, ys, zs) = self.row_deltas(i);
+        for k in 0..jj.len() {
+            let (a, b, c) = (xs[k], ys[k], zs[k]);
             let d2 = a * a + b * b + c * c;
             if d2 <= r2 {
-                f(self.pairs[k] as usize, d2);
+                f(jj[k] as usize, d2);
             }
         }
     }
@@ -1013,6 +785,57 @@ mod tests {
         out
     }
 
+    /// Every row's candidates and delta bits — what "the same list" means.
+    fn list_bits(nl: &NeighborList) -> Vec<(Vec<u32>, Vec<[u64; 3]>)> {
+        (0..nl.len())
+            .map(|i| {
+                let (j, dx, dy, dz) = nl.row_deltas(i);
+                let d = (0..j.len())
+                    .map(|k| [dx[k].to_bits(), dy[k].to_bits(), dz[k].to_bits()])
+                    .collect();
+                (j.to_vec(), d)
+            })
+            .collect()
+    }
+
+    /// Row `i`'s `(j, delta bits, d2 bits)` sequence with `0 < d2 <= r²`,
+    /// from the scalar `for_neighbors_of` replay and the stored row — what
+    /// `filter_pairs_into` must emit.
+    fn scalar_pairs(nl: &NeighborList, i: usize, r: f64) -> Vec<(u32, [u64; 3], u64)> {
+        let (jj, dx, dy, dz) = nl.row_deltas(i);
+        let mut passing = Vec::new();
+        nl.for_neighbors_of(i, r, &[], &[], &[], &Box3::unit_periodic(), |j, d2| {
+            if d2 > 0.0 {
+                passing.push((j as u32, d2.to_bits()));
+            }
+        });
+        // The replay hands out no deltas; take them from the stored row (a
+        // candidate index appears once per row).
+        passing
+            .into_iter()
+            .map(|(j, d2)| {
+                let k = jj
+                    .iter()
+                    .position(|&c| c == j)
+                    .expect("replayed j is stored");
+                (j, [dx[k].to_bits(), dy[k].to_bits(), dz[k].to_bits()], d2)
+            })
+            .collect()
+    }
+
+    fn filtered_bits(row: &FilteredRow) -> Vec<(u32, [u64; 3], u64)> {
+        (0..row.len())
+            .map(|k| {
+                let d = [
+                    row.dx[k].to_bits(),
+                    row.dy[k].to_bits(),
+                    row.dz[k].to_bits(),
+                ];
+                (row.j[k], d, row.d2[k].to_bits())
+            })
+            .collect()
+    }
+
     #[test]
     fn rows_replay_the_exact_grid_visit_sequence() {
         // The contract everything rests on: filtered row iteration produces
@@ -1047,14 +870,14 @@ mod tests {
             let grid = CellList::build(&x, &y, &z, &bbox, r);
             let nl = NeighborList::build(&grid, &x, &y, &z, 300, r);
             for i in (0..300).step_by(13) {
-                let (s, e) = (nl.offsets[i], nl.offsets[i + 1]);
-                for k in s..e {
-                    let j = nl.pairs[k] as usize;
+                let (jj, dx, dy, dz) = nl.row_deltas(i);
+                for k in 0..jj.len() {
+                    let j = jj[k] as usize;
                     let (ex, ey, ez) = bbox.delta(x[j], y[j], z[j], x[i], y[i], z[i]);
-                    assert_eq!(nl.dx[k].to_bits(), ex.to_bits(), "dx of ({i},{j})");
-                    assert_eq!(nl.dy[k].to_bits(), ey.to_bits(), "dy of ({i},{j})");
-                    assert_eq!(nl.dz[k].to_bits(), ez.to_bits(), "dz of ({i},{j})");
-                    let d2 = nl.dx[k] * nl.dx[k] + nl.dy[k] * nl.dy[k] + nl.dz[k] * nl.dz[k];
+                    assert_eq!(dx[k].to_bits(), ex.to_bits(), "dx of ({i},{j})");
+                    assert_eq!(dy[k].to_bits(), ey.to_bits(), "dy of ({i},{j})");
+                    assert_eq!(dz[k].to_bits(), ez.to_bits(), "dz of ({i},{j})");
+                    let d2 = dx[k] * dx[k] + dy[k] * dy[k] + dz[k] * dz[k];
                     let expect = bbox.dist2(x[i], y[i], z[i], x[j], y[j], z[j]);
                     assert_eq!(d2.to_bits(), expect.to_bits(), "d2 of ({i},{j})");
                 }
@@ -1063,7 +886,11 @@ mod tests {
     }
 
     #[test]
-    fn serial_and_chunked_builds_are_bitwise_identical() {
+    fn builds_are_bitwise_identical_at_any_worker_count() {
+        // One build path, so this cannot compare two functions; it pins the
+        // property instead: which worker fills which chunk must not show in
+        // any row. (The worker override is process-wide and results never
+        // depend on it, so tests running alongside are unaffected.)
         for (n, periodic) in [(700, true), (700, false), (300, true)] {
             let (x, y, z) = cloud(n, 31);
             let bbox = Box3::cube(0.0, 1.0, periodic);
@@ -1073,34 +900,94 @@ mod tests {
             let radii: Vec<f64> = (0..n).map(|i| 0.06 + 0.05 * (i % 7) as f64 / 6.0).collect();
             let grid = CellList::build(&x, &y, &z, &bbox, r);
             for rr in [None, Some(radii.as_slice())] {
-                let mut serial = NeighborList::new();
-                serial.radius = r;
-                serial.sorted.fill(grid.order(), &x, &y, &z);
-                if let Some(rr) = rr {
-                    serial.sorted.fill_radii(grid.order(), rr);
-                }
-                serial.fill_rows_serial(&grid, &x, &y, &z, n, r, rr);
-                let mut chunked = NeighborList::new();
-                chunked.radius = r;
-                chunked.sorted.fill(grid.order(), &x, &y, &z);
-                if let Some(rr) = rr {
-                    chunked.sorted.fill_radii(grid.order(), rr);
-                }
-                chunked.fill_rows_chunked(&grid, &x, &y, &z, n, r, rr);
-                assert_eq!(serial.offsets, chunked.offsets);
-                assert_eq!(serial.pairs, chunked.pairs);
-                let bits = |v: &[f64]| v.iter().map(|d| d.to_bits()).collect::<Vec<_>>();
-                assert_eq!(bits(&serial.dx), bits(&chunked.dx));
-                assert_eq!(bits(&serial.dy), bits(&chunked.dy));
-                assert_eq!(bits(&serial.dz), bits(&chunked.dz));
+                let build = |workers: usize| {
+                    par::set_max_threads(workers);
+                    let mut nl = NeighborList::new();
+                    match rr {
+                        Some(rr) => nl.build_adaptive_into(&grid, &x, &y, &z, n, rr),
+                        None => nl.build_into(&grid, &x, &y, &z, n, r),
+                    }
+                    par::set_max_threads(0);
+                    nl
+                };
+                let (one, four) = (build(1), build(4));
+                assert_eq!(one.len(), n);
+                assert_eq!(one.pair_count(), four.pair_count());
+                assert_eq!(list_bits(&one), list_bits(&four));
             }
         }
     }
 
     #[test]
+    fn rows_on_both_sides_of_a_chunk_boundary_replay_the_grid() {
+        // Row 127 closes a chunk and row 128 opens the next; a list that
+        // ends exactly at, just before and just after the boundary (and one
+        // spanning three chunks) must resolve every row to the right chunk
+        // and local start.
+        let n = 300;
+        let (x, y, z) = cloud(n, 37);
+        let bbox = Box3::unit_periodic();
+        let r = 0.12;
+        let radii: Vec<f64> = (0..n).map(|i| 0.07 + 0.05 * (i % 5) as f64 / 4.0).collect();
+        let grid = CellList::build(&x, &y, &z, &bbox, r);
+        for n_query in [127, 128, 129, 257] {
+            let fixed = NeighborList::build(&grid, &x, &y, &z, n_query, r);
+            let mut adaptive = NeighborList::new();
+            adaptive.build_adaptive_into(&grid, &x, &y, &z, n_query, &radii);
+            assert_eq!(fixed.len(), n_query);
+            assert_eq!(fixed.chunks.len(), n_query.div_ceil(ROWS_PER_CHUNK));
+            let by_rows: usize = (0..n_query).map(|i| fixed.row(i).len()).sum();
+            assert_eq!(fixed.pair_count(), by_rows);
+            for i in 0..n_query {
+                for (nl, q) in [(&fixed, r), (&adaptive, radii[i])] {
+                    let mut direct = Vec::new();
+                    grid.for_neighbors(x[i], y[i], z[i], q, &x, &y, &z, |j, d2| {
+                        direct.push((j, d2.to_bits()));
+                    });
+                    let mut replay = Vec::new();
+                    nl.for_neighbors_of(i, q, &x, &y, &z, &bbox, |j, d2| {
+                        replay.push((j, d2.to_bits()));
+                    });
+                    assert_eq!(direct, replay, "row {i} of {n_query}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn default_is_a_valid_empty_list() {
+        let nl = NeighborList::default();
+        assert_eq!(nl.len(), 0);
+        assert!(nl.is_empty());
+        assert_eq!(nl.pair_count(), 0);
+        assert_eq!(nl.avg_neighbors(), 0.0);
+        assert_eq!(nl.max_neighbors(), 0);
+    }
+
+    #[test]
+    fn empty_inputs_build_empty_lists() {
+        let bbox = Box3::unit_periodic();
+        // No stored particles at all: max(radii) folds to 0.
+        let grid = CellList::build(&[], &[], &[], &bbox, 0.1);
+        let mut nl = NeighborList::new();
+        nl.build_adaptive_into(&grid, &[], &[], &[], 0, &[]);
+        assert_eq!((nl.len(), nl.pair_count()), (0, 0));
+        nl.build_into(&grid, &[], &[], &[], 0, 0.1);
+        assert_eq!((nl.len(), nl.pair_count()), (0, 0));
+        // Stored particles but no query rows, over a list that held rows.
+        let (x, y, z) = cloud(50, 7);
+        let grid = CellList::build(&x, &y, &z, &bbox, 0.2);
+        nl.build_adaptive_into(&grid, &x, &y, &z, 50, &[0.2; 50]);
+        assert_eq!(nl.len(), 50);
+        nl.build_adaptive_into(&grid, &x, &y, &z, 0, &[0.2; 50]);
+        assert_eq!((nl.len(), nl.pair_count()), (0, 0));
+        assert_eq!(nl.avg_neighbors(), 0.0);
+    }
+
+    #[test]
     fn adaptive_build_with_uniform_radii_matches_fixed_radius_build() {
         // With every per-particle radius equal, the pair rule degenerates to
-        // the fixed-radius filter — the stored arrays must be bitwise the
+        // the fixed-radius filter — the stored rows must be bitwise the
         // same (max-then-square equals square-then-max for equal operands).
         for periodic in [true, false] {
             let (x, y, z) = cloud(500, 41);
@@ -1110,12 +997,7 @@ mod tests {
             let plain = NeighborList::build(&grid, &x, &y, &z, 500, r);
             let mut adaptive = NeighborList::new();
             adaptive.build_adaptive_into(&grid, &x, &y, &z, 500, &vec![r; 500]);
-            assert_eq!(plain.offsets, adaptive.offsets);
-            assert_eq!(plain.pairs, adaptive.pairs);
-            let bits = |v: &[f64]| v.iter().map(|d| d.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(&plain.dx), bits(&adaptive.dx));
-            assert_eq!(bits(&plain.dy), bits(&adaptive.dy));
-            assert_eq!(bits(&plain.dz), bits(&adaptive.dz));
+            assert_eq!(list_bits(&plain), list_bits(&adaptive));
             assert_eq!(plain.radius(), adaptive.radius());
         }
     }
@@ -1179,48 +1061,12 @@ mod tests {
     }
 
     #[test]
-    fn pair_filter_drops_zero_distance_and_negates_exactly() {
-        // filter_pairs_into must emit filter_row_into's sequence minus the
-        // zero-distance candidates (self included), with NEGATE flipping
-        // exactly the delta signs and leaving d2 bits untouched.
-        let (x, y, z) = cloud(300, 53);
-        let bbox = Box3::unit_periodic();
-        let big = 0.16;
-        let grid = CellList::build(&x, &y, &z, &bbox, big);
-        let nl = NeighborList::build(&grid, &x, &y, &z, 300, big);
-        let mut base = FilteredRow::default();
-        let mut pairs = FilteredRow::default();
-        let mut negated = FilteredRow::default();
-        for i in (0..300).step_by(11) {
-            // Row lengths vary mod 4, covering the vector remainder cases.
-            for r in [big, 0.11, 0.05] {
-                nl.filter_row_into(i, r, &mut base);
-                nl.filter_pairs_into::<false>(i, r, &mut pairs);
-                nl.filter_pairs_into::<true>(i, r, &mut negated);
-                let keep: Vec<usize> = (0..base.len()).filter(|&k| base.d2[k] > 0.0).collect();
-                assert_eq!(pairs.len(), keep.len(), "row {i} at radius {r}");
-                assert!(pairs.j.iter().all(|&j| j as usize != i));
-                for (out_k, &k) in keep.iter().enumerate() {
-                    assert_eq!(pairs.j[out_k], base.j[k]);
-                    assert_eq!(pairs.dx[out_k].to_bits(), base.dx[k].to_bits());
-                    assert_eq!(pairs.dy[out_k].to_bits(), base.dy[k].to_bits());
-                    assert_eq!(pairs.dz[out_k].to_bits(), base.dz[k].to_bits());
-                    assert_eq!(pairs.d2[out_k].to_bits(), base.d2[k].to_bits());
-                    assert_eq!(negated.j[out_k], base.j[k]);
-                    assert_eq!(negated.dx[out_k].to_bits(), (-base.dx[k]).to_bits());
-                    assert_eq!(negated.dy[out_k].to_bits(), (-base.dy[k]).to_bits());
-                    assert_eq!(negated.dz[out_k].to_bits(), (-base.dz[k]).to_bits());
-                    assert_eq!(negated.d2[out_k].to_bits(), base.d2[k].to_bits());
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn filtered_rows_match_the_scalar_replay() {
-        // filter_row_into must emit exactly the scalar replay's passing
-        // sequence — indices, deltas and d2 bits — at every radius,
-        // covering all 4-lane remainder classes (row lengths vary mod 4).
+    fn pair_filter_matches_the_scalar_replay_minus_zero_distance() {
+        // filter_pairs_into must emit exactly the scalar replay's passing
+        // sequence without the zero-distance candidates (self included) —
+        // indices, stored deltas and d2 bits — at every radius, covering
+        // all 4-lane remainder classes (row lengths vary mod 4). Both
+        // bodies are driven, not just the one dispatch picks.
         let (x, y, z) = cloud(400, 11);
         let bbox = Box3::unit_periodic();
         let big = 0.15;
@@ -1229,26 +1075,24 @@ mod tests {
         let mut row = FilteredRow::default();
         let mut seen_rem = [false; 4];
         for i in 0..400 {
+            seen_rem[nl.row(i).len() % 4] = true;
             for r in [big, 0.1, 0.04, 0.002] {
-                let mut scalar = Vec::new();
-                nl.for_neighbors_of(i, r, &x, &y, &z, &bbox, |j, d2| {
-                    scalar.push((j as u32, d2.to_bits()));
-                });
-                nl.filter_row_into(i, r, &mut row);
-                seen_rem[nl.row(i).len() % 4] = true;
-                let blocked: Vec<(u32, u64)> = row
-                    .j
-                    .iter()
-                    .zip(&row.d2)
-                    .map(|(&j, d2)| (j, d2.to_bits()))
-                    .collect();
-                assert_eq!(scalar, blocked, "row {i} at radius {r}");
-                assert_eq!(nl.count_within(i, r), row.len(), "count of row {i} at {r}");
-                for k in 0..row.len() {
-                    let slot =
-                        nl.offsets[i] + nl.row(i).iter().position(|&j| j == row.j[k]).unwrap();
-                    assert_eq!(row.dx[k].to_bits(), nl.dx[slot].to_bits());
+                let want = scalar_pairs(&nl, i, r);
+                assert!(want.iter().all(|&(j, _, _)| j as usize != i));
+                nl.filter_pairs_into(i, r, &mut row);
+                assert_eq!(filtered_bits(&row), want, "row {i} at radius {r}");
+                nl.filter_pairs_into_portable(i, r, &mut row);
+                assert_eq!(filtered_bits(&row), want, "portable, row {i} at {r}");
+                #[cfg(target_arch = "x86_64")]
+                if crate::simd::avx2() {
+                    // SAFETY: AVX2 and POPCNT support was just checked.
+                    unsafe { nl.filter_pairs_into_avx2(i, r, &mut row) };
+                    assert_eq!(filtered_bits(&row), want, "avx2, row {i} at {r}");
                 }
+                let mut within = 0;
+                nl.for_neighbors_of(i, r, &x, &y, &z, &bbox, |_, _| within += 1);
+                assert_eq!(nl.count_within(i, r), within, "count of row {i} at {r}");
+                assert_eq!(nl.count_within_portable(i, r), within);
             }
         }
         assert_eq!(seen_rem, [true; 4], "all remainder classes exercised");
@@ -1269,23 +1113,15 @@ mod tests {
             let nl = NeighborList::build(&grid, &x, &y, &z, n, r);
             let mut row = FilteredRow::default();
             for i in 0..n {
-                nl.filter_row_into(i, r, &mut row);
-                assert_eq!(row.len(), n, "row {i} of the {n}-cluster");
-                let mut scalar = Vec::new();
-                nl.for_neighbors_of(i, r, &x, &y, &z, &bbox, |j, d2| {
-                    scalar.push((j as u32, d2.to_bits()));
-                });
-                let blocked: Vec<(u32, u64)> = row
-                    .j
-                    .iter()
-                    .zip(&row.d2)
-                    .map(|(&j, d2)| (j, d2.to_bits()))
-                    .collect();
-                assert_eq!(scalar, blocked);
+                nl.filter_pairs_into(i, r, &mut row);
+                assert_eq!(row.len(), n - 1, "row {i} of the {n}-cluster");
+                assert_eq!(filtered_bits(&row), scalar_pairs(&nl, i, r));
+                assert_eq!(nl.count_within(i, r), n);
                 // A sub-support filter that drops the far tail.
                 let small = 0.0015;
-                nl.filter_row_into(i, small, &mut row);
-                assert_eq!(nl.count_within(i, small), row.len());
+                nl.filter_pairs_into(i, small, &mut row);
+                assert_eq!(filtered_bits(&row), scalar_pairs(&nl, i, small));
+                assert_eq!(nl.count_within(i, small), row.len() + 1);
             }
         }
     }
@@ -1422,19 +1258,11 @@ mod tests {
                 brute_force_neighbors(i, r, &x, &y, &z, &bbox)
             );
             let mut row = FilteredRow::default();
-            nl.filter_row_into(i, r, &mut row);
-            let mut scalar = Vec::new();
-            nl.for_neighbors_of(i, r, &x, &y, &z, &bbox, |j, d2| {
-                scalar.push((j as u32, d2.to_bits()));
-            });
-            let blocked: Vec<(u32, u64)> = row
-                .j
-                .iter()
-                .zip(&row.d2)
-                .map(|(&j, d2)| (j, d2.to_bits()))
-                .collect();
-            prop_assert_eq!(scalar, blocked);
-            prop_assert_eq!(nl.count_within(i, r), row.len());
+            nl.filter_pairs_into(i, r, &mut row);
+            prop_assert_eq!(filtered_bits(&row), scalar_pairs(&nl, i, r));
+            let mut within = 0;
+            nl.for_neighbors_of(i, r, &x, &y, &z, &bbox, |_, _| within += 1);
+            prop_assert_eq!(nl.count_within(i, r), within);
         }
     }
 }

@@ -201,7 +201,7 @@ fn iad_row_blocked(
         let lanes::RowScratch {
             row, r, w, vj, aux, ..
         } = s;
-        nl.filter_pairs_into::<false>(i, radius, row);
+        nl.filter_pairs_into(i, radius, row);
         let m = row.len();
         lanes::sqrt_into(&row.d2, r);
         rkn.w_into(r, w);

@@ -2,12 +2,12 @@
 //! lane-partial accumulator backing the blocked CSR row path of the five
 //! SPH sweeps.
 //!
-//! Each sweep processes one CSR row at a time: the row's radius-passing
-//! candidates are compacted into contiguous buffers
-//! ([`cornerstone::NeighborList::filter_row_into`] /
-//! [`cornerstone::NeighborList::filter_pairs_into`]), per-pair quantities
-//! (distances, kernel values, gradient prefactors) are evaluated as
-//! branch-free passes over those buffers (see `kernels::RowKernel`), and
+//! Each sweep processes one CSR row at a time: the row's candidates are
+//! read straight from the list ([`cornerstone::NeighborList::row_deltas`];
+//! density and momentum) or compacted to the interacting pairs first
+//! ([`cornerstone::NeighborList::filter_pairs_into`]; IAD), per-pair
+//! quantities (distances, kernel values, gradient prefactors) are evaluated
+//! as branch-free passes over those buffers (see `kernels::RowKernel`), and
 //! the final pass accumulates force/density terms through [`Acc`]. A row's
 //! working set (a few hundred candidates × a handful of f64 channels) fits
 //! comfortably in L1, so every pass streams.
@@ -36,7 +36,7 @@ pub(crate) const LANES: usize = 4;
 /// (documented at each use site).
 #[derive(Default)]
 pub(crate) struct RowScratch {
-    /// Filtered row straight from the CSR list (radius- or pair-filtered).
+    /// Pair-filtered row straight from the CSR list.
     pub row: FilteredRow,
     /// Pair distances `sqrt(d2)`.
     pub r: Vec<f64>,
