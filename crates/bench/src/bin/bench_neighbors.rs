@@ -1,9 +1,9 @@
 //! Neighbor-search measurement: the per-sweep grid re-walk (the pre-list
-//! baseline, `NeighborPath::CellGrid`) against the shared per-step CSR
-//! `NeighborList` — both its scalar per-pair replay (`ScalarReplay`) and
-//! the cache-blocked 4-lane sweep engine the list dispatches to by default —
-//! written as the `BENCH_neighbors.json` artifact checked into the repo
-//! root.
+//! baseline, now only a reference the tests compare against) against the
+//! shared per-step CSR `NeighborList` — both its scalar per-pair replay
+//! (`ScalarReplay`) and the cache-blocked 4-lane sweep engine the list
+//! dispatches to by default — written as the `BENCH_neighbors.json`
+//! artifact checked into the repo root.
 //!
 //! Times each of the step's neighbor-bound sweeps (`neighbor_counts`,
 //! `density_gradh`, `iad_divv_curlv`, `momentum_energy`) on all three paths,

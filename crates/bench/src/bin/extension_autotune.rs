@@ -1,11 +1,10 @@
 //! Extension — online per-kernel frequency tuning.
 //!
 //! The paper's ManDyn needs an offline KernelTuner pass (§III-C) before the
-//! production run. Two policies fold that pass into the run itself: the
-//! simple `AutoTune` rotation (fixed candidates, fixed rounds) and the
-//! `ManDynOnline` search (coarse-then-refine over the whole ladder with
-//! convergence pinning). This bench shows the convergence: warm-up costs a
-//! little, the steady state matches offline ManDyn.
+//! production run. `ManDynOnline` folds that pass into the run itself: a
+//! coarse-then-refine search over the whole ladder with convergence
+//! pinning. This bench shows the convergence: warm-up costs a little, the
+//! steady state matches offline ManDyn.
 
 use archsim::GpuSpec;
 use bench::{banner, minihpc_spec, paper_450cubed, print_table, Cli};
@@ -26,7 +25,7 @@ fn main() {
     let cli = Cli::parse();
     banner(
         "EXTENSION: online auto-tuning",
-        "AutoTune / ManDynOnline (no offline pass) vs offline-tuned ManDyn vs baseline, by run length.",
+        "ManDynOnline (no offline pass) vs offline-tuned ManDyn vs baseline, by run length.",
     );
     let gpu = GpuSpec::a100_pcie_40gb();
     let mandyn_table = paper_mandyn_table(&gpu);
@@ -41,7 +40,6 @@ fn main() {
         let base = run_experiment(&minihpc_spec(FreqPolicy::Baseline, steps, n));
         for policy in [
             FreqPolicy::ManDyn(mandyn_table.clone()),
-            FreqPolicy::auto_tune_default(&gpu),
             FreqPolicy::ManDynOnline(OnlineTunerConfig::default()),
         ] {
             let r = run_experiment(&minihpc_spec(policy, steps, n));
@@ -70,17 +68,16 @@ fn main() {
         .collect();
     print_table(&["Steps", "Policy", "Time", "GPU energy", "EDP"], &rows);
 
-    if let (Some(m), Some(a), Some(o)) = (
+    if let (Some(m), Some(o)) = (
         data.iter().rev().find(|r| r.policy == "mandyn"),
-        data.iter().rev().find(|r| r.policy == "autotune"),
         data.iter().rev().find(|r| r.policy == "mandyn-online"),
     ) {
         println!(
-            "\nAt {} steps: AutoTune EDP {:.4}, ManDynOnline EDP {:.4} vs offline ManDyn {:.4}",
-            a.steps, a.edp_norm, o.edp_norm, m.edp_norm
+            "\nAt {} steps: ManDynOnline EDP {:.4} vs offline ManDyn {:.4}",
+            o.steps, o.edp_norm, m.edp_norm
         );
         println!("— the warm-up cost amortizes away, removing the paper's offline KernelTuner");
-        println!("prerequisite; ManDynOnline additionally pins each kernel once converged.");
+        println!("prerequisite; each kernel is pinned once its estimate has converged.");
     }
     cli.maybe_write_json(&data);
 }

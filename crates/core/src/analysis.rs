@@ -113,20 +113,6 @@ impl TableDeviation {
     }
 }
 
-/// The learned table carried in a run's rank-0 report, as a typed
-/// [`FreqTable`] (kernels the tuner never pinned are absent).
-pub fn learned_table_of(r: &ExperimentResult) -> FreqTable {
-    r.per_rank
-        .first()
-        .map(|rank| {
-            rank.learned_table
-                .iter()
-                .filter_map(|(name, mhz)| FuncId::from_name(name).map(|f| (f, MegaHertz(*mhz))))
-                .collect()
-        })
-        .unwrap_or_default()
-}
-
 /// Compare `learned` against `reference` over the reference's kernels.
 /// Kernels missing from `learned` are scored at `fallback` — the clock an
 /// online policy actually runs unpinned kernels at (the ladder maximum).

@@ -245,6 +245,12 @@ fn main() {
                     ));
                 }
             }
+            // A config the policy's tuner refuses (say `coarse_step: 0`)
+            // parses fine; building the tuner once here makes it a spec
+            // error instead of a panic inside a rank thread.
+            if let Err(e) = spec.policy.tuner(&spec.system.node.gpu) {
+                fail(format!("{path}: {e}"));
+            }
             if let Some(profile) = &fault_profile {
                 spec.faults = Some(profile.clone());
             }
@@ -384,12 +390,12 @@ fn main() {
         // One object per spec, keyed "<workload>/<policy>", each holding
         // rank 0's fitted per-kernel coefficients (empty for non-predictive
         // policies or kernels that fell back to the search).
-        let models: std::collections::BTreeMap<String, online::StoredModels> = results
+        let models: std::collections::BTreeMap<String, _> = results
             .iter()
             .map(|r| {
                 (
                     format!("{}/{}", r.workload, r.policy),
-                    r.per_rank[0].models.clone(),
+                    &r.per_rank[0].models,
                 )
             })
             .collect();

@@ -21,10 +21,10 @@
 //! step 0 on every rank (the decision is made collectively so no rank
 //! resumes alone).
 
-use std::collections::BTreeMap;
 use std::fs;
 use std::path::{Path, PathBuf};
 
+use online::{LearnedTable, ModelTable, WarmState};
 use serde::{Deserialize, Serialize};
 use sph::Particles;
 
@@ -55,10 +55,20 @@ pub struct Manifest {
     /// Rank 0's learned per-kernel table at checkpoint time (the same
     /// payload the table store persists at end of run).
     #[serde(default)]
-    pub learned_table: BTreeMap<String, u32>,
+    pub learned_table: LearnedTable,
     /// Fitted predictive-model coefficients at checkpoint time.
     #[serde(default)]
-    pub models: online::StoredModels,
+    pub models: ModelTable,
+}
+
+impl Manifest {
+    /// The tuner state the checkpoint carries.
+    pub fn warm(&self) -> WarmState {
+        WarmState {
+            table: self.learned_table.clone(),
+            models: self.models.clone(),
+        }
+    }
 }
 
 /// Hash of the spec fields that define the *physics identity* of a run:
@@ -302,7 +312,7 @@ mod tests {
             spec_hash: spec_hash(spec),
             workload: spec.workload.name().to_string(),
             splits: Some(vec![0, u64::MAX]),
-            learned_table: BTreeMap::new(),
+            learned_table: Default::default(),
             models: Default::default(),
         }
     }

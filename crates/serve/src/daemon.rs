@@ -40,7 +40,7 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-use online::{LearnedTable, StoredModels};
+use online::WarmState;
 use slurm_sim::SacctRow;
 
 use crate::protocol::{write_frame, Event, Request, ServerStats, PROTOCOL_VERSION};
@@ -65,14 +65,11 @@ pub struct JobMeta {
 /// What a finished job reports back.
 #[derive(Debug, Clone, Default)]
 pub struct JobOutcome {
-    /// Table the online tuner learned, for publication. `None` (or empty)
-    /// aborts an in-flight exploration instead of publishing.
-    pub learned: Option<LearnedTable>,
-    /// Fitted per-kernel model coefficients (predictive jobs), published
-    /// alongside the table so later leases warm-start probe-free. Empty for
-    /// search-only jobs — the table server then preserves whatever models
-    /// the entry already holds.
-    pub models: StoredModels,
+    /// What the job's tuner learned, for publication: the pinned table and
+    /// (predictive jobs) the fitted coefficients that let later leases
+    /// warm-start probe-free. An empty table aborts an in-flight
+    /// exploration instead of publishing.
+    pub learned: WarmState,
     /// Exploration launches spent (0 on a full warm start).
     pub exploration_launches: u64,
     /// Whole-job wall time, seconds.
@@ -95,17 +92,10 @@ pub trait Executor: Send + Sync + 'static {
     /// and derive the job's identity. Runs on the connection thread.
     fn validate(&self, spec_json: &str) -> Result<JobMeta, String>;
 
-    /// Run the experiment. `warm` is the served warm-start table and
-    /// `warm_models` the fitted coefficients stored with it (empty when the
-    /// entry has none), when the job's key was already resolved by the
-    /// table server. Runs on a worker thread; may panic (the daemon
-    /// contains it).
-    fn execute(
-        &self,
-        spec_json: &str,
-        warm: Option<&LearnedTable>,
-        warm_models: &StoredModels,
-    ) -> Result<JobOutcome, String>;
+    /// Run the experiment. `warm` is the served warm-start state, when the
+    /// job's key was already resolved by the table server. Runs on a worker
+    /// thread; may panic (the daemon contains it).
+    fn execute(&self, spec_json: &str, warm: Option<&WarmState>) -> Result<JobOutcome, String>;
 }
 
 /// Daemon configuration.
@@ -469,34 +459,28 @@ fn run_job(shared: &Arc<Shared>, job: Job) {
         .meta
         .uses_tables
         .then(|| shared.tables.lease(&job.meta.gpu, &job.meta.workload));
-    let (warm, warm_models, leased_version, guard) = match lease {
-        Some(Lease::Warm {
-            table,
-            models,
-            version,
-        }) => (Some(table), models, Some(version), None),
-        Some(Lease::Explore(g)) => (None, StoredModels::new(), None, Some(g)),
-        None => (None, StoredModels::new(), None, None),
+    let (warm, leased_version, guard) = match lease {
+        Some(Lease::Warm { warm, version }) => (Some(warm), Some(version), None),
+        Some(Lease::Explore(g)) => (None, None, Some(g)),
+        None => (None, None, None),
     };
     let warm_start = warm.is_some();
 
     // Contain panics to the job: the chaos "kill a running job" vector.
     let outcome = catch_unwind(AssertUnwindSafe(|| {
-        shared.exec.execute(&job.spec, warm.as_ref(), &warm_models)
+        shared.exec.execute(&job.spec, warm.as_ref())
     }));
 
     let finished = match outcome {
         Ok(Ok(out)) => {
-            let table_version = match (guard, &out.learned) {
-                (Some(g), Some(t)) if !t.is_empty() => {
-                    Some(g.publish_with_models(t.clone(), out.models.clone()))
-                }
-                (Some(g), _) => {
+            let table_version = match guard {
+                Some(g) if !out.learned.table.is_empty() => Some(g.publish(out.learned)),
+                Some(g) => {
                     // Online job that learned nothing — release the flight.
                     g.abort();
                     None
                 }
-                (None, _) => leased_version,
+                None => leased_version,
             };
             let row = SacctRow {
                 job_id: job.id,

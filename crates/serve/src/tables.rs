@@ -31,24 +31,22 @@
 //! Publishes update the in-memory map synchronously and queue the disk
 //! write to a persister thread, so the publish path never blocks on I/O.
 //! [`TableServer::flush`] drains the persister (used at daemon shutdown and
-//! by tests); writes go through `TableStore::save_versioned_with_models`,
-//! which stages to a temp file and renames, so readers never observe a torn
-//! entry.
+//! by tests); writes go through `TableStore::save_at`, which stages to a
+//! temp file and renames, so readers never observe a torn entry.
 //!
 //! ## Models
 //!
-//! Entries carry the fitted per-kernel model coefficients alongside the
-//! learned table ([`online::StoredModels`]). Predictive jobs publish them
-//! via [`ExploreGuard::publish_with_models`]; warm leases hand them back so
-//! a repeat predictive submission skips even the probe phase. Search-only
-//! publishes never erase models an entry already holds — in memory or on
-//! disk.
+//! An entry is one [`online::WarmState`]: the learned table plus whatever
+//! fitted per-kernel model coefficients were published with it. Warm leases
+//! hand the whole value back, so a repeat predictive submission skips even
+//! the probe phase. A publish without models never erases the ones an entry
+//! already holds — in memory or on disk.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex, RwLock};
 
-use online::{LearnedTable, StoredModels, TableStore};
+use online::{LearnedTable, TableStore, WarmState};
 use serde::{Deserialize, Serialize};
 
 type Key = (String, String);
@@ -90,11 +88,7 @@ pub struct TableServerStats {
 }
 
 struct Entry {
-    table: LearnedTable,
-    /// Fitted per-kernel model coefficients published alongside the table
-    /// (empty for search-only jobs). Served to predictive warm starts so
-    /// they skip even the probe phase.
-    models: StoredModels,
+    warm: WarmState,
     version: u64,
     /// Monotonic use tick for LRU; atomic so hits can touch it under the
     /// read lock.
@@ -133,8 +127,7 @@ enum WriteMsg {
     Save {
         gpu: String,
         workload: String,
-        table: LearnedTable,
-        models: StoredModels,
+        warm: WarmState,
         version: u64,
     },
     Flush(mpsc::Sender<()>),
@@ -157,16 +150,11 @@ struct Inner {
 
 /// What a job gets from [`TableServer::lease`].
 pub enum Lease {
-    /// Warm-start from this table (version included for reporting).
-    /// `models` carries any fitted coefficients published with the entry —
-    /// empty unless a predictive job explored this key.
-    Warm {
-        table: LearnedTable,
-        models: StoredModels,
-        version: u64,
-    },
+    /// Warm-start from this state (version included for reporting). Its
+    /// `models` are empty unless a predictive job explored this key.
+    Warm { warm: WarmState, version: u64 },
     /// This caller won the flight for a cold key: run the exploration, then
-    /// [`ExploreGuard::publish`] the learned table (or drop/abort to release
+    /// [`ExploreGuard::publish`] what it learned (or drop/abort to release
     /// the waiters to re-race).
     Explore(ExploreGuard),
 }
@@ -181,19 +169,14 @@ pub struct ExploreGuard {
 }
 
 impl ExploreGuard {
-    /// Publish the learned table, waking all waiters with `Warm` leases.
-    /// Returns the new version. Any models the entry already held (in
-    /// memory or on disk) are preserved — a search-only publish must not
-    /// discard a predictive run's coefficients.
-    pub fn publish(self, table: LearnedTable) -> u64 {
-        self.publish_with_models(table, StoredModels::new())
-    }
-
-    /// [`ExploreGuard::publish`], also publishing fitted per-kernel model
-    /// coefficients so later predictive leases warm-start probe-free.
-    pub fn publish_with_models(mut self, table: LearnedTable, models: StoredModels) -> u64 {
+    /// Publish what the exploration learned, waking all waiters with
+    /// `Warm` leases. Returns the new version. When `learned` carries no
+    /// models, any the entry already held (in memory or on disk) are
+    /// preserved — a search-only publish must not discard a predictive
+    /// run's coefficients.
+    pub fn publish(mut self, learned: WarmState) -> u64 {
         self.done = true;
-        self.inner.publish(&self.key, table, models)
+        self.inner.publish(&self.key, learned)
     }
 
     /// Abandon the flight without publishing; waiters re-race for it.
@@ -218,23 +201,22 @@ impl Inner {
     }
 
     /// Fast-path lookup; touches the LRU tick on hit.
-    fn cached(&self, key: &Key) -> Option<(LearnedTable, StoredModels, u64)> {
+    fn cached(&self, key: &Key) -> Option<(WarmState, u64)> {
         let map = self.map.read().unwrap_or_else(|e| e.into_inner());
         let e = map.get(key)?;
         e.last_used.store(
             self.tick.fetch_add(1, Ordering::Relaxed) + 1,
             Ordering::Relaxed,
         );
-        Some((e.table.clone(), e.models.clone(), e.version))
+        Some((e.warm.clone(), e.version))
     }
 
-    fn insert(&self, key: &Key, table: LearnedTable, models: StoredModels, version: u64) {
+    fn insert(&self, key: &Key, warm: WarmState, version: u64) {
         let mut map = self.map.write().unwrap_or_else(|e| e.into_inner());
         map.insert(
             key.clone(),
             Entry {
-                table,
-                models,
+                warm,
                 version,
                 last_used: AtomicU64::new(self.tick.fetch_add(1, Ordering::Relaxed) + 1),
             },
@@ -266,24 +248,23 @@ impl Inner {
         *slot
     }
 
-    fn publish(self: &Arc<Self>, key: &Key, table: LearnedTable, models: StoredModels) -> u64 {
+    fn publish(self: &Arc<Self>, key: &Key, mut learned: WarmState) -> u64 {
         // A model-less publish inherits whatever coefficients the resident
         // entry holds, so a search-only job refreshing a key never wipes a
-        // predictive job's fit (the persister applies the same rule against
-        // the on-disk entry for keys that were evicted in between).
-        let models = if models.is_empty() {
-            self.cached(key).map(|(_, m, _)| m).unwrap_or_default()
-        } else {
-            models
-        };
+        // predictive job's fit (`TableStore::save_at` applies the same rule
+        // against the on-disk entry for keys that were evicted in between).
+        if learned.models.is_empty() {
+            if let Some((resident, _)) = self.cached(key) {
+                learned.models = resident.models;
+            }
+        }
         let version = self.next_version(key);
-        self.insert(key, table.clone(), models.clone(), version);
+        self.insert(key, learned.clone(), version);
         if let Some(tx) = &self.writer {
             let _ = tx.send(WriteMsg::Save {
                 gpu: key.0.clone(),
                 workload: key.1.clone(),
-                table,
-                models,
+                warm: learned,
                 version,
             });
         }
@@ -331,27 +312,12 @@ impl TableServer {
                             WriteMsg::Save {
                                 gpu,
                                 workload,
-                                table,
-                                models,
+                                warm,
                                 version,
                             } => {
-                                // Model-less saves keep whatever coefficients
-                                // the on-disk entry already holds (the key may
-                                // have been evicted from memory since its
-                                // predictive publish).
-                                let models = if models.is_empty() {
-                                    persist_store
-                                        .load_stored(&gpu, &workload)
-                                        .ok()
-                                        .flatten()
-                                        .map(|s| s.models)
-                                        .unwrap_or_default()
-                                } else {
-                                    models
-                                };
-                                if let Err(e) = persist_store.save_versioned_with_models(
-                                    &gpu, &workload, &table, &models, version,
-                                ) {
+                                if let Err(e) =
+                                    persist_store.save_at(&gpu, &workload, &warm, version)
+                                {
                                     eprintln!(
                                         "warning: table write-behind for ({gpu}, {workload}) \
                                          failed: {e}"
@@ -389,28 +355,20 @@ impl TableServer {
         let key: Key = (gpu.to_string(), workload.to_string());
         let inner = &self.inner;
         loop {
-            if let Some((table, models, version)) = inner.cached(&key) {
+            if let Some((warm, version)) = inner.cached(&key) {
                 inner.bump(&inner.counters.hits, "serve.tables.hits");
                 inner.bump(&inner.counters.warm_starts, "serve.tables.warm_starts");
-                return Lease::Warm {
-                    table,
-                    models,
-                    version,
-                };
+                return Lease::Warm { warm, version };
             }
             let mut fl = inner.flight.lock().unwrap_or_else(|e| e.into_inner());
             // Re-check under the flight lock: a publisher inserts into the
             // map *before* releasing the flight, so "not cached and not in
             // flight" here really means cold.
-            if let Some((table, models, version)) = inner.cached(&key) {
+            if let Some((warm, version)) = inner.cached(&key) {
                 drop(fl);
                 inner.bump(&inner.counters.hits, "serve.tables.hits");
                 inner.bump(&inner.counters.warm_starts, "serve.tables.warm_starts");
-                return Lease::Warm {
-                    table,
-                    models,
-                    version,
-                };
+                return Lease::Warm { warm, version };
             }
             if fl.contains(&key) {
                 inner.bump(&inner.counters.waits, "serve.tables.waits");
@@ -424,25 +382,18 @@ impl TableServer {
             drop(fl);
             inner.bump(&inner.counters.misses, "serve.tables.misses");
             // Cold in memory — try the on-disk store before exploring. A
-            // corrupt entry degrades to exploration (load_or_rebuild_stored
-            // moves it aside), never a crash.
+            // corrupt entry degrades to exploration (load_or_rebuild moves
+            // it aside), never a crash.
             if let Some(store) = &inner.store {
-                if let Some(stored) = store.load_or_rebuild_stored(gpu, workload) {
-                    inner.observe_version(&key, stored.version);
-                    inner.insert(
-                        &key,
-                        stored.table.clone(),
-                        stored.models.clone(),
-                        stored.version,
-                    );
+                if let Some(stored) = store.load_or_rebuild(gpu, workload) {
+                    let version = stored.version;
+                    let warm = stored.warm();
+                    inner.observe_version(&key, version);
+                    inner.insert(&key, warm.clone(), version);
                     inner.release_flight(&key);
                     inner.bump(&inner.counters.disk_loads, "serve.tables.disk_loads");
                     inner.bump(&inner.counters.warm_starts, "serve.tables.warm_starts");
-                    return Lease::Warm {
-                        table: stored.table,
-                        models: stored.models,
-                        version: stored.version,
-                    };
+                    return Lease::Warm { warm, version };
                 }
             }
             inner.bump(&inner.counters.explorations, "serve.tables.explorations");
@@ -458,7 +409,7 @@ impl TableServer {
     pub fn peek(&self, gpu: &str, workload: &str) -> Option<(LearnedTable, u64)> {
         let key: Key = (gpu.to_string(), workload.to_string());
         let map = self.inner.map.read().unwrap_or_else(|e| e.into_inner());
-        map.get(&key).map(|e| (e.table.clone(), e.version))
+        map.get(&key).map(|e| (e.warm.table.clone(), e.version))
     }
 
     /// Block until every queued write-behind save has hit disk.
@@ -498,14 +449,16 @@ mod tests {
     use super::*;
     use std::sync::Barrier;
 
-    fn table(mhz: u32) -> LearnedTable {
-        let mut t = LearnedTable::new();
-        t.insert(sph::FuncId::XMass, archsim::MegaHertz(mhz));
-        t
+    /// What a search-only job publishes: a one-kernel table, no models.
+    fn table(mhz: u32) -> WarmState {
+        WarmState {
+            table: [(sph::FuncId::XMass, archsim::MegaHertz(mhz))].into(),
+            models: online::ModelTable::new(),
+        }
     }
 
     /// A fitted single-kernel model set, as a predictive job would publish.
-    fn models() -> StoredModels {
+    fn models() -> online::ModelTable {
         let samples = [
             (1005.0, 0.090),
             (1140.0, 0.082),
@@ -525,9 +478,7 @@ mod tests {
             f_max_mhz: 1410.0,
         };
         let m = model::KernelModel::fit(&samples, 1410.0, 1593.0, voltage).unwrap();
-        let mut out = StoredModels::new();
-        out.insert("XMass".to_string(), m);
-        out
+        [(sph::FuncId::XMass, m)].into()
     }
 
     fn mem_server(capacity: usize) -> TableServer {
@@ -548,14 +499,9 @@ mod tests {
         };
         assert_eq!(guard.publish(table(1410)), 1);
         match srv.lease("A100", "turb") {
-            Lease::Warm {
-                table: t,
-                models,
-                version,
-            } => {
+            Lease::Warm { warm, version } => {
                 assert_eq!(version, 1);
-                assert_eq!(t, table(1410));
-                assert!(models.is_empty(), "plain publish carries no models");
+                assert_eq!(warm, table(1410), "plain publish carries no models");
             }
             Lease::Explore(_) => panic!("published key must be warm"),
         }
@@ -582,10 +528,8 @@ mod tests {
                             g.publish(table(1200));
                             true
                         }
-                        Lease::Warm {
-                            table: t, version, ..
-                        } => {
-                            assert_eq!(t, table(1200));
+                        Lease::Warm { warm, version } => {
+                            assert_eq!(warm, table(1200));
                             assert_eq!(version, 1);
                             false
                         }
@@ -712,9 +656,9 @@ mod tests {
         srv.flush();
         // Readable through a plain TableStore — same JSON layout.
         let store = TableStore::open(&dir).unwrap();
-        let stored = store.load_stored("A100", "turb").unwrap().unwrap();
-        assert_eq!(stored.table, table(1410));
+        let stored = store.load_or_rebuild("A100", "turb").unwrap();
         assert_eq!(stored.version, 1);
+        assert_eq!(stored.warm(), table(1410));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -753,13 +697,16 @@ mod tests {
         .unwrap();
         match srv.lease("A100", "turb") {
             Lease::Explore(g) => {
-                g.publish_with_models(table(1410), models());
+                g.publish(WarmState {
+                    models: models(),
+                    ..table(1410)
+                });
             }
             _ => panic!("cold"),
         }
         // Resident entry serves the models back.
         match srv.lease("A100", "turb") {
-            Lease::Warm { models: m, .. } => assert_eq!(m, models()),
+            Lease::Warm { warm, .. } => assert_eq!(warm.models, models()),
             Lease::Explore(_) => panic!("published key must be warm"),
         }
         // Evict via capacity 1, then reload: models come back from disk,
@@ -773,10 +720,12 @@ mod tests {
         srv.flush();
         assert!(srv.peek("A100", "turb").is_none(), "evicted");
         let store = TableStore::open(&dir).unwrap();
-        let stored = store.load_stored("A100", "turb").unwrap().unwrap();
+        let stored = store.load_or_rebuild("A100", "turb").unwrap();
         assert_eq!(stored.models, models());
         match srv.lease("A100", "turb") {
-            Lease::Warm { models: m, .. } => assert_eq!(m, models(), "disk warm start has models"),
+            Lease::Warm { warm, .. } => {
+                assert_eq!(warm.models, models(), "disk warm start has models")
+            }
             Lease::Explore(_) => panic!("disk should warm-start"),
         }
         let _ = std::fs::remove_dir_all(&dir);
@@ -793,35 +742,30 @@ mod tests {
         .unwrap();
         // Seed the store the way a batch predictive run would.
         let store = TableStore::open(&dir).unwrap();
-        store
-            .save_versioned_with_models("A100", "turb", &table(1410), &models(), 1)
-            .unwrap();
+        let seeded = WarmState {
+            models: models(),
+            ..table(1410)
+        };
+        store.save_at("A100", "turb", &seeded, 1).unwrap();
         // First lease loads models from disk; pretend the entry goes stale
         // and an online (search-only) job republishes the key.
         match srv.lease("A100", "turb") {
-            Lease::Warm { models: m, .. } => assert_eq!(m, models()),
+            Lease::Warm { warm, .. } => assert_eq!(warm, seeded),
             Lease::Explore(_) => panic!("disk should warm-start"),
         }
-        srv.inner.publish(
-            &("A100".to_string(), "turb".to_string()),
-            table(1200),
-            StoredModels::new(),
-        );
+        srv.inner
+            .publish(&("A100".to_string(), "turb".to_string()), table(1200));
         srv.flush();
         // Neither the resident entry nor the disk entry lost the fit.
         match srv.lease("A100", "turb") {
-            Lease::Warm {
-                table: t,
-                models: m,
-                ..
-            } => {
-                assert_eq!(t, table(1200), "table refreshed");
-                assert_eq!(m, models(), "models inherited across the publish");
+            Lease::Warm { warm, .. } => {
+                assert_eq!(warm.table, table(1200).table, "table refreshed");
+                assert_eq!(warm.models, models(), "models inherited across the publish");
             }
             Lease::Explore(_) => panic!("warm"),
         }
-        let stored = store.load_stored("A100", "turb").unwrap().unwrap();
-        assert_eq!(stored.table, table(1200));
+        let stored = store.load_or_rebuild("A100", "turb").unwrap();
+        assert_eq!(stored.table, table(1200).table);
         assert_eq!(stored.models, models());
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -81,8 +81,7 @@ impl Executor for MockExec {
     fn execute(
         &self,
         spec_json: &str,
-        warm: Option<&online::LearnedTable>,
-        _warm_models: &online::StoredModels,
+        warm: Option<&online::WarmState>,
     ) -> Result<JobOutcome, String> {
         let spec: MockSpec = serde_json::from_str(spec_json).unwrap();
         if spec.gated {
@@ -93,11 +92,12 @@ impl Executor for MockExec {
             "fail" => Err(format!("mock failure for {}", spec.key)),
             _ => {
                 let explored = warm.is_none() && spec.uses_tables;
-                let learned = explored.then(|| {
-                    let mut t = online::LearnedTable::new();
-                    t.insert(sph::FuncId::XMass, archsim::MegaHertz(1200));
-                    t
-                });
+                let mut learned = online::WarmState::default();
+                if explored {
+                    learned
+                        .table
+                        .insert(sph::FuncId::XMass, archsim::MegaHertz(1200));
+                }
                 Ok(JobOutcome {
                     learned,
                     exploration_launches: if explored { 5 } else { 0 },
@@ -107,7 +107,6 @@ impl Executor for MockExec {
                     edp: 90.0,
                     recovery: None,
                     report: None,
-                    ..Default::default()
                 })
             }
         }

@@ -41,5 +41,5 @@ pub use ic::{
 pub use kernels::Kernel;
 pub use nbody::{plummer, NBody, NBODY_FUNCS};
 pub use particles::Particles;
-pub use sim::{NeighborPath, NullObserver, SimConfig, Simulation, StepObserver, StepStats};
+pub use sim::{NullObserver, SimConfig, Simulation, StepObserver, StepStats};
 pub use snapshot::{decode_particles, encode_particles, fnv1a, SNAPSHOT_VERSION};

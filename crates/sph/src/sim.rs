@@ -96,8 +96,7 @@ pub struct SimConfig {
     /// `DomainDecompAndSync` sends halo kinematics immediately but leaves
     /// the derived-field payload in flight; density and the interior IAD
     /// rows run first, and the deferred payload is drained only before the
-    /// boundary rows. Applies to the [`NeighborPath::SharedList`] path;
-    /// results are bit-identical with it on or off.
+    /// boundary rows. Results are bit-identical with it on or off.
     #[serde(default = "default_halo_overlap")]
     pub halo_overlap: bool,
 }
@@ -121,23 +120,6 @@ impl Default for SimConfig {
             halo_overlap: default_halo_overlap(),
         }
     }
-}
-
-/// How the step's five neighbor sweeps enumerate candidates.
-///
-/// Both paths are bit-identical (pinned by `tests/parallel_determinism.rs`):
-/// the shared list replays the grid's visit sequence through a radius
-/// filter. [`NeighborPath::SharedList`] is the default — one traversal per
-/// step instead of five; [`NeighborPath::CellGrid`] re-walks the grid per
-/// sweep and is kept as the measurable baseline for `bench_neighbors` and
-/// the equivalence tests.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum NeighborPath {
-    /// Build one CSR [`NeighborList`] per step; sweeps replay it.
-    #[default]
-    SharedList,
-    /// Pre-list behavior: every sweep re-walks the 27-cell stencil.
-    CellGrid,
 }
 
 /// Result of one time-step.
@@ -172,9 +154,6 @@ pub struct Simulation {
     /// Scenario kernel mix applied to every reported GPU workload, derived
     /// from the IC name (identity for the Table I workloads).
     pub profile: WorkloadProfile,
-    /// Neighbor-sweep strategy; flip to [`NeighborPath::CellGrid`] to time
-    /// or pin the pre-list baseline.
-    pub neighbor_path: NeighborPath,
     /// Step-shared CSR neighbor candidates, rebuilt in place every step
     /// (`build_adaptive_into` keeps the allocations across steps).
     nlist: NeighborList,
@@ -226,7 +205,6 @@ impl Simulation {
             gravity,
             name,
             profile: WorkloadProfile::for_scenario(name),
-            neighbor_path: NeighborPath::default(),
             nlist: NeighborList::new(),
             nlist_radii: Vec::new(),
             nn: Vec::new(),
@@ -380,53 +358,45 @@ impl Simulation {
         let sp = func_span(FuncId::FindNeighbors, self.step_index, ctx);
         obs.before(FuncId::FindNeighbors, ctx);
         let grid = self.build_grid();
-        match self.neighbor_path {
-            NeighborPath::SharedList => {
-                // One h-aware traversal: pair (i, j) is stored when within
-                // either particle's own search radius `1.4 · support(h)`,
-                // so every sweep below replays a row complete for its own
-                // query radius without rows inflating to the global
-                // maximum radius (the grid's cell size still is that
-                // maximum, as the scan stencil requires).
-                let t0 = telemetry::active().then(std::time::Instant::now);
-                self.nlist_radii.clear();
-                self.nlist_radii
-                    .extend(self.parts.h.iter().map(|&h| kernel.support(h) * 1.4));
-                self.nlist.build_adaptive_into(
-                    &grid,
-                    &self.parts.x,
-                    &self.parts.y,
-                    &self.parts.z,
-                    self.parts.n_local,
-                    &self.nlist_radii,
-                );
-                if let Some(t0) = t0 {
-                    telemetry::gauge_set("neighbors/avg", self.nlist.avg_neighbors());
-                    telemetry::gauge_set("neighbors/max", self.nlist.max_neighbors() as f64);
-                    telemetry::gauge_set("neighbors/csr_bytes", self.nlist.csr_bytes() as f64);
-                    telemetry::gauge_set("neighbors/build_ms", t0.elapsed().as_secs_f64() * 1e3);
+        // One h-aware traversal: pair (i, j) is stored when within either
+        // particle's own search radius `1.4 · support(h)`, so every sweep
+        // below replays a row complete for its own query radius without
+        // rows inflating to the global maximum radius (the grid's cell size
+        // still is that maximum, as the scan stencil requires).
+        let t0 = telemetry::active().then(std::time::Instant::now);
+        self.nlist_radii.clear();
+        self.nlist_radii
+            .extend(self.parts.h.iter().map(|&h| kernel.support(h) * 1.4));
+        self.nlist.build_adaptive_into(
+            &grid,
+            &self.parts.x,
+            &self.parts.y,
+            &self.parts.z,
+            self.parts.n_local,
+            &self.nlist_radii,
+        );
+        if let Some(t0) = t0 {
+            telemetry::gauge_set("neighbors/avg", self.nlist.avg_neighbors());
+            telemetry::gauge_set("neighbors/max", self.nlist.max_neighbors() as f64);
+            telemetry::gauge_set("neighbors/csr_bytes", self.nlist.csr_bytes() as f64);
+            telemetry::gauge_set("neighbors/build_ms", t0.elapsed().as_secs_f64() * 1e3);
+        }
+        self.nn = neighbor_counts(&self.parts, &self.nlist, &self.bbox, kernel);
+        // Overlap schedule: split owned rows by whether their CSR row
+        // references any halo index (halos sit past n_local). Interior rows
+        // never read deferred halo fields, so they can sweep before the
+        // stage-B payload is drained.
+        self.interior_rows.clear();
+        self.boundary_rows.clear();
+        if !self.pending_fields.is_empty() {
+            let n_local = self.parts.n_local;
+            for i in 0..n_local {
+                let (jj, _, _, _) = self.nlist.row_deltas(i);
+                if jj.iter().any(|&j| j as usize >= n_local) {
+                    self.boundary_rows.push(i);
+                } else {
+                    self.interior_rows.push(i);
                 }
-                self.nn = neighbor_counts(&self.parts, &self.nlist, &self.bbox, kernel);
-                // Overlap schedule: split owned rows by whether their CSR
-                // row references any halo index (halos sit past n_local).
-                // Interior rows never read deferred halo fields, so they
-                // can sweep before the stage-B payload is drained.
-                self.interior_rows.clear();
-                self.boundary_rows.clear();
-                if !self.pending_fields.is_empty() {
-                    let n_local = self.parts.n_local;
-                    for i in 0..n_local {
-                        let (jj, _, _, _) = self.nlist.row_deltas(i);
-                        if jj.iter().any(|&j| j as usize >= n_local) {
-                            self.boundary_rows.push(i);
-                        } else {
-                            self.interior_rows.push(i);
-                        }
-                    }
-                }
-            }
-            NeighborPath::CellGrid => {
-                self.nn = neighbor_counts(&self.parts, &grid, &self.bbox, kernel);
             }
         }
         obs.after(
@@ -452,12 +422,7 @@ impl Simulation {
         // ---- NormalizationGradh (density + grad-h) ---------------------
         let sp = func_span(FuncId::NormalizationGradh, self.step_index, ctx);
         obs.before(FuncId::NormalizationGradh, ctx);
-        match self.neighbor_path {
-            NeighborPath::SharedList => {
-                density_gradh(&mut self.parts, &self.nlist, &self.bbox, kernel)
-            }
-            NeighborPath::CellGrid => density_gradh(&mut self.parts, &grid, &self.bbox, kernel),
-        }
+        density_gradh(&mut self.parts, &self.nlist, &self.bbox, kernel);
         obs.after(
             FuncId::NormalizationGradh,
             &self.profile.workload(FuncId::NormalizationGradh, target),
@@ -488,21 +453,17 @@ impl Simulation {
         // ---- IADVelocityDivCurl ----------------------------------------
         let sp = func_span(FuncId::IADVelocityDivCurl, self.step_index, ctx);
         obs.before(FuncId::IADVelocityDivCurl, ctx);
-        match self.neighbor_path {
-            NeighborPath::SharedList if !self.pending_fields.is_empty() => {
-                // Overlap: interior rows read only owned neighbors, so they
-                // sweep while the stage-B halo payload is still in flight;
-                // the drain fills halo fields, then the boundary rows run.
-                // Rows scatter only to themselves and the two subsets are
-                // disjoint, so the split is bit-identical to the full sweep.
-                iad_divv_curlv_rows(&mut self.parts, &self.nlist, kernel, &self.interior_rows);
-                self.drain_halo_fields(ctx);
-                iad_divv_curlv_rows(&mut self.parts, &self.nlist, kernel, &self.boundary_rows);
-            }
-            NeighborPath::SharedList => {
-                iad_divv_curlv(&mut self.parts, &self.nlist, &self.bbox, kernel)
-            }
-            NeighborPath::CellGrid => iad_divv_curlv(&mut self.parts, &grid, &self.bbox, kernel),
+        if self.pending_fields.is_empty() {
+            iad_divv_curlv(&mut self.parts, &self.nlist, &self.bbox, kernel);
+        } else {
+            // Overlap: interior rows read only owned neighbors, so they
+            // sweep while the stage-B halo payload is still in flight; the
+            // drain fills halo fields, then the boundary rows run. Rows
+            // scatter only to themselves and the two subsets are disjoint,
+            // so the split is bit-identical to the full sweep.
+            iad_divv_curlv_rows(&mut self.parts, &self.nlist, kernel, &self.interior_rows);
+            self.drain_halo_fields(ctx);
+            iad_divv_curlv_rows(&mut self.parts, &self.nlist, kernel, &self.boundary_rows);
         }
         obs.after(
             FuncId::IADVelocityDivCurl,
@@ -527,12 +488,7 @@ impl Simulation {
         // ---- MomentumEnergy ----------------------------------------------
         let sp = func_span(FuncId::MomentumEnergy, self.step_index, ctx);
         obs.before(FuncId::MomentumEnergy, ctx);
-        match self.neighbor_path {
-            NeighborPath::SharedList => {
-                momentum_energy(&mut self.parts, &self.nlist, &self.bbox, kernel)
-            }
-            NeighborPath::CellGrid => momentum_energy(&mut self.parts, &grid, &self.bbox, kernel),
-        }
+        momentum_energy(&mut self.parts, &self.nlist, &self.bbox, kernel);
         obs.after(
             FuncId::MomentumEnergy,
             &self.profile.workload(FuncId::MomentumEnergy, target),
@@ -684,10 +640,9 @@ impl Simulation {
     }
 
     /// Whether this step defers the halo derived-field payload (stage B)
-    /// past the interior sweeps. Requires the shared CSR list — the row
-    /// classification comes from it.
+    /// past the interior sweeps.
     fn overlap_active(&self, size: usize) -> bool {
-        self.cfg.halo_overlap && size > 1 && self.neighbor_path == NeighborPath::SharedList
+        self.cfg.halo_overlap && size > 1
     }
 
     /// Drain the deferred stage-B halo payload: receive each peer's derived

@@ -10,14 +10,14 @@
 //! Layout (all little-endian):
 //!
 //! ```text
-//! v1:  "FSNP" | u32 version=1 | u64 n_local | n_local × 13 × f64
-//! v2:  "FSNP" | u32 version=2 | u64 n_local | n_local × 13 × f64 | u64 fnv1a
+//! "FSNP" | u32 version=2 | u64 n_local | n_local × 13 × f64 | u64 fnv1a
 //! ```
 //!
-//! v2 appends an FNV-1a checksum over everything before it, so a truncated
-//! or bit-flipped snapshot is detected at load. The loader accepts both
-//! versions — v1 fixtures stay loadable forever (mirroring the TableStore
-//! v1/v2 discipline).
+//! The trailer is an FNV-1a checksum over everything before it, so a
+//! truncated or bit-flipped snapshot is detected at load. Any other version
+//! — the trailer-less v1 included, which no release ever wrote outside this
+//! repo's tests — is refused like a damaged blob, and the caller
+//! cold-starts.
 
 use crate::particles::Particles;
 
@@ -54,7 +54,7 @@ pub fn encode_particles(parts: &Particles) -> Vec<u8> {
     out
 }
 
-/// Deserialize a v1 or v2 snapshot into a fresh owned particle set.
+/// Deserialize a snapshot into a fresh owned particle set.
 ///
 /// Errors (bad magic, unknown version, truncation, checksum mismatch) are
 /// returned as messages — the caller decides whether to cold-start or die;
@@ -70,33 +70,31 @@ pub fn decode_particles(bytes: &[u8]) -> Result<Particles, String> {
         return Err("snapshot magic mismatch (not an FSNP file)".to_string());
     }
     let version = u32::from_le_bytes(bytes[4..8].try_into().expect("4 bytes"));
-    if version == 0 || version > SNAPSHOT_VERSION {
+    if version != SNAPSHOT_VERSION {
         return Err(format!(
-            "snapshot version {version} unsupported (this build reads 1..={SNAPSHOT_VERSION})"
+            "snapshot version {version} unsupported (this build reads {SNAPSHOT_VERSION})"
         ));
     }
     let n = u64::from_le_bytes(bytes[8..16].try_into().expect("8 bytes")) as usize;
     let payload_len = n
         .checked_mul(Particles::PACK_FIELDS * 8)
         .ok_or_else(|| "snapshot particle count overflows".to_string())?;
-    let expected = 16 + payload_len + if version >= 2 { 8 } else { 0 };
+    let body_end = 16 + payload_len;
+    let expected = body_end + 8;
     if bytes.len() != expected {
         return Err(format!(
-            "snapshot truncated: {got} bytes, expected {expected} for {n} particles (v{version})",
+            "snapshot truncated: {got} bytes, expected {expected} for {n} particles",
             got = bytes.len()
         ));
     }
-    if version >= 2 {
-        let body_end = 16 + payload_len;
-        let stored = u64::from_le_bytes(bytes[body_end..].try_into().expect("8 bytes"));
-        let actual = fnv1a(&bytes[..body_end]);
-        if stored != actual {
-            return Err(format!(
-                "snapshot checksum mismatch: stored {stored:#018x}, computed {actual:#018x}"
-            ));
-        }
+    let stored = u64::from_le_bytes(bytes[body_end..].try_into().expect("8 bytes"));
+    let actual = fnv1a(&bytes[..body_end]);
+    if stored != actual {
+        return Err(format!(
+            "snapshot checksum mismatch: stored {stored:#018x}, computed {actual:#018x}"
+        ));
     }
-    let payload: Vec<f64> = bytes[16..16 + payload_len]
+    let payload: Vec<f64> = bytes[16..body_end]
         .chunks_exact(8)
         .map(|c| f64::from_le_bytes(c.try_into().expect("8-byte chunks")))
         .collect();
@@ -149,17 +147,6 @@ mod tests {
     }
 
     #[test]
-    fn v1_snapshot_without_trailer_still_loads() {
-        let v2 = encode_particles(&sample());
-        // Rewrite as v1: version field 1, checksum trailer dropped.
-        let mut v1 = v2[..v2.len() - 8].to_vec();
-        v1[4..8].copy_from_slice(&1u32.to_le_bytes());
-        let back = decode_particles(&v1).expect("v1 loads");
-        assert_eq!(back.n_local, 3);
-        assert_eq!(back.m[2], 4.0);
-    }
-
-    #[test]
     fn corruption_is_detected() {
         let good = encode_particles(&sample());
 
@@ -180,6 +167,13 @@ mod tests {
         future[4..8].copy_from_slice(&99u32.to_le_bytes());
         let err = decode_particles(&future).expect_err("future version rejected");
         assert!(err.contains("version 99"), "{err}");
+
+        // The retired trailer-less v1 layout is refused like any other
+        // unknown version.
+        let mut v1 = good[..good.len() - 8].to_vec();
+        v1[4..8].copy_from_slice(&1u32.to_le_bytes());
+        let err = decode_particles(&v1).expect_err("v1 rejected");
+        assert!(err.contains("version 1 unsupported"), "{err}");
     }
 
     #[test]

@@ -10,6 +10,13 @@
 //! per-particle radii `1.4 · support(h_i)`, exactly as `Simulation::step`
 //! builds it.
 //!
+//! The traversal itself is pinned against a third input: the same sweeps
+//! walking the cell grid directly, the reference the list replays.
+//! `Simulation::step` always builds the list, so this is where the grid
+//! walk stays exercised; it must match the scalar replay bit for bit under
+//! every feature set (both are per-pair callback paths over one visit
+//! order).
+//!
 //! Under default features the paths must agree bit-for-bit. Under
 //! `fast-math` the lane reductions reassociate and `Sinc5` uses polynomial
 //! sinc, so fields are compared to tolerance instead — and the IAD tensor
@@ -75,7 +82,8 @@ fn run_sweeps<N: cornerstone::NeighborSearch + Sync>(
 }
 
 /// Execute blocked and scalar paths over the same prebuilt list; return
-/// (blocked, scalar) particle states and their neighbor counts.
+/// (blocked, scalar) particle states and their neighbor counts. The grid
+/// walk runs as the reference for both and is checked here.
 fn run_both(
     parts: &Particles,
     bbox: &Box3,
@@ -90,7 +98,40 @@ fn run_both(
     let cb = run_sweeps(&mut blocked, &nl, bbox, kernel);
     let mut scalar = parts.clone();
     let cs = run_sweeps(&mut scalar, &ScalarReplay(&nl), bbox, kernel);
+    let mut walked = parts.clone();
+    let cw = run_sweeps(&mut walked, &grid, bbox, kernel);
+    assert_eq!(cw, cs, "{kernel:?}: grid-walk neighbor counts");
+    for (name, a, b) in swept_fields(&walked, &scalar) {
+        let same = a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits());
+        assert!(
+            same,
+            "{kernel:?}: {name} differs between grid walk and list replay"
+        );
+    }
     ((blocked, cb), (scalar, cs))
+}
+
+/// Every field the sweeps write, paired across two particle states.
+fn swept_fields<'a>(
+    a: &'a Particles,
+    b: &'a Particles,
+) -> [(&'static str, &'a Vec<f64>, &'a Vec<f64>); 14] {
+    [
+        ("rho", &a.rho, &b.rho),
+        ("gradh", &a.gradh, &b.gradh),
+        ("divv", &a.divv, &b.divv),
+        ("curlv", &a.curlv, &b.curlv),
+        ("ax", &a.ax, &b.ax),
+        ("ay", &a.ay, &b.ay),
+        ("az", &a.az, &b.az),
+        ("du", &a.du, &b.du),
+        ("c11", &a.c11, &b.c11),
+        ("c12", &a.c12, &b.c12),
+        ("c13", &a.c13, &b.c13),
+        ("c22", &a.c22, &b.c22),
+        ("c23", &a.c23, &b.c23),
+        ("c33", &a.c33, &b.c33),
+    ]
 }
 
 /// Default features: bitwise. fast-math: relative tolerance.
@@ -116,24 +157,8 @@ fn assert_field_eq(name: &str, a: &[f64], b: &[f64]) -> Result<(), String> {
 }
 
 fn compare(blocked: &Particles, scalar: &Particles, with_iad: bool) {
-    let fields: &[(&str, &Vec<f64>, &Vec<f64>)] = &[
-        ("rho", &blocked.rho, &scalar.rho),
-        ("gradh", &blocked.gradh, &scalar.gradh),
-        ("divv", &blocked.divv, &scalar.divv),
-        ("curlv", &blocked.curlv, &scalar.curlv),
-        ("ax", &blocked.ax, &scalar.ax),
-        ("ay", &blocked.ay, &scalar.ay),
-        ("az", &blocked.az, &scalar.az),
-        ("du", &blocked.du, &scalar.du),
-        ("c11", &blocked.c11, &scalar.c11),
-        ("c12", &blocked.c12, &scalar.c12),
-        ("c13", &blocked.c13, &scalar.c13),
-        ("c22", &blocked.c22, &scalar.c22),
-        ("c23", &blocked.c23, &scalar.c23),
-        ("c33", &blocked.c33, &scalar.c33),
-    ];
-    for (name, a, b) in fields {
-        if !with_iad && (name.starts_with('c') || *name == "divv" || *name == "curlv") {
+    for (name, a, b) in swept_fields(blocked, scalar) {
+        if !with_iad && (name.starts_with('c') || name == "divv" || name == "curlv") {
             continue;
         }
         if let Err(e) = assert_field_eq(name, a, b) {

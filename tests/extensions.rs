@@ -102,25 +102,6 @@ fn memory_clock_control_through_nvml() {
 }
 
 #[test]
-fn autotune_policy_runs_through_the_full_experiment_runner() {
-    let base = run_experiment(&quick_spec(FreqPolicy::Baseline));
-    let mut spec = quick_spec(FreqPolicy::auto_tune_default(&GpuSpec::a100_pcie_40gb()));
-    spec.steps = 14; // warm-up (10 calls) + steady state
-    let auto = run_experiment(&spec);
-    assert_eq!(auto.policy, "autotune");
-    // Steady state reaches a per-function split: MomentumEnergy's average
-    // clock ends above XMass's.
-    let agg = auto.functions_all_ranks();
-    assert!(
-        agg["MomentumEnergy"].avg_freq_mhz > agg["XMass"].avg_freq_mhz + 50.0,
-        "MomentumEnergy {} vs XMass {}",
-        agg["MomentumEnergy"].avg_freq_mhz,
-        agg["XMass"].avg_freq_mhz
-    );
-    let _ = base;
-}
-
-#[test]
 fn pareto_front_over_real_policies() {
     let base = run_experiment(&quick_spec(FreqPolicy::Baseline));
     let dvfs = run_experiment(&quick_spec(FreqPolicy::Dvfs));

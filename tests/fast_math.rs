@@ -10,9 +10,7 @@
 #![cfg(feature = "fast-math")]
 
 use gpu_freq_scaling::ranks::{run, CommCost};
-use gpu_freq_scaling::sph::{
-    evrard, Kernel, NeighborPath, NullObserver, SimConfig, Simulation, StepStats,
-};
+use gpu_freq_scaling::sph::{evrard, Kernel, NullObserver, SimConfig, Simulation, StepStats};
 
 fn collapse(kernel: Kernel, steps: usize) -> (Vec<StepStats>, f64, f64) {
     run(1, CommCost::default(), move |ctx| {
@@ -24,7 +22,6 @@ fn collapse(kernel: Kernel, steps: usize) -> (Vec<StepStats>, f64, f64) {
             ..SimConfig::default()
         };
         let mut sim = Simulation::new(evrard(10), cfg);
-        sim.neighbor_path = NeighborPath::SharedList; // the blocked (fast) path
         let mass0: f64 = sim.parts.m[..sim.parts.n_local].iter().sum();
         let stats: Vec<StepStats> = (0..steps)
             .map(|_| sim.step(ctx, &mut NullObserver))

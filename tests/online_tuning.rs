@@ -5,8 +5,8 @@
 
 use gpu_freq_scaling::archsim::{GpuSpec, MegaHertz};
 use gpu_freq_scaling::freqscale::{
-    compare_tables, learned_table_of, max_deviation_mhz, run_experiment, tables_within_bin,
-    tune_table, ExperimentSpec, FreqPolicy, FreqTable, WorkloadKind,
+    compare_tables, max_deviation_mhz, run_experiment, tables_within_bin, tune_table,
+    ExperimentSpec, FreqPolicy, FreqTable, WorkloadKind,
 };
 use gpu_freq_scaling::online::OnlineTunerConfig;
 use gpu_freq_scaling::tuner::Objective;
@@ -52,7 +52,7 @@ fn tmpdir(tag: &str) -> std::path::PathBuf {
 fn online_table_converges_to_the_offline_table_within_one_bin() {
     let reference = offline_table();
     let r = run_experiment(&online_spec(70));
-    let learned = learned_table_of(&r);
+    let learned = r.per_rank[0].warm_state().table;
     assert_eq!(
         learned.len(),
         reference.len(),
@@ -73,7 +73,7 @@ fn warm_started_run_spends_no_exploration_launches() {
     let mut cold = online_spec(70);
     cold.table_store = Some(dir.clone());
     let first = run_experiment(&cold);
-    let learned = learned_table_of(&first);
+    let learned = first.per_rank[0].warm_state().table;
     assert!(!learned.is_empty(), "cold run must learn a table");
     assert!(
         first.per_rank[0].exploration_launches > 0,
@@ -89,7 +89,7 @@ fn warm_started_run_spends_no_exploration_launches() {
         "warm-started run must spend zero launches exploring"
     );
     assert_eq!(
-        learned_table_of(&second),
+        second.per_rank[0].warm_state().table,
         learned,
         "warm-started run runs the stored table"
     );

@@ -10,9 +10,7 @@ use std::sync::Mutex;
 
 use freqscale::tune_table;
 use ranks::CommCost;
-use sph::{
-    evrard, Kernel, NeighborPath, NullObserver, Particles, SimConfig, Simulation, StepStats,
-};
+use sph::{evrard, Kernel, NullObserver, Particles, SimConfig, Simulation, StepStats};
 use tuner::Objective;
 
 /// Serializes tests that toggle the process-wide thread-count override.
@@ -58,8 +56,8 @@ fn snapshot(parts: &Particles) -> Vec<u64> {
 }
 
 /// One Evrard step (gravity exercises the Barnes-Hut build + walk on top of
-/// the SPH loops) at the given worker count, through the given neighbor path.
-fn evrard_step_at(threads: usize, path: NeighborPath) -> (Vec<u64>, StepStats) {
+/// the SPH loops) at the given worker count.
+fn evrard_step_at(threads: usize) -> (Vec<u64>, StepStats) {
     par::set_max_threads(threads);
     let out = ranks::run(1, CommCost::default(), |ctx| {
         let cfg = SimConfig {
@@ -70,7 +68,6 @@ fn evrard_step_at(threads: usize, path: NeighborPath) -> (Vec<u64>, StepStats) {
             ..SimConfig::default()
         };
         let mut sim = Simulation::new(evrard(8), cfg);
-        sim.neighbor_path = path;
         let stats = sim.step(ctx, &mut NullObserver);
         (snapshot(&sim.parts), stats)
     })
@@ -80,8 +77,9 @@ fn evrard_step_at(threads: usize, path: NeighborPath) -> (Vec<u64>, StepStats) {
 }
 
 /// A multi-step Evrard run (5 steps: h adapts, halos refresh, the neighbor
-/// list is rebuilt in place each step) through the given neighbor path.
-fn evrard_run_via(path: NeighborPath, kernel: Kernel) -> (Vec<u64>, Vec<StepStats>) {
+/// list is rebuilt in place each step).
+#[cfg(feature = "fast-math")]
+fn evrard_run(kernel: Kernel) -> (Vec<u64>, Vec<StepStats>) {
     ranks::run(1, CommCost::default(), |ctx| {
         let cfg = SimConfig {
             kernel,
@@ -91,7 +89,6 @@ fn evrard_run_via(path: NeighborPath, kernel: Kernel) -> (Vec<u64>, Vec<StepStat
             ..SimConfig::default()
         };
         let mut sim = Simulation::new(evrard(8), cfg);
-        sim.neighbor_path = path;
         let stats: Vec<StepStats> = (0..5).map(|_| sim.step(ctx, &mut NullObserver)).collect();
         (snapshot(&sim.parts), stats)
     })
@@ -126,8 +123,8 @@ fn sweep_at(threads: usize) -> Vec<(String, u32, Vec<u64>)> {
 #[test]
 fn evrard_step_is_bit_identical_across_thread_counts() {
     let _guard = THREAD_OVERRIDE.lock().unwrap();
-    let (state_1t, stats_1t) = evrard_step_at(1, NeighborPath::SharedList);
-    let (state_4t, stats_4t) = evrard_step_at(4, NeighborPath::SharedList);
+    let (state_1t, stats_1t) = evrard_step_at(1);
+    let (state_4t, stats_4t) = evrard_step_at(4);
     assert!(!state_1t.is_empty());
     assert_eq!(
         state_1t, state_4t,
@@ -145,75 +142,17 @@ fn evrard_step_is_bit_identical_across_thread_counts() {
     );
 }
 
-#[test]
-fn cell_grid_path_is_bit_identical_across_thread_counts() {
-    // The baseline path must stay as deterministic as the shared-list one —
-    // bench_neighbors relies on it being the pre-change code, unchanged.
-    let _guard = THREAD_OVERRIDE.lock().unwrap();
-    let (state_1t, stats_1t) = evrard_step_at(1, NeighborPath::CellGrid);
-    let (state_4t, stats_4t) = evrard_step_at(4, NeighborPath::CellGrid);
-    assert_eq!(state_1t, state_4t);
-    assert_eq!(stats_1t.dt.to_bits(), stats_4t.dt.to_bits());
-}
-
-/// The tentpole guarantee (default features only — `fast-math` explicitly
-/// relaxes it): a full Evrard run through the shared CSR NeighborList with
-/// the cache-blocked sweep engine produces the same bits — particle state
-/// and every reported stat — as the per-sweep grid walk with the scalar
-/// callbacks. Everything an experiment report derives from the physics
-/// (ManDyn rung measurements, EDP scores, energy budgets) is a function of
-/// this state plus path-independent workload descriptors, so report
-/// equality follows.
-#[cfg(not(feature = "fast-math"))]
-fn assert_paths_agree(kernel: Kernel) {
-    let (state_grid, stats_grid) = evrard_run_via(NeighborPath::CellGrid, kernel);
-    let (state_list, stats_list) = evrard_run_via(NeighborPath::SharedList, kernel);
-    assert!(!state_grid.is_empty());
-    assert_eq!(
-        state_grid, state_list,
-        "{kernel:?}: five-sweep step must not change a single bit when sweeps replay the shared list"
-    );
-    assert_eq!(stats_grid.len(), stats_list.len());
-    for (g, l) in stats_grid.iter().zip(&stats_list) {
-        assert_eq!(g.step, l.step);
-        assert_eq!(g.dt.to_bits(), l.dt.to_bits());
-        assert_eq!(g.time.to_bits(), l.time.to_bits());
-        assert_eq!(g.n_local, l.n_local);
-        assert_eq!(g.n_halo, l.n_halo);
-        for (a, b) in g.budget.to_slice().iter().zip(l.budget.to_slice().iter()) {
-            assert_eq!(a.to_bits(), b.to_bits(), "budget fields must match bitwise");
-        }
-    }
-}
-
-#[cfg(not(feature = "fast-math"))]
-#[test]
-fn shared_list_path_is_bit_identical_to_cell_grid_path() {
-    let _guard = THREAD_OVERRIDE.lock().unwrap();
-    assert_paths_agree(Kernel::CubicSpline);
-}
-
-#[cfg(not(feature = "fast-math"))]
-#[test]
-fn shared_list_path_is_bit_identical_for_sinc5() {
-    // Sinc5 is the kernel fast-math actually replaces — pin that with the
-    // feature OFF its blocked path (fused sinc_dsinc, lane buffers) is
-    // still exact to the bit.
-    let _guard = THREAD_OVERRIDE.lock().unwrap();
-    assert_paths_agree(Kernel::Sinc5);
-}
-
 #[cfg(feature = "fast-math")]
 #[test]
 fn fast_math_shared_list_stays_thread_count_invariant_over_a_run() {
-    // fast-math gives up grid-vs-list bit-identity, NOT determinism: the
+    // fast-math gives up blocked-vs-scalar bit-identity, NOT determinism: the
     // lane-partial reductions depend only on each row's term sequence, so a
     // multi-step run must still be bit-identical across worker counts.
     let _guard = THREAD_OVERRIDE.lock().unwrap();
     par::set_max_threads(1);
-    let (state_1t, _) = evrard_run_via(NeighborPath::SharedList, Kernel::Sinc5);
+    let (state_1t, _) = evrard_run(Kernel::Sinc5);
     par::set_max_threads(4);
-    let (state_4t, _) = evrard_run_via(NeighborPath::SharedList, Kernel::Sinc5);
+    let (state_4t, _) = evrard_run(Kernel::Sinc5);
     par::set_max_threads(0);
     assert!(!state_1t.is_empty());
     assert_eq!(state_1t, state_4t);

@@ -23,12 +23,9 @@ fn every_policy() -> Vec<FreqPolicy> {
         FreqPolicy::Static(MegaHertz(1110)),
         FreqPolicy::Dvfs,
         FreqPolicy::ManDyn(table),
-        FreqPolicy::AutoTune {
-            candidates: vec![MegaHertz(1005), MegaHertz(1200), MegaHertz(1410)],
-            rounds: 2,
-        },
         FreqPolicy::ManDynOnline(OnlineTunerConfig::default()),
         FreqPolicy::ManDynOnline(custom),
+        FreqPolicy::ManDynPredictive(Default::default()),
     ]
 }
 

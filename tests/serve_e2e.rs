@@ -198,8 +198,7 @@ impl Executor for GatedExecutor {
     fn execute(
         &self,
         spec_json: &str,
-        warm: Option<&gpu_freq_scaling::online::LearnedTable>,
-        warm_models: &gpu_freq_scaling::online::StoredModels,
+        warm: Option<&gpu_freq_scaling::online::WarmState>,
     ) -> Result<JobOutcome, String> {
         let (lock, cvar) = &*self.gate;
         let mut open = lock.lock().unwrap();
@@ -207,7 +206,7 @@ impl Executor for GatedExecutor {
             open = cvar.wait(open).unwrap();
         }
         drop(open);
-        self.inner.execute(spec_json, warm, warm_models)
+        self.inner.execute(spec_json, warm)
     }
 }
 
