@@ -189,10 +189,6 @@ impl GpuDevice {
         self.policy
     }
 
-    pub fn exec_model(&self) -> ExecModelKind {
-        self.model
-    }
-
     pub fn set_exec_model(&mut self, model: ExecModelKind) {
         self.model = model;
     }

@@ -132,11 +132,6 @@ impl Cluster {
         let per_node = self.spec.node.gpu_devices as usize;
         (rank / per_node, rank % per_node)
     }
-
-    /// Node hosting `rank`.
-    pub fn node_of_rank(&self, rank: usize) -> &Node {
-        &self.nodes[self.place_rank(rank).0]
-    }
 }
 
 #[cfg(test)]

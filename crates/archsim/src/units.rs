@@ -99,11 +99,6 @@ pub struct Joules(pub f64);
 impl Joules {
     pub const ZERO: Joules = Joules(0.0);
 
-    /// Energy in mega-joules, as reported in the paper's Fig. 4 discussion.
-    pub fn as_megajoules(self) -> f64 {
-        self.0 * 1e-6
-    }
-
     /// Average power if this energy was spent over `d`. Returns zero power for
     /// a zero-length window.
     pub fn average_power(self, d: SimDuration) -> Watts {

@@ -3,35 +3,35 @@
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use std::hint::black_box;
 
-use cornerstone::CellList;
+use cornerstone::{CellList, NeighborList};
 use ranks::CommCost;
 use sph::{
     density::density_gradh, iad::iad_divv_curlv, momentum::momentum_energy, subsonic_turbulence,
     Eos, Kernel, NullObserver, SimConfig, Simulation,
 };
 
-fn prepared() -> (sph::Particles, cornerstone::Box3, CellList) {
+fn prepared() -> (sph::Particles, NeighborList) {
     let ic = subsonic_turbulence(12, 0.3, 9);
     let mut parts = ic.parts;
-    let bbox = ic.bbox;
     let kernel = Kernel::CubicSpline;
-    let h = parts.h[0];
-    let grid = CellList::build(&parts.x, &parts.y, &parts.z, &bbox, kernel.support(h) * 1.4);
-    density_gradh(&mut parts, &grid, &bbox, kernel);
+    let radius = kernel.support(parts.h[0]) * 1.4;
+    let grid = CellList::build(&parts.x, &parts.y, &parts.z, &ic.bbox, radius);
+    let nl = NeighborList::build(&grid, &parts.x, &parts.y, &parts.z, parts.len(), radius);
+    density_gradh(&mut parts, &nl, kernel);
     Eos::ideal_monatomic().apply(&mut parts);
-    (parts, bbox, grid)
+    (parts, nl)
 }
 
 fn bench_kernels(c: &mut Criterion) {
     let kernel = Kernel::CubicSpline;
-    let (parts, bbox, grid) = prepared();
+    let (parts, nl) = prepared();
     let mut g = c.benchmark_group("sph_kernels_1728p");
     g.sample_size(20);
     g.bench_function("density_gradh", |b| {
         b.iter_batched(
             || parts.clone(),
             |mut p| {
-                density_gradh(&mut p, &grid, &bbox, kernel);
+                density_gradh(&mut p, &nl, kernel);
                 black_box(p.rho[0])
             },
             BatchSize::SmallInput,
@@ -41,7 +41,7 @@ fn bench_kernels(c: &mut Criterion) {
         b.iter_batched(
             || parts.clone(),
             |mut p| {
-                iad_divv_curlv(&mut p, &grid, &bbox, kernel);
+                iad_divv_curlv(&mut p, &nl, kernel, None);
                 black_box(p.divv[0])
             },
             BatchSize::SmallInput,
@@ -51,7 +51,7 @@ fn bench_kernels(c: &mut Criterion) {
         b.iter_batched(
             || parts.clone(),
             |mut p| {
-                momentum_energy(&mut p, &grid, &bbox, kernel);
+                momentum_energy(&mut p, &nl, kernel);
                 black_box(p.ax[0])
             },
             BatchSize::SmallInput,

@@ -1,12 +1,14 @@
-//! Neighbor-search measurement: the per-sweep grid re-walk (the pre-list
-//! baseline, now only a reference the tests compare against) against the
-//! shared per-step CSR `NeighborList` — both its scalar per-pair replay
-//! (`ScalarReplay`) and the cache-blocked 4-lane sweep engine the list
-//! dispatches to by default — written as the `BENCH_neighbors.json`
-//! artifact checked into the repo root.
+//! Neighbor-sweep measurement: the production sweeps over the shared
+//! per-step CSR `NeighborList` (the cache-blocked 4-lane row engine; the
+//! `list_seconds` column) against `sph::reference`, the per-pair callback
+//! sweeps the tests compare them to — over the cell grid, which re-walks
+//! the stencil per sweep (the pre-list baseline; `grid_seconds`), and over
+//! the same list's stored-delta replay (`scalar_list_seconds`, the row
+//! engine's win alone with the traversal held fixed) — written as the
+//! `BENCH_neighbors.json` artifact checked into the repo root.
 //!
 //! Times each of the step's neighbor-bound sweeps (`neighbor_counts`,
-//! `density_gradh`, `iad_divv_curlv`, `momentum_energy`) on all three paths,
+//! `density_gradh`, `iad_divv_curlv`, `momentum_energy`) on all three,
 //! plus the composite five-traversal step with the list build amortized in,
 //! median of 7 reps, on Evrard and subsonic-turbulence particle clouds — two
 //! cache-resident ones and a 46³ turbulence cloud (the `turb_100k` size of
@@ -28,14 +30,14 @@
 use std::time::Instant;
 
 use bench::{banner, print_table, Cli};
-use cornerstone::{Box3, CellList, NeighborList, NeighborSearch, ScalarReplay};
+use cornerstone::{Box3, CellList, NeighborList, NeighborSearch};
 use serde::Serialize;
 use sph::{
     density::{density_gradh, neighbor_counts},
     evrard,
     iad::iad_divv_curlv,
     momentum::momentum_energy,
-    subsonic_turbulence, Eos, Kernel, Particles,
+    reference, subsonic_turbulence, Eos, Kernel, Particles,
 };
 
 const REPS: usize = 7;
@@ -50,15 +52,16 @@ const MAX_BYTES_PER_PAIR: f64 = 1.5 * 28.0;
 #[derive(Serialize)]
 struct SweepTiming {
     sweep: String,
+    /// `sph::reference` over the cell grid.
     grid_seconds: f64,
-    /// The list's default path: the cache-blocked 4-lane row engine.
+    /// The production sweep: the cache-blocked 4-lane row engine.
     list_seconds: f64,
-    /// The same list forced through the scalar per-pair callback replay
-    /// (`ScalarReplay`) — the pre-blocking list path, for attribution.
+    /// `sph::reference` over the same list's per-pair replay, for
+    /// attribution.
     scalar_list_seconds: f64,
-    /// Grid-path median over (blocked) list-path median (> 1 = list wins).
+    /// Grid median over production median (> 1 = list wins).
     speedup: f64,
-    /// Scalar-replay median over blocked median — the blocking win alone,
+    /// List-replay median over production median — the blocking win alone,
     /// traversal held fixed.
     blocked_vs_scalar: f64,
 }
@@ -101,18 +104,26 @@ fn median_secs(reps: usize, mut work: impl FnMut()) -> f64 {
     samples[samples.len() / 2]
 }
 
-/// The four sweep functions run back to back against one neighbor source —
-/// the step's five grid traversals (IAD walks its source twice).
-fn five_sweeps<N: NeighborSearch + Sync>(
+/// The four reference sweeps run back to back against one traversal — the
+/// step's five neighbor traversals (IAD walks its source twice).
+fn five_reference_sweeps<N: NeighborSearch + Sync>(
     parts: &mut Particles,
     nb: &N,
     bbox: &Box3,
     kernel: Kernel,
 ) {
-    let _ = neighbor_counts(parts, nb, bbox, kernel);
-    density_gradh(parts, nb, bbox, kernel);
-    iad_divv_curlv(parts, nb, bbox, kernel);
-    momentum_energy(parts, nb, bbox, kernel);
+    let _ = reference::neighbor_counts(parts, nb, bbox, kernel);
+    reference::density_gradh(parts, nb, bbox, kernel);
+    reference::iad_divv_curlv(parts, nb, bbox, kernel);
+    reference::momentum_energy(parts, nb, bbox, kernel);
+}
+
+/// The same four through the production sweeps.
+fn five_sweeps(parts: &mut Particles, nl: &NeighborList, kernel: Kernel) {
+    let _ = neighbor_counts(parts, nl, kernel);
+    density_gradh(parts, nl, kernel);
+    iad_divv_curlv(parts, nl, kernel, None);
+    momentum_energy(parts, nl, kernel);
 }
 
 /// `grid_reps` is the sample count for the columns that re-walk the grid
@@ -132,15 +143,14 @@ fn measure(
     // them.
     let radius = kernel.support(h_max) * 1.4;
     let grid = CellList::build(&parts.x, &parts.y, &parts.z, &bbox, radius);
-    density_gradh(&mut parts, &grid, &bbox, kernel);
-    Eos::ideal_monatomic().apply(&mut parts);
-
     let radii: Vec<f64> = parts.h.iter().map(|&h| kernel.support(h) * 1.4).collect();
     let mut nlist = NeighborList::new();
     nlist.build_adaptive_into(&grid, &parts.x, &parts.y, &parts.z, n, &radii);
     let build_seconds = median_secs(reps, || {
         nlist.build_adaptive_into(&grid, &parts.x, &parts.y, &parts.z, n, &radii);
     });
+    density_gradh(&mut parts, &nlist, kernel);
+    Eos::ideal_monatomic().apply(&mut parts);
 
     let mut sweeps = Vec::new();
     let mut timed = |sweep: &str, grid_s: f64, list_s: f64, scalar_s: f64| {
@@ -157,55 +167,57 @@ fn measure(
     {
         let p = &mut parts;
         let g = median_secs(grid_reps, || {
-            let _ = neighbor_counts(p, &grid, &bbox, kernel);
+            let _ = reference::neighbor_counts(p, &grid, &bbox, kernel);
         });
         let l = median_secs(reps, || {
-            let _ = neighbor_counts(p, &nlist, &bbox, kernel);
+            let _ = neighbor_counts(p, &nlist, kernel);
         });
         let s = median_secs(reps, || {
-            let _ = neighbor_counts(p, &ScalarReplay(&nlist), &bbox, kernel);
+            let _ = reference::neighbor_counts(p, &nlist, &bbox, kernel);
         });
         timed("neighbor_counts", g, l, s);
     }
     {
         let g = median_secs(grid_reps, || {
-            density_gradh(&mut parts, &grid, &bbox, kernel)
+            reference::density_gradh(&mut parts, &grid, &bbox, kernel)
         });
-        let l = median_secs(reps, || density_gradh(&mut parts, &nlist, &bbox, kernel));
+        let l = median_secs(reps, || density_gradh(&mut parts, &nlist, kernel));
         let s = median_secs(reps, || {
-            density_gradh(&mut parts, &ScalarReplay(&nlist), &bbox, kernel)
+            reference::density_gradh(&mut parts, &nlist, &bbox, kernel)
         });
         timed("density_gradh", g, l, s);
     }
     {
         let g = median_secs(grid_reps, || {
-            iad_divv_curlv(&mut parts, &grid, &bbox, kernel)
+            reference::iad_divv_curlv(&mut parts, &grid, &bbox, kernel)
         });
-        let l = median_secs(reps, || iad_divv_curlv(&mut parts, &nlist, &bbox, kernel));
+        let l = median_secs(reps, || iad_divv_curlv(&mut parts, &nlist, kernel, None));
         let s = median_secs(reps, || {
-            iad_divv_curlv(&mut parts, &ScalarReplay(&nlist), &bbox, kernel)
+            reference::iad_divv_curlv(&mut parts, &nlist, &bbox, kernel)
         });
         timed("iad_divv_curlv", g, l, s);
     }
     {
         let g = median_secs(grid_reps, || {
-            momentum_energy(&mut parts, &grid, &bbox, kernel)
+            reference::momentum_energy(&mut parts, &grid, &bbox, kernel)
         });
-        let l = median_secs(reps, || momentum_energy(&mut parts, &nlist, &bbox, kernel));
+        let l = median_secs(reps, || momentum_energy(&mut parts, &nlist, kernel));
         let s = median_secs(reps, || {
-            momentum_energy(&mut parts, &ScalarReplay(&nlist), &bbox, kernel)
+            reference::momentum_energy(&mut parts, &nlist, &bbox, kernel)
         });
         timed("momentum_energy", g, l, s);
     }
 
-    let full_grid = median_secs(grid_reps, || five_sweeps(&mut parts, &grid, &bbox, kernel));
+    let full_grid = median_secs(grid_reps, || {
+        five_reference_sweeps(&mut parts, &grid, &bbox, kernel)
+    });
     let full_list = median_secs(reps, || {
         nlist.build_adaptive_into(&grid, &parts.x, &parts.y, &parts.z, n, &radii);
-        five_sweeps(&mut parts, &nlist, &bbox, kernel);
+        five_sweeps(&mut parts, &nlist, kernel);
     });
     let full_scalar = median_secs(reps, || {
         nlist.build_adaptive_into(&grid, &parts.x, &parts.y, &parts.z, n, &radii);
-        five_sweeps(&mut parts, &ScalarReplay(&nlist), &bbox, kernel);
+        five_reference_sweeps(&mut parts, &nlist, &bbox, kernel);
     });
 
     WorkloadReport {
@@ -248,7 +260,7 @@ fn main() {
     let reps = if cli.check { 1 } else { REPS };
     banner(
         "NEIGHBOR SEARCH (BENCH_neighbors.json)",
-        "Grid re-walk vs CSR list (scalar replay and blocked 4-lane engine); median-of-reps speedups.",
+        "Production list sweeps vs sph::reference over the grid and the list replay; median-of-reps speedups.",
     );
 
     let ev = evrard(18);

@@ -152,6 +152,9 @@ fn main() {
                 spec.resolve_scenario()
                     .unwrap_or_else(|e| fail(format!("cell {scenario}/{device_slug}: {e}")));
                 spec.table_store = table_store.as_ref().map(std::path::PathBuf::from);
+                spec.validate().unwrap_or_else(|e| {
+                    fail(format!("cell {scenario}/{device_slug}/{policy}: {e}"))
+                });
                 let path = format!("{out_dir}/{scenario}--{device_slug}--{policy}.json");
                 let body = serde_json::to_string_pretty(&spec).expect("matrix spec serializes");
                 std::fs::write(&path, body)

@@ -226,31 +226,6 @@ fn main() {
             // as far as the cluster.
             spec.resolve_scenario()
                 .unwrap_or_else(|e| fail(format!("spec {path}: {e}")));
-            // A requested memory clock must be one of the device's P-states
-            // — catch it here, before any work, the way NVML rejects an
-            // unsupported memory clock at the SetApplicationsClocks call.
-            if let Some(m) = spec.memory_clock {
-                let gpu = &spec.system.node.gpu;
-                if !gpu.mem_clock_table.iter().any(|p| p.0 == m) {
-                    let supported: Vec<String> = gpu
-                        .mem_clock_table
-                        .iter()
-                        .map(|p| p.0.to_string())
-                        .collect();
-                    fail(format!(
-                        "spec {path}: memory clock {m} MHz is not a supported P-state \
-                         on {} (supported: {} MHz)",
-                        gpu.name,
-                        supported.join(", ")
-                    ));
-                }
-            }
-            // A config the policy's tuner refuses (say `coarse_step: 0`)
-            // parses fine; building the tuner once here makes it a spec
-            // error instead of a panic inside a rank thread.
-            if let Err(e) = spec.policy.tuner(&spec.system.node.gpu) {
-                fail(format!("{path}: {e}"));
-            }
             if let Some(profile) = &fault_profile {
                 spec.faults = Some(profile.clone());
             }
@@ -263,6 +238,11 @@ fn main() {
             if let Some(dir) = &restore_from {
                 spec.restore_from = Some(dir.clone());
             }
+            // Anything that parses but cannot run (no ranks, an undersized
+            // workload, an off-table memory clock, a refused tuner config)
+            // is a spec error here, not a panic inside a rank thread.
+            spec.validate()
+                .unwrap_or_else(|e| fail(format!("spec {path}: {e}")));
             spec
         })
         .collect();

@@ -64,6 +64,20 @@ impl WorkloadKind {
         }
     }
 
+    /// The requested lattice side and the smallest one this workload's
+    /// `sph::ic` generator accepts.
+    fn side_and_minimum(&self) -> (usize, usize) {
+        use sph::ic;
+        match *self {
+            WorkloadKind::Turbulence { n_side, .. } => (n_side, ic::TURBULENCE_MIN_SIDE),
+            WorkloadKind::Evrard { n_side } => (n_side, ic::EVRARD_MIN_SIDE),
+            WorkloadKind::Sedov { n_side, .. } => (n_side, ic::SEDOV_MIN_SIDE),
+            WorkloadKind::KelvinHelmholtz { n_side, .. } => (n_side, ic::KELVIN_HELMHOLTZ_MIN_SIDE),
+            WorkloadKind::RotatingDisk { n_side } => (n_side, ic::ROTATING_DISK_MIN_SIDE),
+            WorkloadKind::Sod { n_side } => (n_side, ic::SOD_MIN_SIDE),
+        }
+    }
+
     pub fn name(&self) -> &'static str {
         match self {
             WorkloadKind::Turbulence { .. } => "SubsonicTurbulence",
@@ -122,7 +136,7 @@ pub struct ExperimentSpec {
     pub table_store: Option<std::path::PathBuf>,
     /// Pin every GPU's memory clock to this P-state (MHz) for the whole
     /// run. Must be one of the device's supported memory clocks
-    /// (`mem_clock_table`); the `freqscale-run` CLI validates this before
+    /// (`mem_clock_table`); [`ExperimentSpec::validate`] checks this before
     /// the run starts. `None` keeps the device default.
     #[serde(default)]
     pub memory_clock: Option<u32>,
@@ -226,6 +240,52 @@ impl ExperimentSpec {
         }
     }
 
+    /// Refuse a spec that parses but cannot run: everything here used to be
+    /// a panic inside the runner or a rank thread. Every spec entry point —
+    /// `freqscale-run`, `freqscale-matrix`, the serving executor — calls
+    /// this (after [`ExperimentSpec::resolve_scenario`]) before any work.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.ranks == 0 {
+            return Err("spec.ranks must be at least 1".to_string());
+        }
+        let (n_side, min) = self.workload.side_and_minimum();
+        if n_side < min {
+            return Err(format!(
+                "workload {}: n_side {n_side} is below the generator's minimum of {min}",
+                self.workload.name()
+            ));
+        }
+        // A requested memory clock must be one of the device's P-states,
+        // the way NVML rejects an unsupported memory clock at the
+        // SetApplicationsClocks call.
+        if let Some(m) = self.memory_clock {
+            let gpu = &self.system.node.gpu;
+            if !gpu.mem_clock_table.iter().any(|p| p.0 == m) {
+                let supported: Vec<String> = gpu
+                    .mem_clock_table
+                    .iter()
+                    .map(|p| p.0.to_string())
+                    .collect();
+                return Err(format!(
+                    "memory clock {m} MHz is not a supported P-state on {} (supported: {} MHz)",
+                    gpu.name,
+                    supported.join(", ")
+                ));
+            }
+        }
+        if let Some(profile) = &self.faults {
+            profile
+                .validate()
+                .map_err(|e| format!("fault profile: {e}"))?;
+        }
+        // A config the policy's tuner refuses (say `coarse_step: 0`) parses
+        // fine; building the tuner once is the check.
+        self.policy
+            .tuner(&self.system.node.gpu)
+            .map_err(|e| e.to_string())?;
+        Ok(())
+    }
+
     /// The key a run's learned table is stored under: the workload plus the
     /// paper-scale problem size (which determines every kernel's roofline
     /// position and therefore its sweet-spot clock).
@@ -273,9 +333,9 @@ pub fn run_experiment_warm(
         }
     }
     // A requested memory P-state applies before the injector is installed,
-    // like --gpu-freq: scheduler-side setup is never perturbed. The CLI
-    // validates the value against the device table up front, so a failure
-    // here means a programmatic spec skipped validation.
+    // like --gpu-freq: scheduler-side setup is never perturbed. Spec entry
+    // points validate the value against the device table up front, so a
+    // failure here means a programmatic spec skipped validation.
     if let Some(mem) = spec.memory_clock {
         for node in cluster.nodes() {
             for gpu in node.gpus() {
@@ -631,7 +691,9 @@ pub fn run_experiment_warm(
 /// threads and (optionally) writes its own `report_dir`, so scenarios are
 /// fully independent; every result is identical to what [`run_experiment`]
 /// returns for that spec alone. Specs sharing a `report_dir` or
-/// `table_store` path should be run with `jobs = 1`.
+/// `table_store` path should be run with `jobs = 1`. The experiments share
+/// the machine: their data-parallel sweeps split `par`'s worker count
+/// between the jobs (see [`par::par_map_threads`]).
 pub fn run_experiments(specs: &[ExperimentSpec], jobs: usize) -> Vec<ExperimentResult> {
     let threads = if jobs == 0 { par::max_threads() } else { jobs };
     par::par_map_threads(threads, specs.len(), |i| run_experiment(&specs[i]))
@@ -651,6 +713,36 @@ mod tests {
         };
         spec.target_neighbors = 30;
         run_experiment(&spec)
+    }
+
+    #[test]
+    fn validate_holds_each_workload_to_its_generators_minimum() {
+        let kinds: [fn(usize) -> WorkloadKind; 6] = [
+            |n_side| WorkloadKind::Turbulence {
+                n_side,
+                mach: 0.3,
+                seed: 1,
+            },
+            |n_side| WorkloadKind::Evrard { n_side },
+            |n_side| WorkloadKind::Sedov { n_side, e0: 1.0 },
+            |n_side| WorkloadKind::KelvinHelmholtz { n_side, seed: 1 },
+            |n_side| WorkloadKind::RotatingDisk { n_side },
+            |n_side| WorkloadKind::Sod { n_side },
+        ];
+        let mut spec = ExperimentSpec::minihpc_turbulence(FreqPolicy::Baseline, 1);
+        for at in kinds {
+            let (_, min) = at(0).side_and_minimum();
+            let name = at(min).name();
+            spec.workload = at(min);
+            assert_eq!(spec.validate(), Ok(()), "{name} at {min}");
+            assert!(!at(min).build().parts.is_empty(), "{name} builds at {min}");
+            spec.workload = at(min - 1);
+            let err = spec.validate().unwrap_err();
+            assert!(err.contains(name) && err.contains("minimum"), "{err}");
+        }
+        spec.workload = kinds[0](8);
+        spec.ranks = 0;
+        assert!(spec.validate().unwrap_err().contains("ranks"));
     }
 
     #[test]

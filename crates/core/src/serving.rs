@@ -36,29 +36,23 @@ impl Executor for ExperimentExecutor {
         // Refuse obviously broken submissions before they occupy a queue
         // slot. Runtime chaos (off-ladder privileged clocks, faults firing
         // mid-run) is the worker's problem and is contained there.
-        if spec.ranks == 0 {
-            return Err("spec.ranks must be at least 1".to_string());
-        }
+        spec.validate()?;
         if spec.steps == 0 {
             return Err("spec.steps must be at least 1".to_string());
         }
-        if let Some(profile) = &spec.faults {
-            profile
-                .validate()
-                .map_err(|e| format!("fault profile: {e}"))?;
-        }
-        // Building the policy's tuner once here is the config check: a
-        // refused config is a rejected job, never a panic on a worker.
-        let tuner = spec
+        // `validate` accepted the tuner config; this build only answers
+        // whether the policy learns at all.
+        let uses_tables = spec
             .policy
             .tuner(&spec.system.node.gpu)
-            .map_err(|e| e.to_string())?;
+            .map_err(|e| e.to_string())?
+            .is_some();
         let devices = spec.system.node.gpu_devices as usize;
         Ok(JobMeta {
             name: format!("{}-{}", spec.workload.name(), spec.policy.label()),
             gpu: spec.system.node.gpu.name.clone(),
             workload: spec.table_store_key(),
-            uses_tables: tuner.is_some(),
+            uses_tables,
             nodes: spec.ranks.div_ceil(devices.max(1)),
         })
     }
@@ -129,6 +123,18 @@ mod tests {
             .validate(&serde_json::to_string(&spec).unwrap())
             .unwrap_err();
         assert!(err.contains("ranks"), "{err}");
+        // So is a workload below its generator's minimum size (it used to
+        // burn a worker through panic isolation).
+        let mut spec = online_spec();
+        spec.workload = crate::runner::WorkloadKind::Turbulence {
+            n_side: 1,
+            mach: 0.3,
+            seed: 7,
+        };
+        let err = ExperimentExecutor
+            .validate(&serde_json::to_string(&spec).unwrap())
+            .unwrap_err();
+        assert!(err.contains("n_side 1"), "{err}");
         // A profile that parses but fails semantic validation is refused at
         // submission, before it can occupy a queue slot.
         let mut spec = online_spec();

@@ -213,6 +213,36 @@ fn refused_tuner_config_fails_at_spec_load() {
 }
 
 #[test]
+fn zero_ranks_is_a_spec_error() {
+    // `"ranks": 0` parses; it used to die at `world must have at least one
+    // rank` (exit 101).
+    let mut spec =
+        freqscale::ExperimentSpec::minihpc_turbulence(freqscale::FreqPolicy::Baseline, 1);
+    spec.ranks = 0;
+    let path = write_spec("zero-ranks", &spec);
+    let out = run(&[path.to_str().unwrap()]);
+    assert_clean_failure(&out, "ranks must be at least 1");
+    let _ = std::fs::remove_file(&path);
+}
+
+#[test]
+fn undersized_workload_is_a_spec_error() {
+    // A lattice below the generator's minimum used to trip the generator's
+    // assertion inside a rank thread (exit 101).
+    let mut spec =
+        freqscale::ExperimentSpec::minihpc_turbulence(freqscale::FreqPolicy::Baseline, 1);
+    spec.workload = freqscale::WorkloadKind::Turbulence {
+        n_side: 1,
+        mach: 0.3,
+        seed: 42,
+    };
+    let path = write_spec("undersized", &spec);
+    let out = run(&[path.to_str().unwrap()]);
+    assert_clean_failure(&out, "n_side 1 is below the generator's minimum of 2");
+    let _ = std::fs::remove_file(&path);
+}
+
+#[test]
 fn retired_policy_name_is_a_parse_error() {
     // The rotation policy `ManDynOnline` replaced; its name is spelled in
     // two halves so a tree-wide search for it stays empty.

@@ -1,12 +1,14 @@
 //! Shared per-step CSR neighbor list with stored minimum-image deltas.
 //!
 //! The SPH step performs five neighbor sweeps (`FindNeighbors`, density,
-//! two IAD passes, momentum) over the *same* [`CellList`], each re-walking
-//! the 27-cell stencil per particle. [`NeighborList`] runs that walk once
-//! and stores, per candidate, the neighbor index *and* the wrapped
-//! displacement `r_j - r_i`; every sweep then iterates the precomputed row
-//! with a per-sweep radius filter and never touches scattered positions or
-//! [`Box3`] again. Rows are recorded either at one fixed superset radius
+//! two IAD passes, momentum) over the *same* candidates; walking the
+//! [`CellList`]'s 27-cell stencil per particle in each of them would do the
+//! search five times. [`NeighborList`] runs that walk once and stores, per
+//! candidate, the neighbor index *and* the wrapped displacement
+//! `r_j - r_i`; every sweep then reads the precomputed row with a per-sweep
+//! radius filter and never touches scattered positions or [`Box3`] again.
+//! The per-pair [`NeighborSearch`] replay of the same rows exists for the
+//! reference sweeps and the tests (see the trait docs). Rows are recorded either at one fixed superset radius
 //! ([`NeighborList::build_into`]) or — the simulation's default — with the
 //! h-aware per-pair rule of [`NeighborList::build_adaptive_into`], which
 //! keeps rows of small-`h` particles from hauling in candidates out to the
@@ -75,14 +77,19 @@
 use crate::box3::Box3;
 use crate::celllist::CellList;
 
-/// Uniform interface over neighbor-candidate enumeration: the direct grid
-/// walk ([`CellList`]) and the precomputed CSR replay ([`NeighborList`]).
+/// Per-pair callback interface over neighbor-candidate enumeration, with
+/// exactly two implementations: the direct grid walk ([`CellList`]) and the
+/// stored-delta replay of the CSR list ([`NeighborList`]). The simulation's
+/// sweeps do not go through it — they read the list's rows directly
+/// ([`NeighborList::row_deltas`], [`NeighborList::filter_pairs_into`],
+/// [`NeighborList::count_within`]); this is the traversal `sph::reference`
+/// and the tests here compare those rows against.
 ///
 /// Implementations MUST visit candidates in the canonical cell-list order
 /// (cell stencil order, insertion order within a cell) and call
 /// `f(j, dist2)` for every stored particle within `r` of particle `i` —
-/// including `i` itself. The SPH sweeps rely on that order for bit-identical
-/// f64 accumulation across implementations.
+/// including `i` itself. The reference sweeps rely on that order for
+/// bit-identical f64 accumulation across implementations.
 pub trait NeighborSearch {
     /// Visit every particle within `r` (inclusive) of stored particle `i`,
     /// in the canonical order, calling `f(index, dist2)`.
@@ -100,16 +107,6 @@ pub trait NeighborSearch {
         bbox: &Box3,
         f: F,
     );
-
-    /// The concrete CSR list behind this source, if any. The SPH sweeps use
-    /// it to take the cache-blocked row path ([`NeighborList::row_deltas`],
-    /// [`NeighborList::filter_pairs_into`], [`NeighborList::count_within`])
-    /// instead of the per-pair callback replay. Sources whose candidates are
-    /// not stored CSR rows — the direct grid walk, the [`ScalarReplay`]
-    /// adapter — return `None` and keep the callback path.
-    fn as_list(&self) -> Option<&NeighborList> {
-        None
-    }
 }
 
 impl NeighborSearch for CellList {
@@ -720,32 +717,6 @@ impl NeighborSearch for NeighborList {
             }
         }
     }
-
-    fn as_list(&self) -> Option<&NeighborList> {
-        Some(self)
-    }
-}
-
-/// Forces the scalar `for_neighbors_of` replay of a [`NeighborList`]:
-/// [`NeighborSearch::as_list`] stays `None`, so sweeps keep the per-pair
-/// callback path instead of the blocked row path. The benchmark and the
-/// blocked-vs-scalar equivalence tests use it as the reference.
-#[derive(Debug, Clone, Copy)]
-pub struct ScalarReplay<'a>(pub &'a NeighborList);
-
-impl NeighborSearch for ScalarReplay<'_> {
-    fn for_neighbors_of<F: FnMut(usize, f64)>(
-        &self,
-        i: usize,
-        r: f64,
-        x: &[f64],
-        y: &[f64],
-        z: &[f64],
-        bbox: &Box3,
-        f: F,
-    ) {
-        self.0.for_neighbors_of(i, r, x, y, z, bbox, f);
-    }
 }
 
 #[cfg(test)]
@@ -1123,29 +1094,6 @@ mod tests {
                 assert_eq!(filtered_bits(&row), scalar_pairs(&nl, i, small));
                 assert_eq!(nl.count_within(i, small), row.len() + 1);
             }
-        }
-    }
-
-    #[test]
-    fn scalar_replay_adapter_is_transparent() {
-        let (x, y, z) = cloud(150, 17);
-        let bbox = Box3::unit_periodic();
-        let r = 0.2;
-        let grid = CellList::build(&x, &y, &z, &bbox, r);
-        let nl = NeighborList::build(&grid, &x, &y, &z, 150, r);
-        let adapter = ScalarReplay(&nl);
-        assert!(adapter.as_list().is_none(), "adapter must hide the list");
-        assert!(nl.as_list().is_some(), "list must expose itself");
-        for i in (0..150).step_by(11) {
-            let mut direct = Vec::new();
-            nl.for_neighbors_of(i, r, &x, &y, &z, &bbox, |j, d2| {
-                direct.push((j, d2.to_bits()));
-            });
-            let mut via = Vec::new();
-            adapter.for_neighbors_of(i, r, &x, &y, &z, &bbox, |j, d2| {
-                via.push((j, d2.to_bits()));
-            });
-            assert_eq!(direct, via);
         }
     }
 

@@ -91,11 +91,6 @@ impl Octree {
         self.bucket_size
     }
 
-    /// Leaf boundaries (length `len() + 1`).
-    pub fn leaf_boundaries(&self) -> &[u64] {
-        &self.leaves
-    }
-
     /// Particle counts per leaf.
     pub fn counts(&self) -> &[usize] {
         &self.counts

@@ -54,11 +54,6 @@ impl RocmSmi {
         RocmSmi { devices }
     }
 
-    /// `rsmi_num_monitor_devices`.
-    pub fn num_monitor_devices(&self) -> usize {
-        self.devices.len()
-    }
-
     fn dev(&self, dv_ind: usize) -> Result<&Arc<Mutex<GpuDevice>>, RsmiError> {
         self.devices.get(dv_ind).ok_or(RsmiError::NotFound {
             index: dv_ind,

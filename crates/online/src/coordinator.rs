@@ -37,23 +37,12 @@ pub struct RankAllocation {
 pub struct PowerCapCoordinator {
     spec: GpuSpec,
     budget: Watts,
-    margin: f64,
 }
 
 impl PowerCapCoordinator {
     /// Coordinator for GPUs of `spec` sharing `budget` watts in total.
     pub fn new(spec: GpuSpec, budget: Watts) -> Self {
-        PowerCapCoordinator {
-            spec,
-            budget,
-            margin: DEFAULT_MARGIN,
-        }
-    }
-
-    /// Override the modelling headroom (fraction above busy power).
-    pub fn with_margin(mut self, margin: f64) -> Self {
-        self.margin = margin.max(0.0);
-        self
+        PowerCapCoordinator { spec, budget }
     }
 
     /// The job-wide budget.
@@ -99,7 +88,7 @@ impl PowerCapCoordinator {
     /// rung the device limit would immediately throttle.
     pub fn freq_ceiling(&self, rank_budget: Watts, table: &LearnedTable) -> MegaHertz {
         let clocks = &self.spec.clock_table;
-        let headroom = 1.0 + self.margin;
+        let headroom = 1.0 + DEFAULT_MARGIN;
         let funcs: Vec<FuncId> = if table.is_empty() {
             FuncId::ALL.to_vec()
         } else {
@@ -133,7 +122,7 @@ impl PowerCapCoordinator {
         let clocks = &self.spec.clock_table;
         let floor = clocks.min();
         let step = clocks.step();
-        let headroom = 1.0 + self.margin;
+        let headroom = 1.0 + DEFAULT_MARGIN;
 
         let mut tables: Vec<LearnedTable> = demands
             .iter()

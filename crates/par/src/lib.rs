@@ -4,7 +4,7 @@
 //! workloads, and the SPH per-particle loops dominate every step; both are
 //! embarrassingly parallel. This crate provides the rayon-style primitives
 //! the rest of the workspace builds on — [`par_map`] (an order-preserving
-//! indexed map) and [`par_chunks_mut`] (disjoint in-place chunks) — on plain
+//! indexed map) and [`par_for_each_mut`] (disjoint in-place slots) — on plain
 //! `std::thread::scope`, so the workspace needs no external runtime.
 //!
 //! ## Determinism contract
@@ -16,8 +16,8 @@
 //!   result into slot `i`. The accumulation order *within* one index is
 //!   whatever `f` does — identical to the serial loop — and no cross-index
 //!   reduction exists, so chunk boundaries cannot affect results.
-//! * [`par_chunks_mut`] hands each worker a disjoint sub-slice; element `i`
-//!   is only ever touched by the worker owning its chunk.
+//! * [`par_for_each_mut`] hands element `i` to exactly one worker, which is
+//!   the only one ever to touch it.
 //!
 //! Callers that need a parallel *reduction* must instead map into per-index
 //! slots and fold serially (gather, not scatter) — that is the pattern the
@@ -30,12 +30,41 @@
 //! tests and `--jobs` CLI flags) → the `RAYON_NUM_THREADS` environment
 //! variable → `std::thread::available_parallelism()`. With the `parallel`
 //! feature disabled everything runs inline on the calling thread.
+//!
+//! [`par_map_threads`] is the coarse-grained entry point (`--jobs N` whole
+//! experiments): while its workers run, the calls nested under them share
+//! the configured count instead of each taking all of it, so `jobs × inner`
+//! stays at the machine width and a full-width `--jobs` runs every inner
+//! call inline.
 
 use std::mem::{ManuallyDrop, MaybeUninit};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Process-wide thread-count override; 0 means "not set".
 static OVERRIDE: AtomicUsize = AtomicUsize::new(0);
+
+/// Threads running whole jobs right now, process-wide: the workers of the
+/// [`par_map_threads`] calls in flight plus every live [`job_workers`] guard.
+static JOB_WORKERS: AtomicUsize = AtomicUsize::new(0);
+
+/// Counts `n` threads as running whole jobs — parallel programs of their
+/// own, like one experiment of a `--jobs N` batch or of a daemon's worker
+/// pool — until the guard is dropped (unwinding too). Data-parallel calls
+/// made meanwhile divide [`max_threads`] by the count.
+pub fn job_workers(n: usize) -> JobWorkers {
+    JOB_WORKERS.fetch_add(n, Ordering::SeqCst);
+    JobWorkers(n)
+}
+
+/// Guard returned by [`job_workers`].
+#[must_use = "the threads stop counting as job workers when this is dropped"]
+pub struct JobWorkers(usize);
+
+impl Drop for JobWorkers {
+    fn drop(&mut self) {
+        JOB_WORKERS.fetch_sub(self.0, Ordering::SeqCst);
+    }
+}
 
 /// How many chunks each worker should expect to claim. More chunks per
 /// thread smooths load imbalance (neighbor counts vary across particles) at
@@ -73,6 +102,19 @@ pub fn max_threads() -> usize {
         .unwrap_or(1)
 }
 
+/// Worker count of one data-parallel call: [`max_threads`], divided among
+/// the job workers running right now (see [`par_map_threads`]). Every call
+/// under a job sees the same count from the job's first step to its last —
+/// the jobs' workers are counted for the whole outer call — so its threads,
+/// and the allocator arenas they would touch, do not depend on timing.
+fn call_threads() -> usize {
+    share(max_threads(), JOB_WORKERS.load(Ordering::SeqCst))
+}
+
+fn share(configured: usize, job_workers: usize) -> usize {
+    (configured / job_workers.max(1)).max(1)
+}
+
 /// Raw output cursor shared by the workers of one `par_map` call. Workers
 /// write disjoint index sets, so sharing the base pointer is sound.
 struct OutPtr<T>(*mut MaybeUninit<T>);
@@ -88,11 +130,25 @@ where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    par_map_threads(max_threads(), n, f)
+    map_on(call_threads(), n, f)
 }
 
-/// [`par_map`] with an explicit worker count (e.g. a `--jobs N` flag).
+/// [`par_map`] with an explicit worker count, for whole jobs (a `--jobs N`
+/// flag): each `f(i)` is expected to be a parallel program of its own. The
+/// data-parallel calls made while this one runs divide [`max_threads`] by
+/// its worker count rather than oversubscribing the machine `threads`-fold;
+/// at `threads >= max_threads()` they run inline.
 pub fn par_map_threads<T, F>(threads: usize, n: usize, f: F) -> Vec<T>
+where
+    T: Send,
+    F: Fn(usize) -> T + Sync,
+{
+    let threads = threads.max(1).min(n.max(1));
+    let _jobs = job_workers(threads);
+    map_on(threads, n, f)
+}
+
+fn map_on<T, F>(threads: usize, n: usize, f: F) -> Vec<T>
 where
     T: Send,
     F: Fn(usize) -> T + Sync,
@@ -130,74 +186,6 @@ where
     unsafe { Vec::from_raw_parts(out.as_mut_ptr().cast::<T>(), n, out.capacity()) }
 }
 
-/// Fill the rows of a CSR buffer in parallel: `f(r, row)` receives row `r`'s
-/// slice `out[offsets[r]..offsets[r + 1]]`, each row visited exactly once.
-///
-/// This is the write half of a two-pass CSR build (count rows, prefix-sum,
-/// fill): rows are disjoint sub-slices of one allocation, so they can be
-/// filled concurrently without chunk boundaries ever splitting a row. Like
-/// [`par_map`], results are position-addressed and therefore bit-identical
-/// at any thread count. Rows are claimed in fixed-size chunks from an atomic
-/// cursor so uneven row lengths (neighbor counts vary) stay load-balanced.
-///
-/// Panics if `offsets` is not monotonically non-decreasing starting at 0, or
-/// if `out` is shorter than the last offset.
-pub fn par_fill_rows<T, F>(offsets: &[usize], out: &mut [T], f: F)
-where
-    T: Send,
-    F: Fn(usize, &mut [T]) + Sync,
-{
-    let nrows = offsets.len().saturating_sub(1);
-    assert_eq!(
-        offsets.first().copied().unwrap_or(0),
-        0,
-        "offsets must start at 0"
-    );
-    for w in offsets.windows(2) {
-        assert!(w[0] <= w[1], "offsets must be non-decreasing");
-    }
-    assert!(
-        offsets.last().copied().unwrap_or(0) <= out.len(),
-        "out buffer shorter than the CSR extent"
-    );
-    let threads = max_threads().min(nrows.max(1));
-    if !cfg!(feature = "parallel") || threads <= 1 || nrows <= 1 {
-        for r in 0..nrows {
-            f(r, &mut out[offsets[r]..offsets[r + 1]]);
-        }
-        return;
-    }
-    let chunk = (nrows / (threads * CHUNKS_PER_THREAD)).max(1);
-    let next = AtomicUsize::new(0);
-    let base = OutPtr(out.as_mut_ptr().cast::<MaybeUninit<T>>());
-    std::thread::scope(|s| {
-        for _ in 0..threads {
-            let (next, f, base, offsets) = (&next, &f, &base, offsets);
-            s.spawn(move || loop {
-                let start = next.fetch_add(chunk, Ordering::Relaxed);
-                if start >= nrows {
-                    break;
-                }
-                let end = (start + chunk).min(nrows);
-                for r in start..end {
-                    // SAFETY: the cursor hands each row index to exactly one
-                    // worker, offsets are monotone so rows are disjoint
-                    // sub-slices of `out`, and `out` outlives the scope. The
-                    // elements are already initialized `T`s (we only lend
-                    // them out as `&mut [T]`).
-                    let row = unsafe {
-                        std::slice::from_raw_parts_mut(
-                            base.0.add(offsets[r]).cast::<T>(),
-                            offsets[r + 1] - offsets[r],
-                        )
-                    };
-                    f(r, row);
-                }
-            });
-        }
-    });
-}
-
 /// Run `f(i, &mut data[i])` for every element, each index claimed by
 /// exactly one worker. Like [`par_map`], but in place over caller-owned
 /// slots — the pattern for heavyweight per-chunk scratch (e.g. the neighbor
@@ -211,7 +199,7 @@ where
     F: Fn(usize, &mut T) + Sync,
 {
     let n = data.len();
-    let threads = max_threads().min(n.max(1));
+    let threads = call_threads().min(n.max(1));
     if !cfg!(feature = "parallel") || threads <= 1 || n <= 1 {
         for (i, v) in data.iter_mut().enumerate() {
             f(i, v);
@@ -235,30 +223,6 @@ where
                 let v = unsafe { &mut *base.0.add(i).cast::<T>() };
                 f(i, v);
             });
-        }
-    });
-}
-
-/// Run `f(offset, chunk)` over disjoint contiguous chunks of `data`, one
-/// chunk per worker. `offset` is the chunk's start index in `data`.
-pub fn par_chunks_mut<T, F>(data: &mut [T], f: F)
-where
-    T: Send,
-    F: Fn(usize, &mut [T]) + Sync,
-{
-    let n = data.len();
-    let threads = max_threads().min(n.max(1));
-    if !cfg!(feature = "parallel") || threads <= 1 || n <= 1 {
-        if n > 0 {
-            f(0, data);
-        }
-        return;
-    }
-    let chunk = n.div_ceil(threads);
-    std::thread::scope(|s| {
-        for (k, c) in data.chunks_mut(chunk).enumerate() {
-            let f = &f;
-            s.spawn(move || f(k * chunk, c));
         }
     });
 }
@@ -316,69 +280,26 @@ mod tests {
     }
 
     #[test]
-    fn par_fill_rows_matches_serial_fill() {
-        // Ragged rows: row r has (r * 7) % 13 elements.
-        let lens: Vec<usize> = (0..500).map(|r| (r * 7) % 13).collect();
-        let mut offsets = vec![0usize];
-        for l in &lens {
-            offsets.push(offsets.last().unwrap() + l);
-        }
-        let total = *offsets.last().unwrap();
-        let fill = |r: usize, row: &mut [u64]| {
-            for (k, v) in row.iter_mut().enumerate() {
-                *v = (r as u64) << 32 | k as u64;
-            }
-        };
-        let mut serial = vec![0u64; total];
-        for r in 0..lens.len() {
-            fill(r, &mut serial[offsets[r]..offsets[r + 1]]);
-        }
-        let mut parallel = vec![0u64; total];
-        par_fill_rows(&offsets, &mut parallel, fill);
-        assert_eq!(serial, parallel);
+    fn calls_under_jobs_share_the_configured_count() {
+        assert_eq!(share(8, 0), 8, "no job running: the full count");
+        assert_eq!(share(8, 2), 4);
+        assert_eq!(share(3, 2), 1);
+        assert_eq!(share(2, 2), 1, "full-width jobs: inner calls run inline");
+        assert_eq!(share(2, 4), 1, "never below one");
+        // Other tests of this binary may hold job workers too, never fewer.
+        let held = par_map_threads(2, 2, |_| JOB_WORKERS.load(Ordering::SeqCst));
+        assert!(held.iter().all(|&h| h >= 2), "{held:?}");
     }
 
     #[test]
-    fn par_fill_rows_thread_counts_agree() {
-        let offsets: Vec<usize> = (0..=300).map(|r| r * 3).collect();
-        let fill = |r: usize, row: &mut [usize]| {
-            for (k, v) in row.iter_mut().enumerate() {
-                *v = r * 1000 + k;
-            }
-        };
-        let mut reference = vec![0usize; 900];
-        set_max_threads(1);
-        par_fill_rows(&offsets, &mut reference, fill);
-        for t in [2, 3, 8] {
-            set_max_threads(t);
-            let mut out = vec![0usize; 900];
-            par_fill_rows(&offsets, &mut out, fill);
-            assert_eq!(out, reference, "at {t} threads");
+    fn nested_maps_match_serial_at_any_job_count() {
+        let serial: Vec<Vec<usize>> = (0..6)
+            .map(|k| (0..3000).map(|i| i * k + 1).collect())
+            .collect();
+        for jobs in [1, 2, 3, 6] {
+            let nested = par_map_threads(jobs, 6, |k| par_map(3000, |i| i * k + 1));
+            assert_eq!(nested, serial, "at {jobs} jobs");
         }
-        set_max_threads(0);
-    }
-
-    #[test]
-    fn par_fill_rows_empty_rows_and_edges() {
-        // No rows at all.
-        par_fill_rows::<u8, _>(&[], &mut [], |_, _| panic!("no rows"));
-        par_fill_rows::<u8, _>(&[0], &mut [], |_, _| panic!("no rows"));
-        // All rows empty.
-        let mut out: Vec<u8> = Vec::new();
-        par_fill_rows(&[0, 0, 0, 0], &mut out, |_, row| assert!(row.is_empty()));
-        // Mix of empty and non-empty rows.
-        let mut out = vec![0u8; 4];
-        par_fill_rows(&[0, 0, 3, 3, 4], &mut out, |r, row| {
-            row.iter_mut().for_each(|v| *v = r as u8);
-        });
-        assert_eq!(out, vec![1, 1, 1, 3]);
-    }
-
-    #[test]
-    #[should_panic(expected = "non-decreasing")]
-    fn par_fill_rows_rejects_descending_offsets() {
-        let mut out = vec![0u8; 4];
-        par_fill_rows(&[0, 3, 1], &mut out, |_, _| {});
     }
 
     #[test]
@@ -419,31 +340,6 @@ mod tests {
             *v = 7;
         });
         assert_eq!(one, vec![7]);
-    }
-
-    #[test]
-    fn par_chunks_mut_touches_every_element_once() {
-        let mut data = vec![0u32; 8191];
-        par_chunks_mut(&mut data, |offset, chunk| {
-            for (k, v) in chunk.iter_mut().enumerate() {
-                *v += (offset + k) as u32 + 1;
-            }
-        });
-        for (i, v) in data.iter().enumerate() {
-            assert_eq!(*v, i as u32 + 1, "element {i} touched {v} times/wrong");
-        }
-    }
-
-    #[test]
-    fn par_chunks_mut_empty_and_single() {
-        let mut empty: Vec<u8> = Vec::new();
-        par_chunks_mut(&mut empty, |_, _| panic!("no chunks expected"));
-        let mut one = vec![5u8];
-        par_chunks_mut(&mut one, |offset, chunk| {
-            assert_eq!(offset, 0);
-            chunk[0] = 9;
-        });
-        assert_eq!(one, vec![9]);
     }
 
     #[test]

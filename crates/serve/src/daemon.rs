@@ -105,7 +105,8 @@ pub struct ServeConfig {
     pub socket: PathBuf,
     /// Bounded queue capacity; pushes past it are rejected `queue_full`.
     pub queue_capacity: usize,
-    /// Worker threads; `0` sizes from the `par` layer's default.
+    /// Worker threads; `0` sizes from the `par` layer's default. Each owns
+    /// `1/workers` of that count for its jobs' data-parallel sweeps.
     pub workers: usize,
     /// Table-server configuration (persistence dir + LRU capacity).
     pub tables: TableServerConfig,
@@ -429,6 +430,9 @@ fn submit(shared: &Arc<Shared>, client: &ClientHandle, spec: String, name: Optio
 
 fn worker_loop(shared: &Arc<Shared>) {
     telemetry::set_track("serve-worker");
+    // A fixed share of the machine per worker, busy neighbours or not: what a
+    // job gets (threads, and the memory they touch) does not depend on load.
+    let _share = par::job_workers(1);
     while let Some(job) = shared.queue.pop() {
         run_job(shared, job);
     }

@@ -2,7 +2,7 @@
 //! `NormalizationGradh` in the SPH-EXA function set), plus the `XMass`
 //! generalized volume elements.
 
-use cornerstone::{Box3, NeighborList, NeighborSearch};
+use cornerstone::NeighborList;
 
 use crate::kernels::{Kernel, RowKernel};
 use crate::lanes;
@@ -28,34 +28,19 @@ pub fn xmass(parts: &mut Particles) {
 /// Densities are computed for owned particles only; halos carry the values
 /// their owner computed (exchanged by `DomainDecompAndSync`).
 ///
-/// Parallelized by gather: each index reads any neighbor but accumulates
-/// only its own sums, in cell-list order — so results are bit-identical at
-/// any thread count. Generic over the neighbor source: the direct grid walk
-/// and the shared per-step [`cornerstone::NeighborList`] visit candidates in
-/// the same order, so both paths produce the same bits.
-pub fn density_gradh<N: NeighborSearch + Sync>(
-    parts: &mut Particles,
-    nb: &N,
-    bbox: &Box3,
-    kernel: Kernel,
-) {
+/// Parallelized by gather over the step's shared list: each row reads any
+/// neighbor but accumulates only its own sums, in the row's stored visit
+/// order — so results are bit-identical at any thread count, and to
+/// [`crate::reference::density_gradh`] over the grid or the list.
+pub fn density_gradh(parts: &mut Particles, nl: &NeighborList, kernel: Kernel) {
     let p = &*parts;
-    let sums: Vec<(f64, f64)> = if let Some(nl) = nb.as_list() {
-        par::par_map(p.n_local, |i| density_row_blocked(p, nl, i, kernel))
-    } else {
-        par::par_map(p.n_local, |i| {
-            let hi = p.h[i];
-            let radius = kernel.support(hi);
-            let mut rho_i = 0.0;
-            let mut dh_i = 0.0;
-            nb.for_neighbors_of(i, radius, &p.x, &p.y, &p.z, bbox, |j, d2| {
-                let (w, dw_dh) = kernel.w_and_dw_dh(d2.sqrt(), hi);
-                rho_i += p.m[j] * w;
-                dh_i += p.m[j] * dw_dh;
-            });
-            (rho_i, dh_i)
-        })
-    };
+    let sums: Vec<(f64, f64)> = par::par_map(p.n_local, |i| density_row(p, nl, i, kernel));
+    store_density(parts, sums);
+}
+
+/// Write one density sweep's per-row `(rho, sum m dW/dh)` into `rho` and
+/// the grad-h factor.
+pub(crate) fn store_density(parts: &mut Particles, sums: Vec<(f64, f64)>) {
     for (i, (rho_i, dh_i)) in sums.into_iter().enumerate() {
         parts.rho[i] = rho_i;
         // Omega = 1 + h/(3 rho) * sum m dW/dh; guard against degenerate rho.
@@ -67,46 +52,18 @@ pub fn density_gradh<N: NeighborSearch + Sync>(
     }
 }
 
-/// Density + grad-h over an explicit row subset of the shared CSR list —
-/// the interior/boundary split the halo-overlap step schedule uses.
-///
-/// Each listed row computes exactly what [`density_gradh`] computes for it
-/// (same per-row gather, same in-row order), and rows never read the
-/// fields this sweep writes (`rho`, `gradh`) of *other* particles — only
-/// `m`/positions — so running the owned range as two disjoint subsets in
-/// any order produces bit-identical results to the single full sweep.
-pub fn density_gradh_rows(
-    parts: &mut Particles,
-    nl: &NeighborList,
-    kernel: Kernel,
-    rows: &[usize],
-) {
-    let p = &*parts;
-    let sums: Vec<(f64, f64)> =
-        par::par_map(rows.len(), |k| density_row_blocked(p, nl, rows[k], kernel));
-    for (k, (rho_i, dh_i)) in sums.into_iter().enumerate() {
-        let i = rows[k];
-        parts.rho[i] = rho_i;
-        parts.gradh[i] = if rho_i > 0.0 {
-            (1.0 + parts.h[i] / (3.0 * rho_i) * dh_i).max(0.1)
-        } else {
-            1.0
-        };
-    }
-}
-
-/// Blocked density row: filter-free. The raw CSR row (recorded at the
-/// step's per-pair superset radius) is consumed whole — distances, then
-/// the fused `(W, dW/dh)` over every candidate with the hoisted-`h`
-/// branch-free [`RowKernel`], then the `m_j`-scaled accumulation in visit
-/// order. No compaction pass, no data-dependent branches anywhere in the
-/// row. (Compact-first was measured slower on both bench workloads even at
-/// the adaptive list's ~36% pass rate: the in-order 5-channel push loop is
+/// One density row: filter-free. The raw CSR row (recorded at the step's
+/// per-pair superset radius) is consumed whole — distances, then the fused
+/// `(W, dW/dh)` over every candidate with the hoisted-`h` branch-free
+/// [`RowKernel`], then the `m_j`-scaled accumulation in visit order. No
+/// compaction pass, no data-dependent branches anywhere in the row.
+/// (Compact-first was measured slower on both bench workloads even at the
+/// adaptive list's ~36% pass rate: the in-order 5-channel push loop is
 /// branchy per lane, and its mispredicts cost more than the extra
 /// branch-free kernel evaluations save.)
 ///
-/// Bit-identical to the scalar callback under default features even though
-/// the scalar path only folds the candidates within `support(h_i)`:
+/// Bit-identical to the reference callback even though that only folds the
+/// candidates within `support(h_i)`:
 ///
 /// * a dropped candidate has `d2 > (2h)²`, so its correctly-rounded
 ///   `r = sqrt(d2) >= 2h` and `q = r/h >= 2.0` — the kernel's strict
@@ -117,10 +74,7 @@ pub fn density_gradh_rows(
 ///   yields `+0.0`), and adding `±0.0` to a non-`-0.0` accumulator never
 ///   changes its bits — so interleaving the zero terms leaves every
 ///   genuine partial sum, and the final bits, identical.
-///
-/// Under `fast-math` the accumulator is lane-partial and `Sinc5` uses the
-/// polynomial sinc (the zero terms are still value-neutral).
-fn density_row_blocked(p: &Particles, nl: &NeighborList, i: usize, kernel: Kernel) -> (f64, f64) {
+fn density_row(p: &Particles, nl: &NeighborList, i: usize, kernel: Kernel) -> (f64, f64) {
     let hi = p.h[i];
     let rk = RowKernel::new(kernel, hi);
     let (jj, dxs, dys, dzs) = nl.row_deltas(i);
@@ -129,49 +83,38 @@ fn density_row_blocked(p: &Particles, nl: &NeighborList, i: usize, kernel: Kerne
         lanes::dist_into(dxs, dys, dzs, r);
         let [dwdh, ..] = aux;
         rk.w_and_dw_dh_into(r, w, dwdh);
-        let mut rho = lanes::Acc::default();
-        let mut dh = lanes::Acc::default();
+        let (mut rho, mut dh) = (0.0, 0.0);
         for k in 0..jj.len() {
             let mj = p.m[jj[k] as usize];
-            rho.add(k, mj * w[k]);
-            dh.add(k, mj * dwdh[k]);
+            rho += mj * w[k];
+            dh += mj * dwdh[k];
         }
-        (rho.value(), dh.value())
+        (rho, dh)
     })
 }
 
 /// Count neighbors within the kernel support of each owned particle
 /// (`FindNeighbors`). Returned counts exclude the particle itself.
-pub fn neighbor_counts<N: NeighborSearch + Sync>(
-    parts: &Particles,
-    nb: &N,
-    bbox: &Box3,
-    kernel: Kernel,
-) -> Vec<usize> {
-    if let Some(nl) = nb.as_list() {
-        // The row always contains exactly one self-candidate (the grid
-        // stores each particle once) and it always passes the filter
-        // (d2 = 0), so "neighbors excluding self" is the lane count - 1.
-        return par::par_map(parts.n_local, |i| {
-            nl.count_within(i, kernel.support(parts.h[i])) - 1
-        });
-    }
-    let (x, y, z) = (&parts.x, &parts.y, &parts.z);
+pub fn neighbor_counts(parts: &Particles, nl: &NeighborList, kernel: Kernel) -> Vec<usize> {
+    // The row always contains exactly one self-candidate (the grid stores
+    // each particle once) and it always passes the filter (d2 = 0), so
+    // "neighbors excluding self" is the lane count - 1.
     par::par_map(parts.n_local, |i| {
-        let mut n = 0usize;
-        nb.for_neighbors_of(i, kernel.support(parts.h[i]), x, y, z, bbox, |j, _| {
-            if j != i {
-                n += 1;
-            }
-        });
-        n
+        nl.count_within(i, kernel.support(parts.h[i])) - 1
     })
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use cornerstone::CellList;
+    use cornerstone::{Box3, CellList};
+
+    /// A list over every particle at one fixed radius — what the sweep unit
+    /// tests of this crate hand the production sweeps.
+    pub(crate) fn list(parts: &Particles, bbox: &Box3, radius: f64) -> NeighborList {
+        let grid = CellList::build(&parts.x, &parts.y, &parts.z, bbox, radius);
+        NeighborList::build(&grid, &parts.x, &parts.y, &parts.z, parts.len(), radius)
+    }
 
     /// A uniform lattice of particles in a periodic unit box.
     fn lattice(n_side: usize) -> (Particles, Box3) {
@@ -205,14 +148,8 @@ mod tests {
     fn uniform_lattice_recovers_unit_density() {
         for kernel in [Kernel::CubicSpline, Kernel::WendlandC6] {
             let (mut parts, bbox) = lattice(8);
-            let grid = CellList::build(
-                &parts.x,
-                &parts.y,
-                &parts.z,
-                &bbox,
-                kernel.support(parts.h[0]),
-            );
-            density_gradh(&mut parts, &grid, &bbox, kernel);
+            let nl = list(&parts, &bbox, kernel.support(parts.h[0]));
+            density_gradh(&mut parts, &nl, kernel);
             for &r in &parts.rho {
                 assert!((r - 1.0).abs() < 0.05, "{kernel:?}: density {r} far from 1");
             }
@@ -223,14 +160,8 @@ mod tests {
     fn gradh_near_unity_on_uniform_field() {
         let (mut parts, bbox) = lattice(8);
         let kernel = Kernel::CubicSpline;
-        let grid = CellList::build(
-            &parts.x,
-            &parts.y,
-            &parts.z,
-            &bbox,
-            kernel.support(parts.h[0]),
-        );
-        density_gradh(&mut parts, &grid, &bbox, kernel);
+        let nl = list(&parts, &bbox, kernel.support(parts.h[0]));
+        density_gradh(&mut parts, &nl, kernel);
         for &o in &parts.gradh {
             // On a uniform field dh contributions nearly cancel against the
             // scaling identity; Omega stays close to 1.
@@ -242,14 +173,8 @@ mod tests {
     fn neighbor_counts_reasonable_for_h_choice() {
         let (parts, bbox) = lattice(8);
         let kernel = Kernel::CubicSpline;
-        let grid = CellList::build(
-            &parts.x,
-            &parts.y,
-            &parts.z,
-            &bbox,
-            kernel.support(parts.h[0]),
-        );
-        let counts = neighbor_counts(&parts, &grid, &bbox, kernel);
+        let nl = list(&parts, &bbox, kernel.support(parts.h[0]));
+        let counts = neighbor_counts(&parts, &nl, kernel);
         // Support 2h = 2.6 spacings -> ~60-80 neighbors on a cubic lattice.
         for &c in &counts {
             assert!((40..120).contains(&c), "neighbor count {c} unexpected");
@@ -274,8 +199,8 @@ mod tests {
         let mut parts = Particles::new();
         parts.push(0.5, 0.5, 0.5, 0.0, 0.0, 0.0, 2.0, 0.05, 1.0);
         let kernel = Kernel::CubicSpline;
-        let grid = CellList::build(&parts.x, &parts.y, &parts.z, &bbox, 0.1);
-        density_gradh(&mut parts, &grid, &bbox, kernel);
+        let nl = list(&parts, &bbox, 0.1);
+        density_gradh(&mut parts, &nl, kernel);
         let expect = 2.0 * kernel.w(0.0, 0.05);
         assert!((parts.rho[0] - expect).abs() < 1e-12);
     }

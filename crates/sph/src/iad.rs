@@ -6,7 +6,7 @@
 //! inverse `C = tau^{-1}` of the local moment matrix
 //! `tau_ab = sum_j V_j (r_j - r_i)_a (r_j - r_i)_b W_ij`.
 
-use cornerstone::{Box3, NeighborList, NeighborSearch};
+use cornerstone::NeighborList;
 
 use crate::kernels::{Kernel, RowKernel};
 use crate::lanes;
@@ -42,112 +42,39 @@ pub fn invert_sym3(t: [f64; 6]) -> [f64; 6] {
 }
 
 /// Compute IAD tensors, velocity divergence and curl magnitude for owned
-/// particles.
+/// particles — every owned row, or just `rows` when the halo-overlap
+/// schedule sweeps interior and boundary rows separately.
 ///
-/// Parallelized by gather: each index reads neighbor state but writes only
-/// its own tensor/divergence/curl slot, with the two neighbor sweeps kept
-/// in cell-list order — bit-identical to the serial loop, and identical
-/// between the direct-grid and precomputed-list neighbor sources.
-pub fn iad_divv_curlv<N: NeighborSearch + Sync>(
-    parts: &mut Particles,
-    nb: &N,
-    bbox: &Box3,
-    kernel: Kernel,
-) {
-    let p = &*parts;
-    let n = p.n_local;
-    if let Some(nl) = nb.as_list() {
-        let per_particle: Vec<([f64; 6], f64, [f64; 3])> =
-            par::par_map(n, |i| iad_row_blocked(p, nl, i, kernel));
-        write_iad(parts, per_particle);
-        return;
-    }
-    let per_particle: Vec<([f64; 6], f64, [f64; 3])> = par::par_map(n, |i| {
-        let (x, y, z) = (&p.x, &p.y, &p.z);
-        let hi = p.h[i];
-        let radius = kernel.support(hi);
-        let mut tau = [0.0f64; 6];
-        nb.for_neighbors_of(i, radius, x, y, z, bbox, |j, d2| {
-            if j == i || d2 == 0.0 {
-                return;
-            }
-            // Bootstrap volume for particles whose density is not yet
-            // known (first-step halos): fall back to the mass itself, the
-            // same rule XMass uses.
-            let vj = if p.rho[j] > 0.0 {
-                p.m[j] / p.rho[j]
-            } else {
-                p.m[j]
-            };
-            let (dx, dy, dz) = bbox.delta(x[j], y[j], z[j], x[i], y[i], z[i]);
-            let w = kernel.w(d2.sqrt(), hi);
-            tau[0] += vj * dx * dx * w;
-            tau[1] += vj * dx * dy * w;
-            tau[2] += vj * dx * dz * w;
-            tau[3] += vj * dy * dy * w;
-            tau[4] += vj * dy * dz * w;
-            tau[5] += vj * dz * dz * w;
-        });
-        let c = invert_sym3(tau);
-
-        // Divergence and curl via the IAD linear operator:
-        // dv_a/dx_b ~= sum_j V_j (v_j - v_i)_a (C (r_j - r_i))_b W_ij
-        let mut grad = [[0.0f64; 3]; 3]; // grad[a][b] = dv_a/dx_b
-        nb.for_neighbors_of(i, radius, x, y, z, bbox, |j, d2| {
-            if j == i || d2 == 0.0 {
-                return;
-            }
-            // Same bootstrap-volume rule as the tensor sweep above.
-            let vj = if p.rho[j] > 0.0 {
-                p.m[j] / p.rho[j]
-            } else {
-                p.m[j]
-            };
-            let (dx, dy, dz) = bbox.delta(x[j], y[j], z[j], x[i], y[i], z[i]);
-            let w = kernel.w(d2.sqrt(), hi);
-            // C * d (symmetric storage: xx xy xz yy yz zz)
-            let cdx = c[0] * dx + c[1] * dy + c[2] * dz;
-            let cdy = c[1] * dx + c[3] * dy + c[4] * dz;
-            let cdz = c[2] * dx + c[4] * dy + c[5] * dz;
-            let dvx = p.vx[j] - p.vx[i];
-            let dvy = p.vy[j] - p.vy[i];
-            let dvz = p.vz[j] - p.vz[i];
-            for (a, dva) in [dvx, dvy, dvz].into_iter().enumerate() {
-                grad[a][0] += vj * dva * cdx * w;
-                grad[a][1] += vj * dva * cdy * w;
-                grad[a][2] += vj * dva * cdz * w;
-            }
-        });
-        let divv = grad[0][0] + grad[1][1] + grad[2][2];
-        let curl = [
-            grad[2][1] - grad[1][2],
-            grad[0][2] - grad[2][0],
-            grad[1][0] - grad[0][1],
-        ];
-        (c, divv, curl)
-    });
-    write_iad(parts, per_particle);
-}
-
-/// IAD tensors + divergence/curl over an explicit row subset of the shared
-/// CSR list (interior/boundary split).
-///
-/// Per-row math is identical to [`iad_divv_curlv`]'s list path, and the
+/// Parallelized by gather over the step's shared list: each row reads
+/// neighbor state but writes only its own tensor/divergence/curl slot, in
+/// the row's stored visit order — bit-identical at any thread count, and to
+/// [`crate::reference::iad_divv_curlv`] over the grid or the list. The
 /// sweep's outputs (`c11..c33`, `divv`, `curlv`) are never inputs to other
 /// rows of the same sweep — it reads `rho`/`m`/velocities, written by
-/// earlier phases — so two disjoint subsets compose bit-identically with
-/// the full sweep.
-pub fn iad_divv_curlv_rows(
+/// earlier phases — so disjoint row subsets, run in any order, compose
+/// bit-identically with the full sweep.
+pub fn iad_divv_curlv(
     parts: &mut Particles,
     nl: &NeighborList,
     kernel: Kernel,
-    rows: &[usize],
+    rows: Option<&[usize]>,
 ) {
     let p = &*parts;
+    let n = rows.map_or(p.n_local, <[usize]>::len);
     let per_row: Vec<([f64; 6], f64, [f64; 3])> =
-        par::par_map(rows.len(), |k| iad_row_blocked(p, nl, rows[k], kernel));
+        par::par_map(n, |k| iad_row(p, nl, rows.map_or(k, |r| r[k]), kernel));
+    store_iad(parts, rows, per_row);
+}
+
+/// Write one IAD sweep's per-row `(C, div v, curl v)` results: entry `k`
+/// belongs to row `rows[k]`, or to row `k` without a subset.
+pub(crate) fn store_iad(
+    parts: &mut Particles,
+    rows: Option<&[usize]>,
+    per_row: Vec<([f64; 6], f64, [f64; 3])>,
+) {
     for (k, (t, divv, [cx, cy, cz])) in per_row.into_iter().enumerate() {
-        let i = rows[k];
+        let i = rows.map_or(k, |r| r[k]);
         parts.c11[i] = t[0];
         parts.c12[i] = t[1];
         parts.c13[i] = t[2];
@@ -159,35 +86,20 @@ pub fn iad_divv_curlv_rows(
     }
 }
 
-fn write_iad(parts: &mut Particles, per_particle: Vec<([f64; 6], f64, [f64; 3])>) {
-    for (i, (t, divv, [cx, cy, cz])) in per_particle.into_iter().enumerate() {
-        parts.c11[i] = t[0];
-        parts.c12[i] = t[1];
-        parts.c13[i] = t[2];
-        parts.c22[i] = t[3];
-        parts.c23[i] = t[4];
-        parts.c33[i] = t[5];
-        parts.divv[i] = divv;
-        parts.curlv[i] = (cx * cx + cy * cy + cz * cz).sqrt();
-    }
-}
-
-/// Blocked IAD row. One fused pair filter serves both passes (the scalar
-/// path re-walks the neighbor source twice at the same radius, visiting
-/// the same pairs in the same order, and skips `j == i || d2 == 0` in
-/// each — exactly the set [`cornerstone::NeighborList::filter_pairs_into`]
-/// drops), and the per-pair kernel value `W` (batched through the
-/// hoisted-`h` [`RowKernel`]) and bootstrap volume `V_j` are computed once
-/// and reused — the scalar path recomputes both in its second sweep with
-/// identical inputs, so reuse changes nothing bitwise and halves the
-/// kernel evaluations.
+/// One IAD row. One fused pair filter serves both passes (the reference
+/// re-walks the neighbor source twice at the same radius, visiting the same
+/// pairs in the same order, and skips `j == i || d2 == 0` in each — exactly
+/// the set [`cornerstone::NeighborList::filter_pairs_into`] drops), and the
+/// per-pair kernel value `W` (batched through the hoisted-`h`
+/// [`RowKernel`]) and bootstrap volume `V_j` are computed once and reused —
+/// the reference recomputes both in its second sweep with identical inputs,
+/// so reuse changes nothing bitwise and halves the kernel evaluations.
 ///
-/// The stored CSR delta is exactly the `r_j - r_i` direction the scalar
-/// pass feeds `Box3::delta`, and every accumulation below keeps the scalar
-/// expressions in visit order through [`lanes::Acc`], so default-feature
-/// results are bit-identical. Under `fast-math` the `Sinc5` kernel
-/// evaluation and the accumulator association are relaxed.
-fn iad_row_blocked(
+/// The stored CSR delta is exactly the `r_j - r_i` direction the reference
+/// gets from `Box3::delta`, and every accumulation below keeps the
+/// reference's expressions as a running `+=` fold in visit order, so the
+/// results are bit-identical.
+fn iad_row(
     p: &Particles,
     nl: &NeighborList,
     i: usize,
@@ -220,24 +132,20 @@ fn iad_row_blocked(
         }
 
         // Pass 1: moment tensor.
-        let mut tau_acc = [lanes::Acc::default(); 6];
+        let mut tau = [0.0f64; 6];
         for k in 0..m {
             let (dx, dy, dz, wv, v) = (row.dx[k], row.dy[k], row.dz[k], w[k], vj[k]);
-            tau_acc[0].add(k, v * dx * dx * wv);
-            tau_acc[1].add(k, v * dx * dy * wv);
-            tau_acc[2].add(k, v * dx * dz * wv);
-            tau_acc[3].add(k, v * dy * dy * wv);
-            tau_acc[4].add(k, v * dy * dz * wv);
-            tau_acc[5].add(k, v * dz * dz * wv);
-        }
-        let mut tau = [0.0f64; 6];
-        for (t, a) in tau.iter_mut().zip(tau_acc) {
-            *t = a.value();
+            tau[0] += v * dx * dx * wv;
+            tau[1] += v * dx * dy * wv;
+            tau[2] += v * dx * dz * wv;
+            tau[3] += v * dy * dy * wv;
+            tau[4] += v * dy * dz * wv;
+            tau[5] += v * dz * dz * wv;
         }
         let c = invert_sym3(tau);
 
         // Pass 2: C·d products as a contiguous lane pass, then the velocity
-        // gradient with the scalar expressions and order.
+        // gradient with the reference's expressions and order.
         let [cdx, cdy, cdz, ..] = aux;
         cdx.clear();
         cdx.resize(m, 0.0);
@@ -251,7 +159,7 @@ fn iad_row_blocked(
             cdy[k] = c[1] * dx + c[3] * dy + c[4] * dz;
             cdz[k] = c[2] * dx + c[4] * dy + c[5] * dz;
         }
-        let mut grad_acc = [[lanes::Acc::default(); 3]; 3];
+        let mut grad = [[0.0f64; 3]; 3]; // grad[a][b] = dv_a/dx_b
         for k in 0..m {
             let j = row.j[k] as usize;
             let (v, wv) = (vj[k], w[k]);
@@ -259,13 +167,11 @@ fn iad_row_blocked(
             let dvy = p.vy[j] - vyi;
             let dvz = p.vz[j] - vzi;
             for (a, dva) in [dvx, dvy, dvz].into_iter().enumerate() {
-                grad_acc[a][0].add(k, v * dva * cdx[k] * wv);
-                grad_acc[a][1].add(k, v * dva * cdy[k] * wv);
-                grad_acc[a][2].add(k, v * dva * cdz[k] * wv);
+                grad[a][0] += v * dva * cdx[k] * wv;
+                grad[a][1] += v * dva * cdy[k] * wv;
+                grad[a][2] += v * dva * cdz[k] * wv;
             }
         }
-        let grad: [[f64; 3]; 3] =
-            grad_acc.map(|row_acc| [row_acc[0].value(), row_acc[1].value(), row_acc[2].value()]);
         let divv = grad[0][0] + grad[1][1] + grad[2][2];
         let curl = [
             grad[2][1] - grad[1][2],
@@ -279,7 +185,7 @@ fn iad_row_blocked(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cornerstone::CellList;
+    use cornerstone::Box3;
     use rand::{rngs::StdRng, Rng, SeedableRng};
 
     fn glass(n_side: usize, seed: u64) -> (Particles, Box3) {
@@ -309,16 +215,10 @@ mod tests {
         (parts, bbox)
     }
 
-    fn prepare(parts: &mut Particles, bbox: &Box3, kernel: Kernel) -> CellList {
-        let grid = CellList::build(
-            &parts.x,
-            &parts.y,
-            &parts.z,
-            bbox,
-            kernel.support(parts.h[0]),
-        );
-        crate::density::density_gradh(parts, &grid, bbox, kernel);
-        grid
+    fn prepare(parts: &mut Particles, bbox: &Box3, kernel: Kernel) -> NeighborList {
+        let nl = crate::density::tests::list(parts, bbox, kernel.support(parts.h[0]));
+        crate::density::density_gradh(parts, &nl, kernel);
+        nl
     }
 
     #[test]
@@ -366,8 +266,8 @@ mod tests {
             parts.vy[i] = 2.0 * parts.y[i];
             parts.vz[i] = 3.0 * parts.z[i];
         }
-        let grid = prepare(&mut parts, &bbox, kernel);
-        iad_divv_curlv(&mut parts, &grid, &bbox, kernel);
+        let nl = prepare(&mut parts, &bbox, kernel);
+        iad_divv_curlv(&mut parts, &nl, kernel, None);
         // Check interior particles (away from the periodic wrap where the
         // linear field is discontinuous).
         let mut checked = 0;
@@ -410,8 +310,8 @@ mod tests {
             parts.vy[i] = dx;
             parts.vz[i] = 0.0;
         }
-        let grid = prepare(&mut parts, &bbox, kernel);
-        iad_divv_curlv(&mut parts, &grid, &bbox, kernel);
+        let nl = prepare(&mut parts, &bbox, kernel);
+        iad_divv_curlv(&mut parts, &nl, kernel, None);
         let mut checked = 0;
         for i in 0..parts.n_local {
             let r2 = (parts.x[i] - 0.5).powi(2) + (parts.y[i] - 0.5).powi(2);
@@ -441,8 +341,8 @@ mod tests {
     fn iad_tensor_is_finite_everywhere() {
         let kernel = Kernel::WendlandC6;
         let (mut parts, bbox) = glass(8, 7);
-        let grid = prepare(&mut parts, &bbox, kernel);
-        iad_divv_curlv(&mut parts, &grid, &bbox, kernel);
+        let nl = prepare(&mut parts, &bbox, kernel);
+        iad_divv_curlv(&mut parts, &nl, kernel, None);
         for i in 0..parts.n_local {
             for v in [
                 parts.c11[i],

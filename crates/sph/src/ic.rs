@@ -19,11 +19,21 @@ pub struct InitialConditions {
     pub name: &'static str,
 }
 
+/// Smallest lattice side each generator accepts — what its `assert!`
+/// checks. Spec validation reads these, so an undersized workload is
+/// refused before any rank thread starts instead of panicking inside one.
+pub const TURBULENCE_MIN_SIDE: usize = 2;
+pub const EVRARD_MIN_SIDE: usize = 2;
+pub const SEDOV_MIN_SIDE: usize = 4;
+pub const KELVIN_HELMHOLTZ_MIN_SIDE: usize = 4;
+pub const ROTATING_DISK_MIN_SIDE: usize = 8;
+pub const SOD_MIN_SIDE: usize = 4;
+
 /// Subsonic turbulence: a jittered lattice in a periodic unit box with a
 /// solenoidal large-scale velocity field at the given Mach number
 /// (isothermal sound speed 1).
 pub fn subsonic_turbulence(n_side: usize, mach: f64, seed: u64) -> InitialConditions {
-    assert!(n_side >= 2);
+    assert!(n_side >= TURBULENCE_MIN_SIDE);
     let bbox = Box3::unit_periodic();
     let mut rng = StdRng::seed_from_u64(seed);
     let n3 = n_side.pow(3);
@@ -109,7 +119,7 @@ pub fn subsonic_turbulence(n_side: usize, mach: f64, seed: u64) -> InitialCondit
 /// `rho(r) = M / (2 pi R^2 r)` and specific internal energy `u = 0.05`,
 /// collapsing under self-gravity.
 pub fn evrard(n_side: usize) -> InitialConditions {
-    assert!(n_side >= 2);
+    assert!(n_side >= EVRARD_MIN_SIDE);
     // Open box comfortably larger than the sphere.
     let bbox = Box3::cube(-2.0, 2.0, false);
     let spacing = 2.0 / n_side as f64;
@@ -153,7 +163,7 @@ pub fn evrard(n_side: usize) -> InitialConditions {
 /// validation problem SPH-EXA ships alongside the Table I workloads; the
 /// shock radius follows the self-similar law `r_s(t) ~ (e0 t^2 / rho)^(1/5)`.
 pub fn sedov(n_side: usize, e0: f64) -> InitialConditions {
-    assert!(n_side >= 4);
+    assert!(n_side >= SEDOV_MIN_SIDE);
     assert!(e0 > 0.0);
     let bbox = Box3::unit_periodic();
     let spacing = 1.0 / n_side as f64;
@@ -218,7 +228,7 @@ pub fn sedov(n_side: usize, e0: f64) -> InitialConditions {
 /// both interfaces. The classic mixing-layer instability problem; shear
 /// feeds the perturbation, so transverse kinetic energy grows from the seed.
 pub fn kelvin_helmholtz(n_side: usize, seed: u64) -> InitialConditions {
-    assert!(n_side >= 4);
+    assert!(n_side >= KELVIN_HELMHOLTZ_MIN_SIDE);
     let bbox = Box3::unit_periodic();
     let mut rng = StdRng::seed_from_u64(seed);
     let spacing = 1.0 / n_side as f64;
@@ -275,7 +285,7 @@ pub fn kelvin_helmholtz(n_side: usize, seed: u64) -> InitialConditions {
 /// from flying apart — angular momentum and the radial mass profile are the
 /// conserved observables.
 pub fn rotating_disk(n_side: usize) -> InitialConditions {
-    assert!(n_side >= 8);
+    assert!(n_side >= ROTATING_DISK_MIN_SIDE);
     let bbox = Box3::cube(-2.0, 2.0, false);
     let spacing = 2.0 / n_side as f64;
     // Keep one or two lattice planes of thickness around the midplane.
@@ -321,7 +331,7 @@ pub fn rotating_disk(n_side: usize) -> InitialConditions {
 /// rightward shock plus contact and a leftward rarefaction; the wrapped
 /// interface at `x = 0/1` mirrors it.
 pub fn sod(n_side: usize) -> InitialConditions {
-    assert!(n_side >= 4);
+    assert!(n_side >= SOD_MIN_SIDE);
     let bbox = Box3::unit_periodic();
     let spacing = 1.0 / n_side as f64;
     let n3 = n_side.pow(3);

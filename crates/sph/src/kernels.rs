@@ -3,6 +3,11 @@
 //! SPH-EXA uses sinc-family kernels; the cubic spline and Wendland C6 span
 //! the same qualitative range (compact support `2h`, normalized, monotone)
 //! and are the standard choices in the codes the paper cites (\[5\]–\[8\]).
+//!
+//! Each evaluation exists in two forms that agree bit for bit per value:
+//! the scalar [`Kernel`] methods, which `crate::reference` calls once per
+//! visited pair, and the `RowKernel` batch evaluators the production sweeps
+//! run over a whole CSR row.
 
 use serde::{Deserialize, Serialize};
 
@@ -230,7 +235,7 @@ impl Kernel {
 }
 
 /// A kernel with its per-`h` normalization hoisted, evaluating whole
-/// distance buffers at once — the blocked sweeps' row-level evaluator.
+/// distance buffers at once — the sweeps' row-level evaluator.
 ///
 /// Every scalar kernel call recomputes `sigma = f(h)` and `1/h` (two
 /// divisions); within one CSR row all evaluations against particle `i`
@@ -238,14 +243,13 @@ impl Kernel {
 /// hoisted values are computed by the *verbatim* expressions the scalar
 /// functions use (same inputs, same operations → same bits), and the
 /// per-lane bodies below are written in branch-free select form: both
-/// polynomial branches are evaluated and the scalar path's strict
+/// polynomial branches are evaluated and the scalar functions' strict
 /// comparisons pick one. Selection never alters a value, and the remaining
 /// per-lane division `q = r/h` is IEEE-correctly rounded whether issued
 /// scalar or SIMD — so every lane reproduces the scalar call bit-for-bit
 /// while the loop auto-vectorizes (no branches, no calls) for the
-/// polynomial kernels. `Sinc5` keeps its `libm` calls per lane under
-/// default features (exact, not vectorizable) and switches to the
-/// [`fast`] polynomials under `fast-math` (vectorizable, not exact).
+/// polynomial kernels. `Sinc5` keeps its `libm` calls per lane (exact, not
+/// vectorizable).
 pub(crate) struct RowKernel {
     kernel: Kernel,
     h: f64,
@@ -271,8 +275,7 @@ impl RowKernel {
         }
     }
 
-    /// `out[k] = W(r[k], h)` — bit-identical to [`Kernel::w`] per lane
-    /// (default features; `Sinc5` under `fast-math` uses [`fast::sinc_poly`]).
+    /// `out[k] = W(r[k], h)` — bit-identical to [`Kernel::w`] per lane.
     /// Dispatched through an AVX2 clone when available (`cornerstone::simd`).
     pub fn w_into(&self, r: &[f64], out: &mut Vec<f64>) {
         #[cfg(target_arch = "x86_64")]
@@ -323,7 +326,6 @@ impl RowKernel {
             }
             Kernel::Sinc5 => {
                 let a = std::f64::consts::FRAC_PI_2;
-                #[cfg(not(feature = "fast-math"))]
                 for k in 0..n {
                     let q = r[k] / self.h;
                     out[k] = if q < 2.0 {
@@ -333,19 +335,12 @@ impl RowKernel {
                         0.0
                     };
                 }
-                #[cfg(feature = "fast-math")]
-                for k in 0..n {
-                    let q = r[k] / self.h;
-                    let s = fast::sinc_poly(a * q);
-                    let w = self.sigma * s.powi(5);
-                    out[k] = if q < 2.0 { w } else { 0.0 };
-                }
             }
         }
     }
 
     /// `(w[k], dwdh[k]) = (W, dW/dh)(r[k], h)` — bit-identical to
-    /// [`Kernel::w_and_dw_dh`] per lane under default features.
+    /// [`Kernel::w_and_dw_dh`] per lane.
     /// Dispatched through an AVX2 clone when available (`cornerstone::simd`).
     pub fn w_and_dw_dh_into(&self, r: &[f64], w_out: &mut Vec<f64>, dwdh_out: &mut Vec<f64>) {
         #[cfg(target_arch = "x86_64")]
@@ -414,7 +409,6 @@ impl RowKernel {
             }
             Kernel::Sinc5 => {
                 let a = std::f64::consts::FRAC_PI_2;
-                #[cfg(not(feature = "fast-math"))]
                 for k in 0..n {
                     let q = r[k] / self.h;
                     let (w, dw) = if q < 2.0 {
@@ -429,24 +423,13 @@ impl RowKernel {
                     w_out[k] = w;
                     dwdh_out[k] = -(3.0 * w + r[k] * dw) / self.h;
                 }
-                #[cfg(feature = "fast-math")]
-                for k in 0..n {
-                    let q = r[k] / self.h;
-                    let s = fast::sinc_poly(a * q);
-                    let ds = fast::dsinc_poly(a * q);
-                    let wv = self.sigma * s.powi(5);
-                    let dv = self.sigma * 5.0 * s.powi(4) * ds * a / self.h;
-                    let (w, dw) = if q < 2.0 { (wv, dv) } else { (0.0, 0.0) };
-                    w_out[k] = w;
-                    dwdh_out[k] = -(3.0 * w + r[k] * dw) / self.h;
-                }
             }
         }
     }
 
     /// `out[k] = dW/dr(r[k], h) / r[k]` — the momentum equation's gradient
-    /// prefactor. Bit-identical to `Kernel::dw_dr(r, h) / r` per lane under
-    /// default features. Requires `r[k] > 0` (pair-filtered rows).
+    /// prefactor. Bit-identical to `Kernel::dw_dr(r, h) / r` per lane.
+    /// Requires `r[k] > 0` (pair-filtered rows).
     /// Dispatched through an AVX2 clone when available (`cornerstone::simd`).
     pub fn dw_dr_over_r_into(&self, r: &[f64], out: &mut Vec<f64>) {
         #[cfg(target_arch = "x86_64")]
@@ -502,7 +485,6 @@ impl RowKernel {
             }
             Kernel::Sinc5 => {
                 let a = std::f64::consts::FRAC_PI_2;
-                #[cfg(not(feature = "fast-math"))]
                 for k in 0..n {
                     let q = r[k] / self.h;
                     let dw = if q < 2.0 {
@@ -511,14 +493,6 @@ impl RowKernel {
                     } else {
                         0.0
                     };
-                    out[k] = dw / r[k];
-                }
-                #[cfg(feature = "fast-math")]
-                for k in 0..n {
-                    let q = r[k] / self.h;
-                    let s = fast::sinc_poly(a * q);
-                    let dv = self.sigma * 5.0 * s.powi(4) * fast::dsinc_poly(a * q) * a / self.h;
-                    let dw = if q < 2.0 { dv } else { 0.0 };
                     out[k] = dw / r[k];
                 }
             }
@@ -531,8 +505,7 @@ impl RowKernel {
 /// lane has its own `h`), but the select-form body keeps the loop
 /// branch-free so the normalization divisions issue as SIMD divides —
 /// which are IEEE-correctly rounded per lane, hence still bit-identical to
-/// `Kernel::dw_dr(r, h) / r` under default features. Requires `r[k] > 0`
-/// and `h[k] > 0`.
+/// `Kernel::dw_dr(r, h) / r`. Requires `r[k] > 0` and `h[k] > 0`.
 /// Dispatched through an AVX2 clone when available (`cornerstone::simd`).
 pub(crate) fn dw_dr_over_r_varh_into(kernel: Kernel, r: &[f64], h: &[f64], out: &mut Vec<f64>) {
     #[cfg(target_arch = "x86_64")]
@@ -594,7 +567,6 @@ fn dw_dr_over_r_varh_into_impl(kernel: Kernel, r: &[f64], h: &[f64], out: &mut V
         }
         Kernel::Sinc5 => {
             let a = std::f64::consts::FRAC_PI_2;
-            #[cfg(not(feature = "fast-math"))]
             for k in 0..n {
                 let hk = h[k];
                 let q = r[k] / hk;
@@ -606,125 +578,7 @@ fn dw_dr_over_r_varh_into_impl(kernel: Kernel, r: &[f64], h: &[f64], out: &mut V
                 };
                 out[k] = dw / r[k];
             }
-            #[cfg(feature = "fast-math")]
-            for k in 0..n {
-                let hk = h[k];
-                let q = r[k] / hk;
-                let s = fast::sinc_poly(a * q);
-                let dv =
-                    SINC5_SIGMA / (hk * hk * hk) * 5.0 * s.powi(4) * fast::dsinc_poly(a * q) * a
-                        / hk;
-                let dw = if q < 2.0 { dv } else { 0.0 };
-                out[k] = dw / r[k];
-            }
         }
-    }
-}
-
-/// Relaxed-precision kernel evaluations backing the `fast-math` feature.
-///
-/// [`Kernel::Sinc5`] is the only kernel whose inner math calls `libm`
-/// (`sin`/`cos`); these variants replace both with truncated Maclaurin
-/// polynomials in `u = x²` (Horner form), exact at `x = 0` and accurate to
-/// `< 8e-9` (sinc) / `< 5e-8` (dsinc) absolute over the full support
-/// `x ∈ [0, π]` — far below the SPH discretization error, but NOT
-/// bit-identical to `libm`. Only the blocked sweeps' `RowKernel` batch
-/// evaluators route here, and only when the `fast-math` feature is
-/// enabled; the module itself is always compiled so accuracy tests run in
-/// every configuration.
-pub mod fast {
-    use super::SINC5_SIGMA;
-
-    /// Maclaurin coefficients of `sinc(x) = Σ (−1)^m x^{2m} / (2m+1)!` as a
-    /// polynomial in `u = x²`, ascending. Nine terms: the first omitted term
-    /// is `x^18/19! ≈ 7.3e-9` at `x = π`.
-    const SINC_COEFFS: [f64; 9] = [
-        1.0,
-        -1.0 / 6.0,
-        1.0 / 120.0,
-        -1.0 / 5_040.0,
-        1.0 / 362_880.0,
-        -1.0 / 39_916_800.0,
-        1.0 / 6_227_020_800.0,
-        -1.0 / 1_307_674_368_000.0,
-        1.0 / 355_687_428_096_000.0,
-    ];
-
-    /// Coefficients of `dsinc(x)/x = Σ (−1)^{m+1} (2m+2) u^m / (2m+3)!`,
-    /// ascending in `u = x²`. Eight terms: first omitted is
-    /// `18 x^16/19! ≈ 4.2e-8·x` at `x = π`.
-    const DSINC_COEFFS: [f64; 8] = [
-        -1.0 / 3.0,
-        1.0 / 30.0,
-        -1.0 / 840.0,
-        1.0 / 45_360.0,
-        -1.0 / 3_991_680.0,
-        1.0 / 518_918_400.0,
-        -1.0 / 93_405_312_000.0,
-        1.0 / 22_230_464_256_000.0,
-    ];
-
-    /// Polynomial `sinc(x)`, valid on `|x| <= π` (the sinc⁵ support).
-    #[inline]
-    pub fn sinc_poly(x: f64) -> f64 {
-        let u = x * x;
-        let mut p = SINC_COEFFS[8];
-        let mut m = 8;
-        while m > 0 {
-            m -= 1;
-            p = p * u + SINC_COEFFS[m];
-        }
-        p
-    }
-
-    /// Polynomial `dsinc(x)`, valid on `|x| <= π`.
-    #[inline]
-    pub fn dsinc_poly(x: f64) -> f64 {
-        let u = x * x;
-        let mut p = DSINC_COEFFS[7];
-        let mut m = 7;
-        while m > 0 {
-            m -= 1;
-            p = p * u + DSINC_COEFFS[m];
-        }
-        x * p
-    }
-
-    /// `Sinc5` kernel value via the polynomial sinc.
-    #[inline]
-    pub fn sinc5_w(r: f64, h: f64) -> f64 {
-        let q = r / h;
-        if q >= 2.0 {
-            return 0.0;
-        }
-        let s = sinc_poly(std::f64::consts::FRAC_PI_2 * q);
-        SINC5_SIGMA / (h * h * h) * s.powi(5)
-    }
-
-    /// `Sinc5` radial derivative via the polynomial sinc/dsinc.
-    #[inline]
-    pub fn sinc5_dw_dr(r: f64, h: f64) -> f64 {
-        let q = r / h;
-        if q >= 2.0 {
-            return 0.0;
-        }
-        let a = std::f64::consts::FRAC_PI_2;
-        let s = sinc_poly(a * q);
-        SINC5_SIGMA / (h * h * h) * 5.0 * s.powi(4) * dsinc_poly(a * q) * a / h
-    }
-
-    /// Fused `(W, dW/dh)` for `Sinc5` via the polynomials.
-    #[inline]
-    pub fn sinc5_w_and_dw_dh(r: f64, h: f64) -> (f64, f64) {
-        let q = r / h;
-        if q >= 2.0 {
-            return (0.0, 0.0);
-        }
-        let a = std::f64::consts::FRAC_PI_2;
-        let s = sinc_poly(a * q);
-        let w = SINC5_SIGMA / (h * h * h) * s.powi(5);
-        let dw_dr = SINC5_SIGMA / (h * h * h) * 5.0 * s.powi(4) * dsinc_poly(a * q) * a / h;
-        (w, -(3.0 * w + r * dw_dr) / h)
     }
 }
 
@@ -804,8 +658,8 @@ mod tests {
 
     #[test]
     fn fused_evaluations_are_bit_identical_to_separate_calls() {
-        // The blocked sweeps depend on this: fusing W with its derivatives
-        // must not change a single bit vs the scalar path's separate calls.
+        // The sweeps depend on this: fusing W with its derivatives must not
+        // change a single bit vs the separate scalar calls.
         for k in KERNELS {
             for h in [0.05, 0.5, 1.0, 2.3] {
                 for i in 0..=400 {
@@ -829,12 +683,10 @@ mod tests {
         }
     }
 
-    #[cfg(not(feature = "fast-math"))]
     #[test]
     fn batch_evaluators_are_bit_identical_to_scalar_calls() {
-        // The blocked sweeps' row evaluators: hoisted normalization and
-        // select-form bodies must reproduce the scalar calls bit-for-bit
-        // (default features; fast-math relaxes Sinc5 by design).
+        // The sweeps' row evaluators: hoisted normalization and select-form
+        // bodies must reproduce the scalar calls bit-for-bit.
         for k in KERNELS {
             for h in [0.05, 0.5, 1.0, 2.3] {
                 let r: Vec<f64> = (1..=401).map(|i| 2.2 * h * i as f64 / 401.0).collect();
@@ -869,79 +721,6 @@ mod tests {
                         hs[i]
                     );
                 }
-            }
-        }
-    }
-
-    #[cfg(feature = "fast-math")]
-    #[test]
-    fn batch_evaluators_stay_close_to_scalar_under_fast_math() {
-        // Sinc5 routes through the polynomials; the others stay exact.
-        for k in KERNELS {
-            let h = 0.7;
-            let r: Vec<f64> = (1..=301).map(|i| 2.1 * h * i as f64 / 301.0).collect();
-            let rk = RowKernel::new(k, h);
-            let (mut w, mut dwdh) = (Vec::new(), Vec::new());
-            rk.w_and_dw_dh_into(&r, &mut w, &mut dwdh);
-            let scale = k.w(0.0, h);
-            for (i, &ri) in r.iter().enumerate() {
-                assert!(
-                    (w[i] - k.w(ri, h)).abs() < 1e-7 * scale,
-                    "{k:?} w at r={ri}"
-                );
-                assert!(
-                    (dwdh[i] - k.dw_dh(ri, h)).abs() < 1e-6 * scale / h,
-                    "{k:?} dw_dh at r={ri}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn polynomial_sinc_matches_libm_within_tolerance() {
-        for i in 0..=1000 {
-            let x = std::f64::consts::PI * i as f64 / 1000.0;
-            let exact = if x == 0.0 { 1.0 } else { x.sin() / x };
-            assert!(
-                (fast::sinc_poly(x) - exact).abs() < 8e-9,
-                "sinc at {x}: {} vs {exact}",
-                fast::sinc_poly(x)
-            );
-            let dexact = if x < 1e-6 {
-                -x / 3.0
-            } else {
-                (x * x.cos() - x.sin()) / (x * x)
-            };
-            assert!(
-                (fast::dsinc_poly(x) - dexact).abs() < 5e-8,
-                "dsinc at {x}: {} vs {dexact}",
-                fast::dsinc_poly(x)
-            );
-        }
-    }
-
-    #[test]
-    fn fast_sinc5_kernel_stays_close_to_exact() {
-        let k = Kernel::Sinc5;
-        for h in [0.05, 1.0] {
-            for i in 0..=300 {
-                let r = 2.1 * h * i as f64 / 300.0;
-                let scale = k.w(0.0, h); // kernel magnitude for relative tolerance
-                assert!(
-                    (fast::sinc5_w(r, h) - k.w(r, h)).abs() < 1e-7 * scale,
-                    "w at r={r} h={h}"
-                );
-                let (wf, dhf) = fast::sinc5_w_and_dw_dh(r, h);
-                assert!((wf - k.w(r, h)).abs() < 1e-7 * scale);
-                assert!(
-                    (dhf - k.dw_dh(r, h)).abs() < 1e-6 * scale / h,
-                    "dw_dh at r={r} h={h}: {dhf} vs {}",
-                    k.dw_dh(r, h)
-                );
-                assert!(
-                    (fast::sinc5_dw_dr(r, h) - k.dw_dr(r, h)).abs() < 1e-6 * scale / h,
-                    "dw_dr at r={r} h={h}"
-                );
             }
         }
     }

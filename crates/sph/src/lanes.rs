@@ -1,6 +1,4 @@
-//! Cache-blocked sweep scratch: per-thread lane buffers and the ordered /
-//! lane-partial accumulator backing the blocked CSR row path of the five
-//! SPH sweeps.
+//! Per-thread row scratch and distance passes for the neighbor sweeps.
 //!
 //! Each sweep processes one CSR row at a time: the row's candidates are
 //! read straight from the list ([`cornerstone::NeighborList::row_deltas`];
@@ -8,22 +6,19 @@
 //! ([`cornerstone::NeighborList::filter_pairs_into`]; IAD), per-pair
 //! quantities (distances, kernel values, gradient prefactors) are evaluated
 //! as branch-free passes over those buffers (see `kernels::RowKernel`), and
-//! the final pass accumulates force/density terms through [`Acc`]. A row's
-//! working set (a few hundred candidates × a handful of f64 channels) fits
-//! comfortably in L1, so every pass streams.
+//! the final pass folds the force/density terms into plain `f64` sums. A
+//! row's working set (a few hundred candidates × a handful of f64 channels)
+//! fits comfortably in L1, so every pass streams.
 //!
-//! ## Bit-identity of the default accumulation
+//! ## Bit-identity of the accumulation
 //!
-//! The scalar path folds terms left-to-right starting from `0.0`
-//! (`acc += t_k` / `acc -= t_k` inside the neighbor callback, in visit
-//! order). The blocked accumulation pass visits the same pairs in the same
-//! order and feeds the same term bits into [`Acc`], whose default
-//! implementation is exactly that running fold — so the blocked path
-//! reproduces the scalar result bit-for-bit. Under the `fast-math` feature
-//! [`Acc`] switches to four independent lane partials combined pairwise —
-//! still deterministic and thread-count independent (a pure function of
-//! the row's term sequence), but a different association, hence the
-//! feature gate.
+//! The reference sweeps (`crate::reference`) fold terms left-to-right
+//! starting from `0.0` (`acc += t_k` / `acc -= t_k` inside the neighbor
+//! callback, in visit order). The accumulation pass of each row visits the
+//! same pairs in the same order and feeds the same term bits into the same
+//! running fold, and every batched pass before it is elementwise — so a row
+//! reproduces the reference bit for bit. `tests/blocked_equivalence.rs`
+//! pins that.
 
 use cornerstone::FilteredRow;
 use std::cell::RefCell;
@@ -84,7 +79,7 @@ unsafe fn sqrt_into_avx2(src: &[f64], out: &mut Vec<f64>) {
 }
 
 /// `out[k] = sqrt(dx[k]² + dy[k]² + dz[k]²)` straight from stored row
-/// deltas — the scalar replay's `d2` expression (same summation order,
+/// deltas — the list replay's `d2` expression (same summation order,
 /// same bits) followed by the correctly-rounded `sqrt`, fused into one
 /// branch-free pass. Dispatched through an AVX2 clone when available
 /// (`cornerstone::simd`).
@@ -117,7 +112,7 @@ fn dist_into_impl(dx: &[f64], dy: &[f64], dz: &[f64], out: &mut Vec<f64>) {
 }
 
 /// [`dist_into`], but keeping the squared distances too: `d2[k]` is the
-/// scalar replay's `dx² + dy² + dz²` (same bits) and `r[k] = sqrt(d2[k])`.
+/// list replay's `dx² + dy² + dz²` (same bits) and `r[k] = sqrt(d2[k])`.
 /// Dispatched through an AVX2 clone when available (`cornerstone::simd`).
 pub(crate) fn dist2_dist_into(
     dx: &[f64],
@@ -187,56 +182,6 @@ fn sqrt_into_impl(src: &[f64], out: &mut Vec<f64>) {
     }
 }
 
-/// Row accumulator: `add`/`sub` a term for pair index `k`, read the total
-/// with [`Acc::value`]. The default build is the scalar callback's running
-/// fold (`acc += t` in visit order — `k` is ignored), bit-identical by
-/// construction.
-#[cfg(not(feature = "fast-math"))]
-#[derive(Clone, Copy, Default)]
-pub(crate) struct Acc(f64);
-
-#[cfg(not(feature = "fast-math"))]
-impl Acc {
-    #[inline(always)]
-    pub fn add(&mut self, _k: usize, t: f64) {
-        self.0 += t;
-    }
-    #[inline(always)]
-    pub fn sub(&mut self, _k: usize, t: f64) {
-        self.0 -= t;
-    }
-    #[inline(always)]
-    pub fn value(self) -> f64 {
-        self.0
-    }
-}
-
-/// `fast-math` accumulator: four independent lane partials indexed by the
-/// pair index (`k mod 4`), combined `(l0 + l1) + (l2 + l3)`. Breaking the
-/// serial dependence of the running fold lets the accumulation pass keep
-/// four FMAs in flight; the result is still a pure (deterministic,
-/// thread-count invariant) function of the row's term sequence, but a
-/// different association than the scalar fold.
-#[cfg(feature = "fast-math")]
-#[derive(Clone, Copy, Default)]
-pub(crate) struct Acc([f64; LANES]);
-
-#[cfg(feature = "fast-math")]
-impl Acc {
-    #[inline(always)]
-    pub fn add(&mut self, k: usize, t: f64) {
-        self.0[k & (LANES - 1)] += t;
-    }
-    #[inline(always)]
-    pub fn sub(&mut self, k: usize, t: f64) {
-        self.0[k & (LANES - 1)] -= t;
-    }
-    #[inline(always)]
-    pub fn value(self) -> f64 {
-        (self.0[0] + self.0[1]) + (self.0[2] + self.0[3])
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -251,37 +196,6 @@ mod tests {
             for k in 0..n {
                 assert_eq!(out[k].to_bits(), src[k].sqrt().to_bits());
             }
-        }
-    }
-
-    #[test]
-    fn accumulator_matches_the_scalar_fold() {
-        // Terms chosen to be association-sensitive (wildly varying scale).
-        let terms: Vec<f64> = (0..23)
-            .map(|k| (-1.0f64).powi(k) * 10f64.powi(k % 17 - 8) * (k + 1) as f64)
-            .collect();
-        let mut add = 0.0;
-        let mut sub = 0.0;
-        for &t in &terms {
-            add += t;
-            sub -= t;
-        }
-        let mut acc_add = Acc::default();
-        let mut acc_sub = Acc::default();
-        for (k, &t) in terms.iter().enumerate() {
-            acc_add.add(k, t);
-            acc_sub.sub(k, t);
-        }
-        #[cfg(not(feature = "fast-math"))]
-        {
-            assert_eq!(acc_add.value().to_bits(), add.to_bits());
-            assert_eq!(acc_sub.value().to_bits(), sub.to_bits());
-        }
-        #[cfg(feature = "fast-math")]
-        {
-            let tol = 1e-12 * terms.iter().map(|t| t.abs()).sum::<f64>();
-            assert!((acc_add.value() - add).abs() <= tol);
-            assert!((acc_sub.value() - sub).abs() <= tol);
         }
     }
 

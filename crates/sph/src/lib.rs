@@ -27,6 +27,7 @@ pub(crate) mod lanes;
 pub mod momentum;
 pub mod nbody;
 pub mod particles;
+pub mod reference;
 pub mod sim;
 pub mod snapshot;
 pub mod timestep;

@@ -2,7 +2,7 @@
 //! artificial viscosity — the most compute-intensive kernel in the paper's
 //! per-function breakdown (Figs. 5 and 8).
 
-use cornerstone::{Box3, NeighborList, NeighborSearch};
+use cornerstone::NeighborList;
 
 use crate::av::viscosity_pi;
 use crate::kernels::{self, Kernel, RowKernel};
@@ -20,108 +20,19 @@ use crate::particles::Particles;
 ///       + 1/2 sum_j m_j Pi_ij v_ij . gradW_avg
 /// ```
 ///
-/// Parallelized by gather: each index accumulates only its own force and
-/// energy rate, in cell-list order — bit-identical to the serial loop and
-/// across neighbor sources (direct grid walk or precomputed list).
-pub fn momentum_energy<N: NeighborSearch + Sync>(
-    parts: &mut Particles,
-    nb: &N,
-    bbox: &Box3,
-    kernel: Kernel,
-) {
-    let p = &*parts;
-    let n = p.n_local;
-    if let Some(nl) = nb.as_list() {
-        let rates: Vec<(f64, f64, f64, f64)> =
-            par::par_map(n, |i| momentum_row_blocked(p, nl, i, kernel));
-        write_rates(parts, rates);
-        return;
-    }
-    let rates: Vec<(f64, f64, f64, f64)> = par::par_map(n, |i| {
-        let (x, y, z) = (&p.x, &p.y, &p.z);
-        let hi = p.h[i];
-        let rho_i = p.rho[i].max(1e-300);
-        let pi_term = p.p[i] / (p.gradh[i] * rho_i * rho_i);
-        // Search must cover the larger support of interacting pairs; h is
-        // smooth so 1.4x covers neighbor h differences.
-        let radius = kernel.support(hi) * 1.4;
-        let (mut axi, mut ayi, mut azi, mut dui) = (0.0, 0.0, 0.0, 0.0);
-
-        nb.for_neighbors_of(i, radius, x, y, z, bbox, |j, d2| {
-            if j == i || d2 == 0.0 {
-                return;
-            }
-            let r = d2.sqrt();
-            let hj = p.h[j];
-            // Pair interacts if within either particle's support.
-            if r >= kernel.support(hi) && r >= kernel.support(hj) {
-                return;
-            }
-            let (dx, dy, dz) = bbox.delta(x[i], y[i], z[i], x[j], y[j], z[j]);
-            let dwi = kernel.dw_dr(r, hi) / r;
-            let dwj = kernel.dw_dr(r, hj) / r;
-            let dw_avg = 0.5 * (dwi + dwj);
-
-            // First-step halos arrive before their owner computed a density;
-            // they carry no pressure yet and must not divide by rho^2 = 0
-            // (which underflows to 0/0 = NaN).
-            let rho_j = p.rho[j];
-            let pj_term = if rho_j > 0.0 {
-                p.p[j] / (p.gradh[j] * rho_j * rho_j)
-            } else {
-                0.0
-            };
-            let rho_j = rho_j.max(1e-300);
-
-            let dvx = p.vx[i] - p.vx[j];
-            let dvy = p.vy[i] - p.vy[j];
-            let dvz = p.vz[i] - p.vz[j];
-            let vdotr = dvx * dx + dvy * dy + dvz * dz;
-
-            let alpha_ij = 0.5 * (p.alpha[i] + p.alpha[j]);
-            let h_ij = 0.5 * (hi + hj);
-            let c_ij = 0.5 * (p.c[i] + p.c[j]);
-            let rho_ij = 0.5 * (rho_i + rho_j);
-            let visc = viscosity_pi(alpha_ij, h_ij, c_ij, rho_ij, vdotr, d2);
-
-            let mj = p.m[j];
-            let grad_scale = pi_term * dwi + pj_term * dwj + visc * dw_avg;
-            axi -= mj * grad_scale * dx;
-            ayi -= mj * grad_scale * dy;
-            azi -= mj * grad_scale * dz;
-            dui += mj * (pi_term * dwi + 0.5 * visc * dw_avg) * vdotr;
-        });
-
-        (axi, ayi, azi, dui)
-    });
-    write_rates(parts, rates);
-}
-
-/// Momentum + energy rates over an explicit row subset of the shared CSR
-/// list (interior/boundary split).
-///
-/// Per-row math is identical to [`momentum_energy`]'s list path; the
-/// outputs (`ax/ay/az/du`) are never inputs to any row of this sweep, so
-/// disjoint subsets compose bit-identically with the full sweep.
-pub fn momentum_energy_rows(
-    parts: &mut Particles,
-    nl: &NeighborList,
-    kernel: Kernel,
-    rows: &[usize],
-) {
+/// Parallelized by gather over the step's shared list: each row
+/// accumulates only its own force and energy rate, in the row's stored
+/// visit order — bit-identical at any thread count, and to
+/// [`crate::reference::momentum_energy`] over the grid or the list.
+pub fn momentum_energy(parts: &mut Particles, nl: &NeighborList, kernel: Kernel) {
     let p = &*parts;
     let rates: Vec<(f64, f64, f64, f64)> =
-        par::par_map(rows.len(), |k| momentum_row_blocked(p, nl, rows[k], kernel));
-    for (k, (axi, ayi, azi, dui)) in rates.into_iter().enumerate() {
-        let i = rows[k];
-        parts.ax[i] = axi;
-        parts.ay[i] = ayi;
-        parts.az[i] = azi;
-        parts.du[i] = dui;
-    }
+        par::par_map(p.n_local, |i| momentum_row(p, nl, i, kernel));
+    store_rates(parts, rates);
 }
 
-fn write_rates(parts: &mut Particles, rates: Vec<(f64, f64, f64, f64)>) {
+/// Write one momentum sweep's per-row `(ax, ay, az, du)`.
+pub(crate) fn store_rates(parts: &mut Particles, rates: Vec<(f64, f64, f64, f64)>) {
     for (i, (axi, ayi, azi, dui)) in rates.into_iter().enumerate() {
         parts.ax[i] = axi;
         parts.ay[i] = ayi;
@@ -130,31 +41,31 @@ fn write_rates(parts: &mut Particles, rates: Vec<(f64, f64, f64, f64)>) {
     }
 }
 
-/// Blocked momentum row: select-then-batch. Distances are batched over the
+/// One momentum row: select-then-batch. Distances are batched over the
 /// whole CSR row; a branch-free selection pass then compacts the positions
-/// of the pairs the scalar path actually processes — its radius filter
-/// (`d2 > (1.4 s_i)²`), self/coincident skip (`d2 == 0`, exactly the
-/// scalar `j == i || d2 == 0` set), and pairwise support check, evaluated
-/// as mask arithmetic with a write-then-advance store so the loop carries
-/// no data-dependent branches. The two gradient prefactors `dW/dr / r`
-/// (one at `h_i` via the hoisted [`RowKernel`], one at the gathered `h_j`)
-/// are then batched over just the compacted survivors — on the h-aware
-/// list only ~1/1.4³ of a row interacts, and the varh pass pays two
-/// divisions per lane, so evaluating it on survivors rather than the raw
-/// row is the win — and the accumulation loop walks the survivor list with
-/// no skips left to take.
+/// of the pairs the reference callback actually processes — its radius
+/// filter (`d2 > (1.4 s_i)²`), self/coincident skip (`d2 == 0`, exactly the
+/// reference's `j == i || d2 == 0` set), and pairwise support check,
+/// evaluated as mask arithmetic with a write-then-advance store so the loop
+/// carries no data-dependent branches. The two gradient prefactors
+/// `dW/dr / r` (one at `h_i` via the hoisted [`RowKernel`], one at the
+/// gathered `h_j`) are then batched over just the compacted survivors — on
+/// the h-aware list only ~1/1.4³ of a row interacts, and the varh pass pays
+/// two divisions per lane, so evaluating it on survivors rather than the
+/// raw row is the win — and the accumulation loop walks the survivor list
+/// with no skips left to take.
 ///
-/// Bit-identical to the scalar callback under default features: the
-/// survivor set and order equal the scalar path's processed set and order
-/// (`keep` is the literal negation of its skips), the batched evaluators
-/// are elementwise (same input value → same bits regardless of lane
-/// position), and visited pairs see the scalar path's exact expressions
-/// (deltas read negated from the stored `r_j - r_i` into the `r_i - r_j`
-/// direction `Box3::delta(i, j)` builds — IEEE negation is exact and `d2`
-/// is unchanged since squares erase the sign), accumulated in visit order
-/// through [`lanes::Acc`]. Per-`i` invariants (`hi`, `rho_i`, `pi_term`,
-/// `support(hi)`, velocities, `alpha`, `c`) are hoisted.
-fn momentum_row_blocked(
+/// Bit-identical to the reference: the survivor set and order equal its
+/// processed set and order (`keep` is the literal negation of its skips),
+/// the batched evaluators are elementwise (same input value → same bits
+/// regardless of lane position), and visited pairs see the reference's
+/// exact expressions (deltas read negated from the stored `r_j - r_i` into
+/// the `r_i - r_j` direction `Box3::delta(i, j)` builds — IEEE negation is
+/// exact and `d2` is unchanged since squares erase the sign), accumulated
+/// as a running `+=`/`-=` fold in visit order. Per-`i` invariants (`hi`,
+/// `rho_i`, `pi_term`, `support(hi)`, velocities, `alpha`, `c`) are
+/// hoisted.
+fn momentum_row(
     p: &Particles,
     nl: &NeighborList,
     i: usize,
@@ -190,7 +101,7 @@ fn momentum_row_blocked(
             hj_b[k] = p.h[jj[k] as usize];
         }
         // Branch-free survivor selection (see the doc comment): `keep` is
-        // the exact negation of the scalar path's skip conditions.
+        // the exact negation of the reference's skip conditions.
         idx.clear();
         idx.resize(m, 0);
         let mut nsel = 0usize;
@@ -216,10 +127,7 @@ fn momentum_row_blocked(
         rkn.dw_dr_over_r_into(rc, dwi_b);
         kernels::dw_dr_over_r_varh_into(kernel, rc, hjc, dwj_b);
 
-        let mut ax = lanes::Acc::default();
-        let mut ay = lanes::Acc::default();
-        let mut az = lanes::Acc::default();
-        let mut du = lanes::Acc::default();
+        let (mut ax, mut ay, mut az, mut du) = (0.0, 0.0, 0.0, 0.0);
         for (c, &k32) in idx.iter().enumerate() {
             let k = k32 as usize;
             let d2k = d2_b[k];
@@ -254,12 +162,12 @@ fn momentum_row_blocked(
 
             let mj = p.m[j];
             let grad_scale = pi_term * dwi + pj_term * dwj + visc * dw_avg;
-            ax.sub(c, mj * grad_scale * dx);
-            ay.sub(c, mj * grad_scale * dy);
-            az.sub(c, mj * grad_scale * dz);
-            du.add(c, mj * (pi_term * dwi + 0.5 * visc * dw_avg) * vdotr);
+            ax -= mj * grad_scale * dx;
+            ay -= mj * grad_scale * dy;
+            az -= mj * grad_scale * dz;
+            du += mj * (pi_term * dwi + 0.5 * visc * dw_avg) * vdotr;
         }
-        (ax.value(), ay.value(), az.value(), du.value())
+        (ax, ay, az, du)
     })
 }
 
@@ -267,8 +175,9 @@ fn momentum_row_blocked(
 mod tests {
     use super::*;
     use crate::density::density_gradh;
+    use crate::density::tests::list;
     use crate::eos::Eos;
-    use cornerstone::CellList;
+    use cornerstone::Box3;
     use rand::{rngs::StdRng, Rng, SeedableRng};
 
     fn uniform_gas(n_side: usize, jitter: f64, seed: u64) -> (Particles, Box3) {
@@ -299,25 +208,19 @@ mod tests {
         (parts, bbox)
     }
 
-    fn prep(parts: &mut Particles, bbox: &Box3, kernel: Kernel) -> CellList {
-        let grid = CellList::build(
-            &parts.x,
-            &parts.y,
-            &parts.z,
-            bbox,
-            kernel.support(parts.h[0]) * 1.4,
-        );
-        density_gradh(parts, &grid, bbox, kernel);
+    fn prep(parts: &mut Particles, bbox: &Box3, kernel: Kernel) -> NeighborList {
+        let nl = list(parts, bbox, kernel.support(parts.h[0]) * 1.4);
+        density_gradh(parts, &nl, kernel);
         Eos::ideal_monatomic().apply(parts);
-        grid
+        nl
     }
 
     #[test]
     fn uniform_lattice_has_negligible_forces() {
         let kernel = Kernel::CubicSpline;
         let (mut parts, bbox) = uniform_gas(8, 0.0, 1);
-        let grid = prep(&mut parts, &bbox, kernel);
-        momentum_energy(&mut parts, &grid, &bbox, kernel);
+        let nl = prep(&mut parts, &bbox, kernel);
+        momentum_energy(&mut parts, &nl, kernel);
         // Perfect symmetry -> pressure gradients cancel.
         let amax = parts
             .ax
@@ -342,8 +245,8 @@ mod tests {
             parts.vy[i] = rng.random::<f64>() - 0.5;
             parts.vz[i] = rng.random::<f64>() - 0.5;
         }
-        let grid = prep(&mut parts, &bbox, kernel);
-        momentum_energy(&mut parts, &grid, &bbox, kernel);
+        let nl = prep(&mut parts, &bbox, kernel);
+        momentum_energy(&mut parts, &nl, kernel);
         let (mut px, mut py, mut pz) = (0.0, 0.0, 0.0);
         let mut scale = 0.0f64;
         for i in 0..parts.n_local {
@@ -370,8 +273,8 @@ mod tests {
             parts.vz[i] = -(parts.z[i] - 0.5);
             parts.alpha[i] = 0.5;
         }
-        let grid = prep(&mut parts, &bbox, kernel);
-        momentum_energy(&mut parts, &grid, &bbox, kernel);
+        let nl = prep(&mut parts, &bbox, kernel);
+        momentum_energy(&mut parts, &nl, kernel);
         let total_du: f64 = (0..parts.n_local).map(|i| parts.m[i] * parts.du[i]).sum();
         assert!(total_du > 0.0, "compression must heat: {total_du}");
     }
@@ -385,8 +288,8 @@ mod tests {
             parts.vy[i] = parts.y[i] - 0.5;
             parts.vz[i] = parts.z[i] - 0.5;
         }
-        let grid = prep(&mut parts, &bbox, kernel);
-        momentum_energy(&mut parts, &grid, &bbox, kernel);
+        let nl = prep(&mut parts, &bbox, kernel);
+        momentum_energy(&mut parts, &nl, kernel);
         // Restrict to the interior: at the periodic wrap the "expansion"
         // field collides with its own image and heats viscously.
         let interior = |i: usize| {
@@ -409,10 +312,10 @@ mod tests {
         let mut parts = Particles::new();
         parts.push(0.48, 0.5, 0.5, 0.0, 0.0, 0.0, 1.0, 0.05, 1.0);
         parts.push(0.52, 0.5, 0.5, 0.0, 0.0, 0.0, 1.0, 0.05, 1.0);
-        let grid = CellList::build(&parts.x, &parts.y, &parts.z, &bbox, 0.15);
-        density_gradh(&mut parts, &grid, &bbox, kernel);
+        let nl = list(&parts, &bbox, 0.15);
+        density_gradh(&mut parts, &nl, kernel);
         Eos::ideal_monatomic().apply(&mut parts);
-        momentum_energy(&mut parts, &grid, &bbox, kernel);
+        momentum_energy(&mut parts, &nl, kernel);
         assert!(
             parts.ax[0] < 0.0,
             "left particle pushed left: {}",

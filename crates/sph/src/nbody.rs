@@ -11,11 +11,11 @@ use rand::{rngs::StdRng, Rng, SeedableRng};
 use ranks::{Op, RankCtx};
 
 use crate::conservation::EnergyBudget;
-use crate::funcs::FuncId;
+use crate::funcs::{FuncId, WorkloadProfile};
 use crate::gravity::BhTree;
 use crate::ic::InitialConditions;
 use crate::particles::Particles;
-use crate::sim::{StepObserver, StepStats};
+use crate::sim::{Instrumented, StepObserver, StepStats};
 
 /// Plummer-sphere initial conditions (standard collisionless test model):
 /// density `rho ~ (1 + r²/a²)^(-5/2)`, isotropic velocities drawn from the
@@ -151,86 +151,61 @@ impl NBody {
 
     /// One leapfrog-style step through the instrumented function sequence.
     pub fn step(&mut self, ctx: &mut RankCtx, obs: &mut dyn StepObserver) -> StepStats {
-        let target = self.target_particles_per_rank;
-        let size = ctx.size();
+        let mut funcs = Instrumented {
+            obs,
+            profile: WorkloadProfile::Reference,
+            target: self.target_particles_per_rank,
+            step: self.step_index,
+        };
 
-        // ---- DomainDecompAndSync: SFC sort + migration (no halos — gravity
-        // is globally coupled and handled by the gathered tree).
-        obs.before(FuncId::DomainDecompAndSync, ctx);
-        self.domain_sync(ctx);
-        obs.after(
-            FuncId::DomainDecompAndSync,
-            &FuncId::DomainDecompAndSync.workload(target),
-            FuncId::DomainDecompAndSync.host_overhead(size),
-            ctx,
-        );
+        // SFC sort + migration (no halos — gravity is globally coupled and
+        // handled by the gathered tree).
+        funcs.run(FuncId::DomainDecompAndSync, ctx, |ctx| {
+            self.domain_sync(ctx)
+        });
 
-        // ---- Gravity --------------------------------------------------
-        obs.before(FuncId::Gravity, ctx);
-        self.apply_gravity(ctx);
-        obs.after(
-            FuncId::Gravity,
-            &FuncId::Gravity.workload(target),
-            FuncId::Gravity.host_overhead(size),
-            ctx,
-        );
+        funcs.run(FuncId::Gravity, ctx, |ctx| self.apply_gravity(ctx));
 
-        // ---- Timestep ---------------------------------------------------
-        obs.before(FuncId::Timestep, ctx);
-        let mut dt_local = f64::INFINITY;
-        for i in 0..self.parts.n_local {
-            let a2 = self.parts.ax[i].powi(2) + self.parts.ay[i].powi(2) + self.parts.az[i].powi(2);
-            if a2 > 0.0 {
-                dt_local = dt_local.min(0.2 * (self.eps / a2.sqrt().max(1e-12)).sqrt());
+        let dt = funcs.run(FuncId::Timestep, ctx, |ctx| {
+            let mut dt_local = f64::INFINITY;
+            for i in 0..self.parts.n_local {
+                let a2 =
+                    self.parts.ax[i].powi(2) + self.parts.ay[i].powi(2) + self.parts.az[i].powi(2);
+                if a2 > 0.0 {
+                    dt_local = dt_local.min(0.2 * (self.eps / a2.sqrt().max(1e-12)).sqrt());
+                }
             }
-        }
-        if !dt_local.is_finite() {
-            dt_local = 1e-3;
-        }
-        if self.dt > 0.0 {
-            dt_local = dt_local.min(self.dt * 1.2);
-        }
-        let dt = ctx.allreduce_f64(dt_local, Op::Min);
-        self.dt = dt;
-        self.time += dt;
-        obs.after(
-            FuncId::Timestep,
-            &FuncId::Timestep.workload(target),
-            FuncId::Timestep.host_overhead(size),
-            ctx,
-        );
+            if !dt_local.is_finite() {
+                dt_local = 1e-3;
+            }
+            if self.dt > 0.0 {
+                dt_local = dt_local.min(self.dt * 1.2);
+            }
+            let dt = ctx.allreduce_f64(dt_local, Op::Min);
+            self.dt = dt;
+            self.time += dt;
+            dt
+        });
 
-        // ---- UpdateQuantities --------------------------------------------
-        obs.before(FuncId::UpdateQuantities, ctx);
-        for i in 0..self.parts.n_local {
-            self.parts.vx[i] += self.parts.ax[i] * dt;
-            self.parts.vy[i] += self.parts.ay[i] * dt;
-            self.parts.vz[i] += self.parts.az[i] * dt;
-            self.parts.x[i] += self.parts.vx[i] * dt;
-            self.parts.y[i] += self.parts.vy[i] * dt;
-            self.parts.z[i] += self.parts.vz[i] * dt;
-        }
-        obs.after(
-            FuncId::UpdateQuantities,
-            &FuncId::UpdateQuantities.workload(target),
-            FuncId::UpdateQuantities.host_overhead(size),
-            ctx,
-        );
+        funcs.run(FuncId::UpdateQuantities, ctx, |_| {
+            for i in 0..self.parts.n_local {
+                self.parts.vx[i] += self.parts.ax[i] * dt;
+                self.parts.vy[i] += self.parts.ay[i] * dt;
+                self.parts.vz[i] += self.parts.az[i] * dt;
+                self.parts.x[i] += self.parts.vx[i] * dt;
+                self.parts.y[i] += self.parts.vy[i] * dt;
+                self.parts.z[i] += self.parts.vz[i] * dt;
+            }
+        });
 
-        // ---- EnergyConservation --------------------------------------------
-        obs.before(FuncId::EnergyConservation, ctx);
-        let local = crate::conservation::local_budget(&self.parts, self.potential);
-        let gathered = ctx.allgather_f64s(&local.to_slice());
-        let budget = gathered
-            .iter()
-            .map(|v| EnergyBudget::from_slice(v))
-            .fold(EnergyBudget::default(), |acc, b| acc.merged(&b));
-        obs.after(
-            FuncId::EnergyConservation,
-            &FuncId::EnergyConservation.workload(target),
-            FuncId::EnergyConservation.host_overhead(size),
-            ctx,
-        );
+        let budget = funcs.run(FuncId::EnergyConservation, ctx, |ctx| {
+            let local = crate::conservation::local_budget(&self.parts, self.potential);
+            let gathered = ctx.allgather_f64s(&local.to_slice());
+            gathered
+                .iter()
+                .map(|v| EnergyBudget::from_slice(v))
+                .fold(EnergyBudget::default(), |acc, b| acc.merged(&b))
+        });
 
         self.step_index += 1;
         StepStats {

@@ -20,7 +20,7 @@ use crate::density::{density_gradh, neighbor_counts, xmass};
 use crate::eos::Eos;
 use crate::funcs::{FuncId, WorkloadProfile};
 use crate::gravity::BhTree;
-use crate::iad::{iad_divv_curlv, iad_divv_curlv_rows};
+use crate::iad::iad_divv_curlv;
 use crate::ic::InitialConditions;
 use crate::kernels::Kernel;
 use crate::momentum::momentum_energy;
@@ -46,22 +46,46 @@ pub trait StepObserver {
     );
 }
 
-/// Open a telemetry span for one instrumented function, stamped with the
-/// rank's virtual clock at entry. Inert (and allocation-free) outside a
-/// recording session.
-fn func_span(func: FuncId, step: u64, ctx: &RankCtx) -> telemetry::SpanGuard {
-    let mut sp = telemetry::span_start("sph", func.name());
-    if sp.is_active() {
-        sp.field("step", step);
-        sp.sim_start(ctx.now().as_nanos());
-    }
-    sp
+/// The protocol wrapped around every instrumented function, in one place:
+/// open the function's telemetry span (stamped with the step and the rank's
+/// virtual clock at entry; inert and allocation-free outside a recording
+/// session), `before`, the physics, `after` with the function's paper-scale
+/// workload and host gap, then stamp the exit clock — after the observer
+/// advanced virtual time — and record the span. Both step loops
+/// ([`Simulation::step`], `NBody::step`) run every function through
+/// [`Instrumented::run`].
+pub(crate) struct Instrumented<'a> {
+    pub obs: &'a mut dyn StepObserver,
+    /// Scenario kernel mix applied to each function's workload.
+    pub profile: WorkloadProfile,
+    /// Paper-scale particles per rank the workload model assumes.
+    pub target: f64,
+    pub step: u64,
 }
 
-/// Stamp the exit clock (after the observer advanced virtual time) and
-/// record the span.
-fn close_span(mut sp: telemetry::SpanGuard, ctx: &RankCtx) {
-    sp.sim_end(ctx.now().as_nanos());
+impl Instrumented<'_> {
+    pub fn run<R>(
+        &mut self,
+        func: FuncId,
+        ctx: &mut RankCtx,
+        body: impl FnOnce(&mut RankCtx) -> R,
+    ) -> R {
+        let mut sp = telemetry::span_start("sph", func.name());
+        if sp.is_active() {
+            sp.field("step", self.step);
+            sp.sim_start(ctx.now().as_nanos());
+        }
+        self.obs.before(func, ctx);
+        let out = body(ctx);
+        self.obs.after(
+            func,
+            &self.profile.workload(func, self.target),
+            func.host_overhead(ctx.size()),
+            ctx,
+        );
+        sp.sim_end(ctx.now().as_nanos());
+        out
+    }
 }
 
 /// Observer that does nothing (pure-physics runs and tests).
@@ -331,9 +355,13 @@ impl Simulation {
 
     /// Run one full time-step.
     pub fn step(&mut self, ctx: &mut RankCtx, obs: &mut dyn StepObserver) -> StepStats {
-        let target = self.cfg.target_particles_per_rank;
-        let size = ctx.size();
         let kernel = self.cfg.kernel;
+        let mut funcs = Instrumented {
+            obs,
+            profile: self.profile,
+            target: self.cfg.target_particles_per_rank,
+            step: self.step_index,
+        };
 
         let mut step_sp = telemetry::span_start("sph", "step");
         if step_sp.is_active() {
@@ -342,160 +370,97 @@ impl Simulation {
             step_sp.sim_start(ctx.now().as_nanos());
         }
 
-        // ---- DomainDecompAndSync -------------------------------------
-        let sp = func_span(FuncId::DomainDecompAndSync, self.step_index, ctx);
-        obs.before(FuncId::DomainDecompAndSync, ctx);
-        self.domain_decomp_and_sync(ctx);
-        obs.after(
-            FuncId::DomainDecompAndSync,
-            &self.profile.workload(FuncId::DomainDecompAndSync, target),
-            FuncId::DomainDecompAndSync.host_overhead(size),
-            ctx,
-        );
-        close_span(sp, ctx);
+        funcs.run(FuncId::DomainDecompAndSync, ctx, |ctx| {
+            self.domain_decomp_and_sync(ctx)
+        });
 
-        // ---- FindNeighbors -------------------------------------------
-        let sp = func_span(FuncId::FindNeighbors, self.step_index, ctx);
-        obs.before(FuncId::FindNeighbors, ctx);
-        let grid = self.build_grid();
-        // One h-aware traversal: pair (i, j) is stored when within either
-        // particle's own search radius `1.4 · support(h)`, so every sweep
-        // below replays a row complete for its own query radius without
-        // rows inflating to the global maximum radius (the grid's cell size
-        // still is that maximum, as the scan stencil requires).
-        let t0 = telemetry::active().then(std::time::Instant::now);
-        self.nlist_radii.clear();
-        self.nlist_radii
-            .extend(self.parts.h.iter().map(|&h| kernel.support(h) * 1.4));
-        self.nlist.build_adaptive_into(
-            &grid,
-            &self.parts.x,
-            &self.parts.y,
-            &self.parts.z,
-            self.parts.n_local,
-            &self.nlist_radii,
-        );
-        if let Some(t0) = t0 {
-            telemetry::gauge_set("neighbors/avg", self.nlist.avg_neighbors());
-            telemetry::gauge_set("neighbors/max", self.nlist.max_neighbors() as f64);
-            telemetry::gauge_set("neighbors/csr_bytes", self.nlist.csr_bytes() as f64);
-            telemetry::gauge_set("neighbors/build_ms", t0.elapsed().as_secs_f64() * 1e3);
-        }
-        self.nn = neighbor_counts(&self.parts, &self.nlist, &self.bbox, kernel);
-        // Overlap schedule: split owned rows by whether their CSR row
-        // references any halo index (halos sit past n_local). Interior rows
-        // never read deferred halo fields, so they can sweep before the
-        // stage-B payload is drained.
-        self.interior_rows.clear();
-        self.boundary_rows.clear();
-        if !self.pending_fields.is_empty() {
-            let n_local = self.parts.n_local;
-            for i in 0..n_local {
-                let (jj, _, _, _) = self.nlist.row_deltas(i);
-                if jj.iter().any(|&j| j as usize >= n_local) {
-                    self.boundary_rows.push(i);
-                } else {
-                    self.interior_rows.push(i);
+        funcs.run(FuncId::FindNeighbors, ctx, |_| {
+            let grid = self.build_grid();
+            // One h-aware traversal: pair (i, j) is stored when within either
+            // particle's own search radius `1.4 · support(h)`, so every sweep
+            // below reads a row complete for its own query radius without
+            // rows inflating to the global maximum radius (the grid's cell
+            // size still is that maximum, as the scan stencil requires).
+            let t0 = telemetry::active().then(std::time::Instant::now);
+            self.nlist_radii.clear();
+            self.nlist_radii
+                .extend(self.parts.h.iter().map(|&h| kernel.support(h) * 1.4));
+            self.nlist.build_adaptive_into(
+                &grid,
+                &self.parts.x,
+                &self.parts.y,
+                &self.parts.z,
+                self.parts.n_local,
+                &self.nlist_radii,
+            );
+            if let Some(t0) = t0 {
+                telemetry::gauge_set("neighbors/avg", self.nlist.avg_neighbors());
+                telemetry::gauge_set("neighbors/max", self.nlist.max_neighbors() as f64);
+                telemetry::gauge_set("neighbors/csr_bytes", self.nlist.csr_bytes() as f64);
+                telemetry::gauge_set("neighbors/build_ms", t0.elapsed().as_secs_f64() * 1e3);
+            }
+            self.nn = neighbor_counts(&self.parts, &self.nlist, kernel);
+            // Overlap schedule: split owned rows by whether their CSR row
+            // references any halo index (halos sit past n_local). Interior
+            // rows never read deferred halo fields, so they can sweep before
+            // the stage-B payload is drained.
+            self.interior_rows.clear();
+            self.boundary_rows.clear();
+            if !self.pending_fields.is_empty() {
+                let n_local = self.parts.n_local;
+                for i in 0..n_local {
+                    let (jj, _, _, _) = self.nlist.row_deltas(i);
+                    if jj.iter().any(|&j| j as usize >= n_local) {
+                        self.boundary_rows.push(i);
+                    } else {
+                        self.interior_rows.push(i);
+                    }
                 }
             }
-        }
-        obs.after(
-            FuncId::FindNeighbors,
-            &self.profile.workload(FuncId::FindNeighbors, target),
-            FuncId::FindNeighbors.host_overhead(size),
-            ctx,
-        );
-        close_span(sp, ctx);
+        });
 
-        // ---- XMass ----------------------------------------------------
-        let sp = func_span(FuncId::XMass, self.step_index, ctx);
-        obs.before(FuncId::XMass, ctx);
-        xmass(&mut self.parts);
-        obs.after(
-            FuncId::XMass,
-            &self.profile.workload(FuncId::XMass, target),
-            FuncId::XMass.host_overhead(size),
-            ctx,
-        );
-        close_span(sp, ctx);
+        funcs.run(FuncId::XMass, ctx, |_| xmass(&mut self.parts));
 
-        // ---- NormalizationGradh (density + grad-h) ---------------------
-        let sp = func_span(FuncId::NormalizationGradh, self.step_index, ctx);
-        obs.before(FuncId::NormalizationGradh, ctx);
-        density_gradh(&mut self.parts, &self.nlist, &self.bbox, kernel);
-        obs.after(
-            FuncId::NormalizationGradh,
-            &self.profile.workload(FuncId::NormalizationGradh, target),
-            FuncId::NormalizationGradh.host_overhead(size),
-            ctx,
-        );
-        close_span(sp, ctx);
+        // Density + grad-h.
+        funcs.run(FuncId::NormalizationGradh, ctx, |_| {
+            density_gradh(&mut self.parts, &self.nlist, kernel)
+        });
 
-        // ---- EquationOfState -------------------------------------------
-        let sp = func_span(FuncId::EquationOfState, self.step_index, ctx);
-        obs.before(FuncId::EquationOfState, ctx);
-        if self.pending_fields.is_empty() {
-            self.eos.apply(&mut self.parts);
-        } else {
-            // Halo rho/u are still in flight; their p/c are computed with
-            // the same per-particle math when the deferred payload lands.
-            let (eos, n_local) = (self.eos, self.parts.n_local);
-            eos.apply_range(&mut self.parts, 0, n_local);
-        }
-        obs.after(
-            FuncId::EquationOfState,
-            &self.profile.workload(FuncId::EquationOfState, target),
-            FuncId::EquationOfState.host_overhead(size),
-            ctx,
-        );
-        close_span(sp, ctx);
+        funcs.run(FuncId::EquationOfState, ctx, |_| {
+            if self.pending_fields.is_empty() {
+                self.eos.apply(&mut self.parts);
+            } else {
+                // Halo rho/u are still in flight; their p/c are computed with
+                // the same per-particle math when the deferred payload lands.
+                let (eos, n_local) = (self.eos, self.parts.n_local);
+                eos.apply_range(&mut self.parts, 0, n_local);
+            }
+        });
 
-        // ---- IADVelocityDivCurl ----------------------------------------
-        let sp = func_span(FuncId::IADVelocityDivCurl, self.step_index, ctx);
-        obs.before(FuncId::IADVelocityDivCurl, ctx);
-        if self.pending_fields.is_empty() {
-            iad_divv_curlv(&mut self.parts, &self.nlist, &self.bbox, kernel);
-        } else {
-            // Overlap: interior rows read only owned neighbors, so they
-            // sweep while the stage-B halo payload is still in flight; the
-            // drain fills halo fields, then the boundary rows run. Rows
-            // scatter only to themselves and the two subsets are disjoint,
-            // so the split is bit-identical to the full sweep.
-            iad_divv_curlv_rows(&mut self.parts, &self.nlist, kernel, &self.interior_rows);
-            self.drain_halo_fields(ctx);
-            iad_divv_curlv_rows(&mut self.parts, &self.nlist, kernel, &self.boundary_rows);
-        }
-        obs.after(
-            FuncId::IADVelocityDivCurl,
-            &self.profile.workload(FuncId::IADVelocityDivCurl, target),
-            FuncId::IADVelocityDivCurl.host_overhead(size),
-            ctx,
-        );
-        close_span(sp, ctx);
+        funcs.run(FuncId::IADVelocityDivCurl, ctx, |ctx| {
+            if self.pending_fields.is_empty() {
+                iad_divv_curlv(&mut self.parts, &self.nlist, kernel, None);
+            } else {
+                // Overlap: interior rows read only owned neighbors, so they
+                // sweep while the stage-B halo payload is still in flight; the
+                // drain fills halo fields, then the boundary rows run. Rows
+                // scatter only to themselves and the two subsets are disjoint,
+                // so the split is bit-identical to the full sweep.
+                let interior = Some(self.interior_rows.as_slice());
+                iad_divv_curlv(&mut self.parts, &self.nlist, kernel, interior);
+                self.drain_halo_fields(ctx);
+                let boundary = Some(self.boundary_rows.as_slice());
+                iad_divv_curlv(&mut self.parts, &self.nlist, kernel, boundary);
+            }
+        });
 
-        // ---- AVSwitches -------------------------------------------------
-        let sp = func_span(FuncId::AVSwitches, self.step_index, ctx);
-        obs.before(FuncId::AVSwitches, ctx);
-        av_switches(&mut self.parts, self.dt);
-        obs.after(
-            FuncId::AVSwitches,
-            &self.profile.workload(FuncId::AVSwitches, target),
-            FuncId::AVSwitches.host_overhead(size),
-            ctx,
-        );
-        close_span(sp, ctx);
+        funcs.run(FuncId::AVSwitches, ctx, |_| {
+            av_switches(&mut self.parts, self.dt)
+        });
 
-        // ---- MomentumEnergy ----------------------------------------------
-        let sp = func_span(FuncId::MomentumEnergy, self.step_index, ctx);
-        obs.before(FuncId::MomentumEnergy, ctx);
-        momentum_energy(&mut self.parts, &self.nlist, &self.bbox, kernel);
-        obs.after(
-            FuncId::MomentumEnergy,
-            &self.profile.workload(FuncId::MomentumEnergy, target),
-            FuncId::MomentumEnergy.host_overhead(size),
-            ctx,
-        );
-        close_span(sp, ctx);
+        funcs.run(FuncId::MomentumEnergy, ctx, |_| {
+            momentum_energy(&mut self.parts, &self.nlist, kernel)
+        });
 
         // Numerical-health check (debug builds): no instrumented function may
         // leave non-finite state behind.
@@ -522,66 +487,35 @@ impl Simulation {
             }
         }
 
-        // ---- Gravity (Evrard only) ----------------------------------------
+        // Evrard only.
         if self.gravity {
-            let sp = func_span(FuncId::Gravity, self.step_index, ctx);
-            obs.before(FuncId::Gravity, ctx);
-            self.apply_gravity(ctx);
-            obs.after(
-                FuncId::Gravity,
-                &self.profile.workload(FuncId::Gravity, target),
-                FuncId::Gravity.host_overhead(size),
-                ctx,
-            );
-            close_span(sp, ctx);
+            funcs.run(FuncId::Gravity, ctx, |ctx| self.apply_gravity(ctx));
         } else {
             self.potential = 0.0;
         }
 
-        // ---- Timestep (global min reduction) -------------------------------
-        let sp = func_span(FuncId::Timestep, self.step_index, ctx);
-        obs.before(FuncId::Timestep, ctx);
-        let dt_local = local_timestep(&self.parts, self.dt);
-        let dt = ctx.allreduce_f64(dt_local, Op::Min);
-        self.dt = dt;
-        self.time += dt;
-        obs.after(
-            FuncId::Timestep,
-            &self.profile.workload(FuncId::Timestep, target),
-            FuncId::Timestep.host_overhead(size),
-            ctx,
-        );
-        close_span(sp, ctx);
+        // Global min reduction.
+        let dt = funcs.run(FuncId::Timestep, ctx, |ctx| {
+            let dt_local = local_timestep(&self.parts, self.dt);
+            let dt = ctx.allreduce_f64(dt_local, Op::Min);
+            self.dt = dt;
+            self.time += dt;
+            dt
+        });
 
-        // ---- UpdateQuantities ----------------------------------------------
-        let sp = func_span(FuncId::UpdateQuantities, self.step_index, ctx);
-        obs.before(FuncId::UpdateQuantities, ctx);
-        update_quantities(&mut self.parts, dt, &self.bbox);
-        update_smoothing_lengths(&mut self.parts, &self.nn, self.cfg.target_neighbors);
-        obs.after(
-            FuncId::UpdateQuantities,
-            &self.profile.workload(FuncId::UpdateQuantities, target),
-            FuncId::UpdateQuantities.host_overhead(size),
-            ctx,
-        );
-        close_span(sp, ctx);
+        funcs.run(FuncId::UpdateQuantities, ctx, |_| {
+            update_quantities(&mut self.parts, dt, &self.bbox);
+            update_smoothing_lengths(&mut self.parts, &self.nn, self.cfg.target_neighbors);
+        });
 
-        // ---- EnergyConservation ----------------------------------------------
-        let sp = func_span(FuncId::EnergyConservation, self.step_index, ctx);
-        obs.before(FuncId::EnergyConservation, ctx);
-        let local = local_budget(&self.parts, self.potential);
-        let gathered = ctx.allgather_f64s(&local.to_slice());
-        let budget = gathered
-            .iter()
-            .map(|v| EnergyBudget::from_slice(v))
-            .fold(EnergyBudget::default(), |acc, b| acc.merged(&b));
-        obs.after(
-            FuncId::EnergyConservation,
-            &self.profile.workload(FuncId::EnergyConservation, target),
-            FuncId::EnergyConservation.host_overhead(size),
-            ctx,
-        );
-        close_span(sp, ctx);
+        let budget = funcs.run(FuncId::EnergyConservation, ctx, |ctx| {
+            let local = local_budget(&self.parts, self.potential);
+            let gathered = ctx.allgather_f64s(&local.to_slice());
+            gathered
+                .iter()
+                .map(|v| EnergyBudget::from_slice(v))
+                .fold(EnergyBudget::default(), |acc, b| acc.merged(&b))
+        });
 
         step_sp.sim_end(ctx.now().as_nanos());
         drop(step_sp);

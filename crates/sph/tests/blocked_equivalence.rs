@@ -1,38 +1,29 @@
-//! Blocked-vs-scalar sweep equivalence.
+//! Production-vs-reference sweep equivalence, bit for bit.
 //!
-//! Every sweep dispatches to the cache-blocked CSR row path when handed a
-//! [`NeighborList`] and to the per-pair callback path when handed anything
-//! else — including [`ScalarReplay`], which replays the *same* list through
-//! the callback interface. Comparing the two isolates exactly the blocked
-//! engine (lane buffers, fused row kernels, vectorized compaction,
-//! momentum's select-then-batch survivor pass) with the traversal held
-//! fixed. The list is built with the h-aware adaptive pair rule over
-//! per-particle radii `1.4 · support(h_i)`, exactly as `Simulation::step`
-//! builds it.
+//! The production sweeps (`sph::density`, `sph::iad`, `sph::momentum`) read
+//! the step's [`NeighborList`] rows directly: lane buffers, fused row
+//! kernels, vectorized compaction, momentum's select-then-batch survivor
+//! pass. `sph::reference` holds the same four sweeps as per-pair callbacks
+//! over any `NeighborSearch`. Every case here runs three things over one
+//! particle state and requires every swept field to agree in every bit:
 //!
-//! The traversal itself is pinned against a third input: the same sweeps
-//! walking the cell grid directly, the reference the list replays.
-//! `Simulation::step` always builds the list, so this is where the grid
-//! walk stays exercised; it must match the scalar replay bit for bit under
-//! every feature set (both are per-pair callback paths over one visit
-//! order).
+//! * `reference` over the cell grid — the direct 27-cell walk, the
+//!   traversal the list was recorded from;
+//! * `reference` over the list — the stored-delta replay, which holds the
+//!   traversal fixed and so isolates exactly the production row engine;
+//! * the production sweeps over the same list.
 //!
-//! Under default features the paths must agree bit-for-bit. Under
-//! `fast-math` the lane reductions reassociate and `Sinc5` uses polynomial
-//! sinc, so fields are compared to tolerance instead — and the IAD tensor
-//! fields are exempted in the random property test: near-singular moment
-//! matrices can flip `invert_sym3` between its inverse and fallback
-//! branches on an epsilon perturbation, which is a discontinuity of the
-//! scheme, not a defect of the blocked engine (divv/curlv stay compared on
-//! well-conditioned configurations in the unit tests).
+//! The list is built with the h-aware adaptive pair rule over per-particle
+//! radii `1.4 · support(h_i)`, exactly as `Simulation::step` builds it.
+//! `Simulation::step` never walks the grid or replays pairs, so this is
+//! where both reference traversals stay exercised. (Test names keep the
+//! engine's working vocabulary: "blocked" is the production row engine,
+//! "scalar" the per-pair reference.)
 
-use cornerstone::{Box3, CellList, NeighborList, ScalarReplay};
+use cornerstone::{Box3, CellList, NeighborList, NeighborSearch};
 use proptest::prelude::*;
 use rand::{rngs::StdRng, Rng, SeedableRng};
-use sph::density::{density_gradh, neighbor_counts};
-use sph::iad::iad_divv_curlv;
-use sph::momentum::momentum_energy;
-use sph::{Eos, Kernel, Particles};
+use sph::{reference, Eos, Kernel, Particles};
 
 const KERNELS: [Kernel; 3] = [Kernel::CubicSpline, Kernel::WendlandC6, Kernel::Sinc5];
 
@@ -65,50 +56,64 @@ fn h_max(parts: &Particles) -> f64 {
     parts.h.iter().cloned().fold(0.0, f64::max)
 }
 
-/// Run the full sweep sequence (counts, density+EOS, IAD, momentum) over
-/// one neighbor source.
-fn run_sweeps<N: cornerstone::NeighborSearch + Sync>(
-    parts: &mut Particles,
-    nb: &N,
-    bbox: &Box3,
-    kernel: Kernel,
-) -> Vec<usize> {
-    let counts = neighbor_counts(parts, nb, bbox, kernel);
-    density_gradh(parts, nb, bbox, kernel);
-    Eos::ideal_monatomic().apply(parts);
-    iad_divv_curlv(parts, nb, bbox, kernel);
-    momentum_energy(parts, nb, bbox, kernel);
-    counts
-}
-
-/// Execute blocked and scalar paths over the same prebuilt list; return
-/// (blocked, scalar) particle states and their neighbor counts. The grid
-/// walk runs as the reference for both and is checked here.
-fn run_both(
-    parts: &Particles,
-    bbox: &Box3,
-    kernel: Kernel,
-) -> ((Particles, Vec<usize>), (Particles, Vec<usize>)) {
+/// The step's list over `parts`, plus the grid it was recorded from.
+fn grid_and_list(parts: &Particles, bbox: &Box3, kernel: Kernel) -> (CellList, NeighborList) {
     let radius = kernel.support(h_max(parts)) * 1.4;
     let grid = CellList::build(&parts.x, &parts.y, &parts.z, bbox, radius);
     let radii: Vec<f64> = parts.h.iter().map(|&h| kernel.support(h) * 1.4).collect();
     let mut nl = NeighborList::new();
     nl.build_adaptive_into(&grid, &parts.x, &parts.y, &parts.z, parts.len(), &radii);
-    let mut blocked = parts.clone();
-    let cb = run_sweeps(&mut blocked, &nl, bbox, kernel);
-    let mut scalar = parts.clone();
-    let cs = run_sweeps(&mut scalar, &ScalarReplay(&nl), bbox, kernel);
-    let mut walked = parts.clone();
-    let cw = run_sweeps(&mut walked, &grid, bbox, kernel);
-    assert_eq!(cw, cs, "{kernel:?}: grid-walk neighbor counts");
-    for (name, a, b) in swept_fields(&walked, &scalar) {
-        let same = a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits());
-        assert!(
-            same,
-            "{kernel:?}: {name} differs between grid walk and list replay"
-        );
-    }
-    ((blocked, cb), (scalar, cs))
+    (grid, nl)
+}
+
+/// The reference sweep sequence (counts, density+EOS, IAD, momentum) over
+/// one traversal.
+fn run_reference<N: NeighborSearch + Sync>(
+    parts: &Particles,
+    nb: &N,
+    bbox: &Box3,
+    kernel: Kernel,
+) -> (Particles, Vec<usize>) {
+    let mut p = parts.clone();
+    let counts = reference::neighbor_counts(&p, nb, bbox, kernel);
+    reference::density_gradh(&mut p, nb, bbox, kernel);
+    Eos::ideal_monatomic().apply(&mut p);
+    reference::iad_divv_curlv(&mut p, nb, bbox, kernel);
+    reference::momentum_energy(&mut p, nb, bbox, kernel);
+    (p, counts)
+}
+
+/// The same sequence through the production sweeps.
+fn run_production(parts: &Particles, nl: &NeighborList, kernel: Kernel) -> (Particles, Vec<usize>) {
+    let mut p = parts.clone();
+    let counts = sph::density::neighbor_counts(&p, nl, kernel);
+    sph::density::density_gradh(&mut p, nl, kernel);
+    Eos::ideal_monatomic().apply(&mut p);
+    sph::iad::iad_divv_curlv(&mut p, nl, kernel, None);
+    sph::momentum::momentum_energy(&mut p, nl, kernel);
+    (p, counts)
+}
+
+/// Run all three over the same state, check they agree bit for bit, and
+/// return the production result.
+fn run_both(parts: &Particles, bbox: &Box3, kernel: Kernel) -> (Particles, Vec<usize>) {
+    let (grid, nl) = grid_and_list(parts, bbox, kernel);
+    let (walked, cw) = run_reference(parts, &grid, bbox, kernel);
+    let (replayed, cr) = run_reference(parts, &nl, bbox, kernel);
+    let (production, cp) = run_production(parts, &nl, kernel);
+    assert_eq!(cw, cr, "{kernel:?}: counts, grid walk vs list replay");
+    assert_eq!(cp, cr, "{kernel:?}: counts, production vs list replay");
+    assert_same_bits(
+        &walked,
+        &replayed,
+        &format!("{kernel:?}: grid walk vs list replay"),
+    );
+    assert_same_bits(
+        &production,
+        &replayed,
+        &format!("{kernel:?}: production vs list replay"),
+    );
+    (production, cp)
 }
 
 /// Every field the sweeps write, paired across two particle states.
@@ -134,35 +139,13 @@ fn swept_fields<'a>(
     ]
 }
 
-/// Default features: bitwise. fast-math: relative tolerance.
-#[cfg(not(feature = "fast-math"))]
-fn assert_field_eq(name: &str, a: &[f64], b: &[f64]) -> Result<(), String> {
-    for (k, (x, y)) in a.iter().zip(b).enumerate() {
-        if x.to_bits() != y.to_bits() {
-            return Err(format!("{name}[{k}]: {x:e} != {y:e} (bitwise)"));
-        }
-    }
-    Ok(())
-}
-
-#[cfg(feature = "fast-math")]
-fn assert_field_eq(name: &str, a: &[f64], b: &[f64]) -> Result<(), String> {
-    let scale = b.iter().fold(0.0f64, |m, v| m.max(v.abs())).max(1e-30);
-    for (k, (x, y)) in a.iter().zip(b).enumerate() {
-        if (x - y).abs() > 1e-5 * scale {
-            return Err(format!("{name}[{k}]: {x:e} vs {y:e} (scale {scale:e})"));
-        }
-    }
-    Ok(())
-}
-
-fn compare(blocked: &Particles, scalar: &Particles, with_iad: bool) {
-    for (name, a, b) in swept_fields(blocked, scalar) {
-        if !with_iad && (name.starts_with('c') || name == "divv" || name == "curlv") {
-            continue;
-        }
-        if let Err(e) = assert_field_eq(name, a, b) {
-            panic!("{e}");
+fn assert_same_bits(a: &Particles, b: &Particles, what: &str) {
+    for (name, x, y) in swept_fields(a, b) {
+        for (k, (u, v)) in x.iter().zip(y).enumerate() {
+            assert!(
+                u.to_bits() == v.to_bits(),
+                "{what}: {name}[{k}]: {u:e} != {v:e} (bitwise)"
+            );
         }
     }
 }
@@ -172,17 +155,14 @@ fn blocked_sweeps_match_scalar_on_random_clouds() {
     for kernel in KERNELS {
         for periodic in [true, false] {
             let (parts, bbox) = cloud(250, 42, periodic);
-            let ((blocked, cb), (scalar, cs)) = run_both(&parts, &bbox, kernel);
-            assert_eq!(cb, cs, "{kernel:?} periodic={periodic}: neighbor counts");
-            compare(&blocked, &scalar, true);
+            run_both(&parts, &bbox, kernel);
         }
     }
 }
 
-#[test]
-fn blocked_sweeps_match_scalar_on_a_dense_lattice() {
-    // Well-conditioned IAD tensors: the tensor fields are comparable even
-    // under fast-math tolerances.
+/// A jittered 6³ lattice with small random velocities: well-conditioned IAD
+/// tensors everywhere.
+fn dense_lattice() -> (Particles, Box3) {
     let bbox = Box3::unit_periodic();
     let mut parts = Particles::new();
     let n_side = 6;
@@ -206,10 +186,47 @@ fn blocked_sweeps_match_scalar_on_a_dense_lattice() {
             }
         }
     }
+    (parts, bbox)
+}
+
+#[test]
+fn blocked_sweeps_match_scalar_on_a_dense_lattice() {
+    let (parts, bbox) = dense_lattice();
     for kernel in KERNELS {
-        let ((blocked, cb), (scalar, cs)) = run_both(&parts, &bbox, kernel);
-        assert_eq!(cb, cs, "{kernel:?}: neighbor counts");
-        compare(&blocked, &scalar, true);
+        run_both(&parts, &bbox, kernel);
+    }
+}
+
+#[test]
+fn iad_row_subsets_compose_to_the_full_sweep() {
+    // The halo-overlap schedule runs IAD as two disjoint row subsets with a
+    // halo drain in between. 216 rows span two 128-row list chunks; the
+    // splits below cover an empty subset on either side, a cut inside the
+    // first chunk, one exactly on the chunk boundary, and an interleaved
+    // pair run second-subset-first.
+    let (mut parts, bbox) = dense_lattice();
+    let kernel = Kernel::CubicSpline;
+    let (_, nl) = grid_and_list(&parts, &bbox, kernel);
+    sph::density::density_gradh(&mut parts, &nl, kernel);
+    let n = parts.n_local;
+    let mut full = parts.clone();
+    sph::iad::iad_divv_curlv(&mut full, &nl, kernel, None);
+
+    let all: Vec<usize> = (0..n).collect();
+    let (even, odd): (Vec<usize>, Vec<usize>) = all.iter().partition(|&&i| i % 2 == 0);
+    let splits: [(&[usize], &[usize]); 5] = [
+        (&[], &all),
+        (&all, &[]),
+        (&all[..50], &all[50..]),
+        (&all[..128], &all[128..]),
+        (&odd, &even),
+    ];
+    for (first, second) in splits {
+        let mut split = parts.clone();
+        sph::iad::iad_divv_curlv(&mut split, &nl, kernel, Some(first));
+        sph::iad::iad_divv_curlv(&mut split, &nl, kernel, Some(second));
+        let what = format!("rows split {} + {}", first.len(), second.len());
+        assert_same_bits(&split, &full, &what);
     }
 }
 
@@ -235,10 +252,11 @@ fn tiny_clusters_exercise_every_remainder_lane_length() {
                 );
             }
             for kernel in KERNELS {
-                let ((blocked, cb), (scalar, cs)) = run_both(&parts, &bbox, kernel);
-                assert_eq!(cb, cs, "n={n} {kernel:?}: neighbor counts");
-                assert!(cb.iter().all(|&c| c == n - 1), "cluster is fully connected");
-                compare(&blocked, &scalar, true);
+                let (_, counts) = run_both(&parts, &bbox, kernel);
+                assert!(
+                    counts.iter().all(|&c| c == n - 1),
+                    "n={n} {kernel:?}: cluster is fully connected"
+                );
             }
         }
     }
@@ -246,17 +264,15 @@ fn tiny_clusters_exercise_every_remainder_lane_length() {
 
 #[test]
 fn isolated_particle_has_an_empty_neighbor_row() {
-    // Row = self only: the blocked path must produce the pure
-    // self-contribution density and zero forces, like the scalar path.
+    // Row = self only: the pure self-contribution density and zero forces,
+    // from production and reference alike.
     let bbox = Box3::cube(0.0, 1.0, false);
     let mut parts = Particles::new();
     parts.push(0.5, 0.5, 0.5, 0.0, 0.0, 0.0, 2.0, 0.05, 1.0);
-    let kernel = Kernel::Sinc5;
-    let ((blocked, cb), (scalar, _)) = run_both(&parts, &bbox, kernel);
-    assert_eq!(cb, vec![0]);
-    compare(&blocked, &scalar, true);
-    assert_eq!(blocked.ax[0], 0.0);
-    assert!(blocked.rho[0] > 0.0);
+    let (swept, counts) = run_both(&parts, &bbox, Kernel::Sinc5);
+    assert_eq!(counts, vec![0]);
+    assert_eq!(swept.ax[0], 0.0);
+    assert!(swept.rho[0] > 0.0);
 }
 
 proptest! {
@@ -269,13 +285,7 @@ proptest! {
         periodic in proptest::bool::ANY,
         kidx in 0usize..3,
     ) {
-        let kernel = KERNELS[kidx];
         let (parts, bbox) = cloud(n, seed, periodic);
-        let ((blocked, cb), (scalar, cs)) = run_both(&parts, &bbox, kernel);
-        prop_assert_eq!(cb, cs);
-        // IAD fields only under exact math: random tiny clouds can sit on
-        // the invert_sym3 singularity threshold, where fast-math's epsilon
-        // perturbation flips branches (see module docs).
-        compare(&blocked, &scalar, cfg!(not(feature = "fast-math")));
+        run_both(&parts, &bbox, KERNELS[kidx]);
     }
 }

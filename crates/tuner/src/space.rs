@@ -56,11 +56,6 @@ impl ParamSpace {
         self.add(MEM_FREQ_KEY, pstates.iter().map(|f| f.0 as f64).collect())
     }
 
-    /// Number of axes.
-    pub fn axis_count(&self) -> usize {
-        self.axes.len()
-    }
-
     /// Total configurations in the cartesian product.
     pub fn size(&self) -> usize {
         self.axes

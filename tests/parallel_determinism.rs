@@ -76,25 +76,6 @@ fn evrard_step_at(threads: usize) -> (Vec<u64>, StepStats) {
     out
 }
 
-/// A multi-step Evrard run (5 steps: h adapts, halos refresh, the neighbor
-/// list is rebuilt in place each step).
-#[cfg(feature = "fast-math")]
-fn evrard_run(kernel: Kernel) -> (Vec<u64>, Vec<StepStats>) {
-    ranks::run(1, CommCost::default(), |ctx| {
-        let cfg = SimConfig {
-            kernel,
-            target_particles_per_rank: 1e6,
-            target_neighbors: 40,
-            bucket_size: 32,
-            ..SimConfig::default()
-        };
-        let mut sim = Simulation::new(evrard(8), cfg);
-        let stats: Vec<StepStats> = (0..5).map(|_| sim.step(ctx, &mut NullObserver)).collect();
-        (snapshot(&sim.parts), stats)
-    })
-    .remove(0)
-}
-
 /// A full per-function frequency sweep at the given worker count. Frequencies
 /// and the raw EDP measurements are both captured.
 fn sweep_at(threads: usize) -> Vec<(String, u32, Vec<u64>)> {
@@ -140,22 +121,6 @@ fn evrard_step_is_bit_identical_across_thread_counts() {
         stats_1t.budget.kinetic.to_bits(),
         stats_4t.budget.kinetic.to_bits()
     );
-}
-
-#[cfg(feature = "fast-math")]
-#[test]
-fn fast_math_shared_list_stays_thread_count_invariant_over_a_run() {
-    // fast-math gives up blocked-vs-scalar bit-identity, NOT determinism: the
-    // lane-partial reductions depend only on each row's term sequence, so a
-    // multi-step run must still be bit-identical across worker counts.
-    let _guard = THREAD_OVERRIDE.lock().unwrap();
-    par::set_max_threads(1);
-    let (state_1t, _) = evrard_run(Kernel::Sinc5);
-    par::set_max_threads(4);
-    let (state_4t, _) = evrard_run(Kernel::Sinc5);
-    par::set_max_threads(0);
-    assert!(!state_1t.is_empty());
-    assert_eq!(state_1t, state_4t);
 }
 
 #[test]
