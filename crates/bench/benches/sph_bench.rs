@@ -14,9 +14,14 @@ fn prepared() -> (sph::Particles, NeighborList) {
     let ic = subsonic_turbulence(12, 0.3, 9);
     let mut parts = ic.parts;
     let kernel = Kernel::CubicSpline;
-    let radius = kernel.support(parts.h[0]) * 1.4;
-    let grid = CellList::build(&parts.x, &parts.y, &parts.z, &ic.bbox, radius);
-    let nl = NeighborList::build(&grid, &parts.x, &parts.y, &parts.z, parts.len(), radius);
+    // The step's list, through the functions `Simulation::step` builds it
+    // with (the IC's smoothing lengths are uniform).
+    let cell = sph::interaction_radius(kernel, parts.h[0]);
+    let grid = CellList::build(&parts.x, &parts.y, &parts.z, &ic.bbox, cell);
+    let mut radii = Vec::new();
+    sph::list_radii_into(kernel, &parts.h, &mut radii);
+    let mut nl = NeighborList::new();
+    nl.build_adaptive_into(&grid, &parts.x, &parts.y, &parts.z, parts.len(), &radii);
     density_gradh(&mut parts, &nl, kernel);
     Eos::ideal_monatomic().apply(&mut parts);
     (parts, nl)

@@ -12,8 +12,9 @@
 //! plus the composite five-traversal step with the list build amortized in,
 //! median of 7 reps, on Evrard and subsonic-turbulence particle clouds — two
 //! cache-resident ones and a 46³ turbulence cloud (the `turb_100k` size of
-//! `crates/perf`), where the list is ~0.5 GB and how it is laid out in
-//! memory shows (its slow grid-walk columns take 3 reps).
+//! `crates/perf`), where the list is ~240 MB at the initial smoothing
+//! lengths and how it is laid out in memory shows (its slow grid-walk
+//! columns take 3 reps).
 //! Regenerate with:
 //!
 //! ```sh
@@ -22,10 +23,13 @@
 //! cargo run --release -p bench --bin bench_neighbors -- --check
 //! ```
 //!
-//! Either way the run exits non-zero if any cloud's list holds more than
-//! [`MAX_BYTES_PER_PAIR`] resident bytes per stored pair — an exact count,
-//! so it cannot flake, and it fails the day a second copy of the list (a
-//! splice target, build scratch) comes back.
+//! Either way the run exits non-zero on two exact counts, which repeat on
+//! any host and so cannot flake: a cloud whose list holds more than
+//! [`MAX_BYTES_PER_PAIR`] resident bytes per stored pair (it fails the day a
+//! second copy of the list — a splice target, build scratch — comes back),
+//! and a cloud whose list stores more than `2 · Σ_i (nn_i + 1)` pairs (see
+//! [`max_pairs`]: it fails the day the list radii regain headroom over the
+//! kernel support).
 
 use std::time::Instant;
 
@@ -48,6 +52,17 @@ const BIG_GRID_REPS: usize = 3;
 /// (a `u32` index + three `f64` deltas). One in-place copy with its `Vec`
 /// growth slack sits at 1.1–1.3×; the spliced two-copy layout sat at 2.3×.
 const MAX_BYTES_PER_PAIR: f64 = 1.5 * 28.0;
+
+/// Tightness bound on a list's `pair_count`, from the per-row neighbour
+/// counts `nn` (self excluded) the sweeps consume: with every particle a
+/// query, the list rule stores each unordered pair within
+/// `max(support(h_i), support(h_j))` twice, and that pair is counted in
+/// `nn_i` or `nn_j` at least once; each self-pair is stored once. So
+/// `pair_count <= 2 · Σ_i (nn_i + 1)` exactly — and list radii of
+/// `1.4 · support(h)` break it at 1.4³ = 2.7× on a uniform cloud.
+fn max_pairs(nn: &[usize]) -> usize {
+    2 * nn.iter().map(|&c| c + 1).sum::<usize>()
+}
 
 #[derive(Serialize)]
 struct SweepTiming {
@@ -128,27 +143,29 @@ fn five_sweeps(parts: &mut Particles, nl: &NeighborList, kernel: Kernel) {
 
 /// `grid_reps` is the sample count for the columns that re-walk the grid
 /// per sweep (the slow pre-list baseline); everything else takes `reps`.
+/// Returns the report and the cloud's [`max_pairs`] bound.
 fn measure(
     workload: &str,
     mut parts: Particles,
     bbox: Box3,
     reps: usize,
     grid_reps: usize,
-) -> WorkloadReport {
+) -> (WorkloadReport, usize) {
     let kernel = Kernel::CubicSpline;
     let n = parts.x.len();
     let h_max = parts.h.iter().cloned().fold(1e-6, f64::max);
-    // The step's maximum interaction radius — the grid cell size — and the
-    // per-particle h-aware list radii, exactly as `Simulation::step` builds
-    // them.
-    let radius = kernel.support(h_max) * 1.4;
-    let grid = CellList::build(&parts.x, &parts.y, &parts.z, &bbox, radius);
-    let radii: Vec<f64> = parts.h.iter().map(|&h| kernel.support(h) * 1.4).collect();
+    // The grid cell size and the per-particle list radii, through the two
+    // functions `Simulation::step` builds its own list with.
+    let cell = sph::interaction_radius(kernel, h_max);
+    let grid = CellList::build(&parts.x, &parts.y, &parts.z, &bbox, cell);
+    let mut radii = Vec::new();
+    sph::list_radii_into(kernel, &parts.h, &mut radii);
     let mut nlist = NeighborList::new();
     nlist.build_adaptive_into(&grid, &parts.x, &parts.y, &parts.z, n, &radii);
     let build_seconds = median_secs(reps, || {
         nlist.build_adaptive_into(&grid, &parts.x, &parts.y, &parts.z, n, &radii);
     });
+    let pair_bound = max_pairs(&neighbor_counts(&parts, &nlist, kernel));
     density_gradh(&mut parts, &nlist, kernel);
     Eos::ideal_monatomic().apply(&mut parts);
 
@@ -220,7 +237,7 @@ fn measure(
         five_reference_sweeps(&mut parts, &nlist, &bbox, kernel);
     });
 
-    WorkloadReport {
+    let report = WorkloadReport {
         workload: workload.to_string(),
         particles: n,
         avg_neighbors: nlist.avg_neighbors(),
@@ -237,7 +254,8 @@ fn measure(
             speedup: full_grid / full_list,
             blocked_vs_scalar: full_scalar / full_list,
         },
-    }
+    };
+    (report, pair_bound)
 }
 
 fn main() {
@@ -266,7 +284,7 @@ fn main() {
     let ev = evrard(18);
     let tb = subsonic_turbulence(20, 0.3, 9);
     let big = subsonic_turbulence(46, 0.3, 9);
-    let results = vec![
+    let (results, pair_bounds): (Vec<WorkloadReport>, Vec<usize>) = [
         measure("evrard_cloud", ev.parts, ev.bbox, reps, reps),
         measure("turbulence_cloud", tb.parts, tb.bbox, reps, reps),
         measure(
@@ -276,7 +294,9 @@ fn main() {
             reps,
             reps.min(BIG_GRID_REPS),
         ),
-    ];
+    ]
+    .into_iter()
+    .unzip();
 
     for r in &results {
         println!(
@@ -318,24 +338,33 @@ fn main() {
         );
     }
 
-    let fat: Vec<&WorkloadReport> = results
-        .iter()
-        .filter(|r| r.csr_bytes as f64 > MAX_BYTES_PER_PAIR * r.pair_count as f64)
-        .collect();
-    for r in &fat {
-        eprintln!(
-            "error: {} holds {} bytes for {} pairs ({:.1} B/pair > {MAX_BYTES_PER_PAIR})",
-            r.workload,
-            r.csr_bytes,
-            r.pair_count,
-            r.csr_bytes as f64 / r.pair_count as f64,
-        );
+    let mut failed = false;
+    for (r, &bound) in results.iter().zip(&pair_bounds) {
+        if r.csr_bytes as f64 > MAX_BYTES_PER_PAIR * r.pair_count as f64 {
+            eprintln!(
+                "error: {} holds {} bytes for {} pairs ({:.1} B/pair > {MAX_BYTES_PER_PAIR})",
+                r.workload,
+                r.csr_bytes,
+                r.pair_count,
+                r.csr_bytes as f64 / r.pair_count as f64,
+            );
+            failed = true;
+        }
+        if r.pair_count > bound {
+            eprintln!(
+                "error: {} stores {} pairs, more than the 2 · Σ(nn + 1) = {bound} its sweeps can consume",
+                r.workload, r.pair_count,
+            );
+            failed = true;
+        }
     }
-    if !fat.is_empty() {
+    if failed {
         std::process::exit(1);
     }
     if cli.check {
-        eprintln!("--check: one rep complete, residency bound held, not rewriting {out_path}");
+        eprintln!(
+            "--check: one rep complete, residency and tightness bounds held, not rewriting {out_path}"
+        );
         return;
     }
     let report = Report {

@@ -50,26 +50,39 @@
 //! radius.
 //!
 //! The adaptive build preserves the argument row by row: row `i` stores the
-//! visit-order subsequence passing `d2 <= max(radii[i], radii[j])²`, which
-//! contains every candidate within `radii[i]` — so replaying it at any query
-//! radius `r <= radii[i]` yields the same `(j, d2)` sequence the grid walk
-//! produces at `r`. Candidates the rule drops lie beyond *both* particles'
-//! search radii; no sweep ever visits them (each filters at its own radius
-//! `<= radii[i]`), so dropping them cannot reorder or change any fold. The
-//! grid-cell precondition becomes `max(radii)`.
+//! visit-order subsequence passing `d2 <= max(radii[i], radii[j])²`. That
+//! gives a row two guarantees, and a caller may lean on either:
+//!
+//! * it contains every candidate within `radii[i]` — so replaying it at any
+//!   query radius `r <= radii[i]` yields the same `(j, d2)` sequence the
+//!   grid walk produces at `r`;
+//! * it contains every candidate `j` within `radii[j]` — so a sweep that
+//!   searches wider than `radii[i]` but keeps a pair only when it lies
+//!   inside one of the two particles' own radii (the momentum sweep) finds
+//!   every pair it keeps, in grid order.
+//!
+//! Candidates the rule drops lie beyond *both* particles' radii; a sweep of
+//! either kind never consumes them, so dropping them cannot reorder or
+//! change any fold. The simulation builds its list at `radii[p] =
+//! support(h_p)`, the tightest radii for which both hold for all its sweeps
+//! (`sph::list_radii_into` has the argument down to the rounding of the
+//! comparisons). The grid-cell precondition becomes `max(radii)`; a coarser
+//! grid changes the visit order, not the stored set.
 //!
 //! ## Memory cost model
 //!
-//! `28·pairs + 4·(n + chunks) + 24·stored` bytes (`+ 8·stored` for the
-//! adaptive build's squared radii): a `u32` index plus three `f64` delta
-//! components per candidate pair, one `u32` chunk-local row start per row
-//! and one more per chunk, and one cell-sorted coordinate copy per stored
-//! particle. There is no transient build scratch — the columns are filled
-//! where they stay — so the only overhead on top of the model is column
-//! growth slack: capacity above length, bounded near 25 % (columns grow by a
-//! quarter, not by doubling) and kept across steps so the steady state
-//! allocates nothing. At the laptop scale (~160 candidates per row)
-//! this is ~4.5 KiB/particle — a deliberate trade: the five sweeps re-read
+//! `28·pairs + 4·(n + chunks) + 24·stored` bytes (`+ 8·stored + 8·cells`
+//! for the adaptive build's squared radii and their per-cell maxima): a
+//! `u32` index plus three `f64` delta components per candidate pair, one
+//! `u32` chunk-local row start per row and one more per chunk, and one
+//! cell-sorted coordinate copy per stored particle. There is no transient
+//! build scratch — the columns are filled where they stay — so the only
+//! overhead on top of the model is column growth slack: capacity above
+//! length, bounded near 25 % (columns grow by a quarter, not by doubling)
+//! and kept across steps so the steady state allocates nothing. At the
+//! simulation's radii a row holds the particle's neighbours and little
+//! else (~40 candidates for a 40-neighbour target on a uniform cloud), so
+//! this is ~1.4 KiB/particle — a deliberate trade: the five sweeps re-read
 //! each pair's geometry 6× per step (IAD twice), and streaming 28 B beats
 //! re-gathering three scattered positions plus a minimum-image computation
 //! each time.
@@ -133,22 +146,27 @@ const ROWS_PER_CHUNK: usize = 128;
 /// Cell-sorted coordinate copies: slot `k` holds the position of the
 /// particle in the grid's CSR slot `k`, so candidate scans are contiguous.
 /// The adaptive build additionally keeps each candidate's squared search
-/// radius in the same slot order (`r2`, empty for fixed-radius builds).
+/// radius in the same slot order (`r2`) and the largest of them per grid
+/// cell (`cell_r2`, what lets the scan skip cells out of reach); both are
+/// empty for fixed-radius builds.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct SortedCoords {
     pub(crate) x: Vec<f64>,
     pub(crate) y: Vec<f64>,
     pub(crate) z: Vec<f64>,
     pub(crate) r2: Vec<f64>,
+    pub(crate) cell_r2: Vec<f64>,
 }
 
 impl SortedCoords {
-    pub(crate) fn fill(&mut self, order: &[u32], x: &[f64], y: &[f64], z: &[f64]) {
+    pub(crate) fn fill(&mut self, grid: &CellList, x: &[f64], y: &[f64], z: &[f64]) {
+        let order = grid.order();
         let n = order.len();
         self.x.clear();
         self.y.clear();
         self.z.clear();
         self.r2.clear();
+        self.cell_r2.clear();
         self.x.resize(n, 0.0);
         self.y.resize(n, 0.0);
         self.z.resize(n, 0.0);
@@ -160,19 +178,28 @@ impl SortedCoords {
         }
     }
 
-    /// Gather squared per-particle radii into cell-sorted slots (adaptive
-    /// builds only).
-    pub(crate) fn fill_radii(&mut self, order: &[u32], radii: &[f64]) {
+    /// Gather squared per-particle radii into cell-sorted slots, and their
+    /// maximum per cell (adaptive builds only).
+    pub(crate) fn fill_radii(&mut self, grid: &CellList, radii: &[f64]) {
         self.r2.clear();
-        self.r2.resize(order.len(), 0.0);
-        for (k, &j) in order.iter().enumerate() {
+        self.r2.extend(grid.order().iter().map(|&j| {
             let r = radii[j as usize];
-            self.r2[k] = r * r;
-        }
+            r * r
+        }));
+        self.cell_r2.clear();
+        self.cell_r2.extend(grid.cell_start().windows(2).map(|c| {
+            self.r2[c[0] as usize..c[1] as usize]
+                .iter()
+                .fold(0.0f64, |m, &r2| m.max(r2))
+        }));
     }
 
     fn bytes(&self) -> usize {
-        (self.x.capacity() + self.y.capacity() + self.z.capacity() + self.r2.capacity())
+        (self.x.capacity()
+            + self.y.capacity()
+            + self.z.capacity()
+            + self.r2.capacity()
+            + self.cell_r2.capacity())
             * std::mem::size_of::<f64>()
     }
 }
@@ -373,9 +400,10 @@ impl NeighborList {
     /// `d2 <= max(radii[i], radii[j])²`, with `radii[p]` the per-particle
     /// search radius (one entry per stored particle, queries and candidates
     /// alike). Row `i` is then complete for any query radius up to
-    /// `radii[i]` — every sweep filters at its own radius `<= radii[i]`, so
-    /// results are unchanged — while rows of small-radius particles no
-    /// longer haul in every candidate out to the *global* maximum radius.
+    /// `radii[i]`, and holds every `j` that has `i` within `radii[j]` (the
+    /// module docs say which sweeps need which) — while rows of
+    /// small-radius particles no longer haul in every candidate out to the
+    /// *global* maximum radius.
     /// On strongly h-graded workloads (Evrard collapse) this shrinks rows
     /// severalfold; with uniform radii the stored rows are bit-identical
     /// to [`NeighborList::build_into`] at that radius.
@@ -426,9 +454,9 @@ impl NeighborList {
         );
         self.radius = radius;
         self.n_rows = n_query;
-        self.sorted.fill(grid.order(), x, y, z);
+        self.sorted.fill(grid, x, y, z);
         if let Some(rr) = radii {
-            self.sorted.fill_radii(grid.order(), rr);
+            self.sorted.fill_radii(grid, rr);
         }
         self.chunks
             .resize_with(n_query.div_ceil(ROWS_PER_CHUNK), RowChunk::default);
@@ -692,6 +720,12 @@ impl NeighborSearch for NeighborList {
     /// the recorded displacement — bit-identical to [`Box3::dist2`] on the
     /// build-time positions (see the module docs). The coordinate and box
     /// arguments are unused; they exist so the grid walk stays drop-in.
+    ///
+    /// `r` may exceed the radius row `i` was recorded at: the replay then
+    /// yields the *stored* candidates within `r` — of an adaptive row, the
+    /// pairs within `max(radii[i], radii[j])` — which is what a caller that
+    /// applies its own pairwise cut (the reference momentum sweep searches
+    /// `1.4 · radii[i]` and keeps pairs inside either support) needs.
     fn for_neighbors_of<F: FnMut(usize, f64)>(
         &self,
         i: usize,
@@ -702,11 +736,6 @@ impl NeighborSearch for NeighborList {
         _bbox: &Box3,
         mut f: F,
     ) {
-        debug_assert!(
-            r <= self.radius,
-            "query radius {r} exceeds the recorded superset radius {}",
-            self.radius
-        );
         let r2 = r * r;
         let (jj, xs, ys, zs) = self.row_deltas(i);
         for k in 0..jj.len() {
@@ -805,6 +834,113 @@ mod tests {
                 (row.j[k], d, row.d2[k].to_bits())
             })
             .collect()
+    }
+
+    /// What a build must store, from first principles and with no stencil
+    /// pruning: [`CellList::for_neighbors`] at an unbounded radius visits
+    /// every candidate of all 27 stencil cells in canonical order; the pair
+    /// rule (or the fixed radius) filters them, and [`Box3::delta`] gives
+    /// the displacement the scan stores, bit for bit
+    /// (`scan_replays_for_neighbors_bitwise` in the cell-list tests).
+    #[allow(clippy::too_many_arguments)]
+    fn full_stencil_bits(
+        grid: &CellList,
+        x: &[f64],
+        y: &[f64],
+        z: &[f64],
+        bbox: &Box3,
+        n_query: usize,
+        radius: f64,
+        radii: Option<&[f64]>,
+    ) -> Vec<(Vec<u32>, Vec<[u64; 3]>)> {
+        (0..n_query)
+            .map(|i| {
+                let ri = radii.map_or(radius, |rr| rr[i]);
+                let (mut jj, mut dd) = (Vec::new(), Vec::new());
+                grid.for_neighbors(x[i], y[i], z[i], f64::INFINITY, x, y, z, |j, d2| {
+                    let lim = radii.map_or(ri * ri, |rr| (ri * ri).max(rr[j] * rr[j]));
+                    if d2 <= lim {
+                        let (dx, dy, dz) = bbox.delta(x[j], y[j], z[j], x[i], y[i], z[i]);
+                        jj.push(j as u32);
+                        dd.push([dx.to_bits(), dy.to_bits(), dz.to_bits()]);
+                    }
+                });
+                (jj, dd)
+            })
+            .collect()
+    }
+
+    /// One pruning case: a 1 × 2 × 3 box off the origin, so one cell size
+    /// gives `cells`, `2·cells + 1` and `3·cells + 1` cells on the three
+    /// axes; positions up to a quarter extent outside it (clamped into edge
+    /// cells when open, wrapped when periodic); radii graded over a 10×
+    /// spread up to the cell size; rows for the first `n_query` particles.
+    /// The list built at 1 and at 4 workers must hold exactly the
+    /// full-stencil rows.
+    fn pruned_build_matches_full_stencil(
+        seed: u64,
+        n: usize,
+        cells: usize,
+        periodic: bool,
+        adaptive: bool,
+        n_query: usize,
+    ) {
+        let bbox = Box3 {
+            xmin: -0.5,
+            xmax: 0.5,
+            ymin: 2.0,
+            ymax: 4.0,
+            zmin: -3.0,
+            zmax: 0.0,
+            periodic,
+        };
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut axis = |lo: f64, l: f64| -> Vec<f64> {
+            (0..n)
+                .map(|_| lo + l * (1.5 * rng.random::<f64>() - 0.25))
+                .collect()
+        };
+        let x = axis(bbox.xmin, bbox.lx());
+        let y = axis(bbox.ymin, bbox.ly());
+        let z = axis(bbox.zmin, bbox.lz());
+        let cell = 1.0 / (cells as f64 + 0.5);
+        let grid = CellList::build(&x, &y, &z, &bbox, cell);
+        assert_eq!(grid.dims(), (cells, 2 * cells + 1, 3 * cells + 1));
+        let radii: Vec<f64> = (0..n)
+            .map(|_| cell * (0.1 + 0.9 * rng.random::<f64>()))
+            .collect();
+        let radius = 0.7 * cell;
+        let rr = adaptive.then_some(radii.as_slice());
+        let want = full_stencil_bits(&grid, &x, &y, &z, &bbox, n_query, radius, rr);
+        for workers in [1, 4] {
+            par::set_max_threads(workers);
+            let mut nl = NeighborList::new();
+            match rr {
+                Some(rr) => nl.build_adaptive_into(&grid, &x, &y, &z, n_query, rr),
+                None => nl.build_into(&grid, &x, &y, &z, n_query, radius),
+            }
+            par::set_max_threads(0);
+            assert_eq!(
+                list_bits(&nl),
+                want,
+                "{workers} workers, {cells} cells, periodic={periodic}, adaptive={adaptive}"
+            );
+        }
+    }
+
+    #[test]
+    fn pruned_scan_stores_the_full_stencil_rows_on_every_grid_shape() {
+        // 1, 2 and 3 cells on the short axis are the shapes where a periodic
+        // stencil aliases (pruning must switch itself off per axis); 4 is
+        // the general case. Every one, periodic and open, fixed and adaptive.
+        for cells in 1..=4 {
+            for periodic in [true, false] {
+                for adaptive in [true, false] {
+                    pruned_build_matches_full_stencil(77, 300, cells, periodic, adaptive, 300);
+                    pruned_build_matches_full_stencil(78, 300, cells, periodic, adaptive, 170);
+                }
+            }
+        }
     }
 
     #[test]
@@ -1181,6 +1317,19 @@ mod tests {
                 neighbors_via(&nl, i, r, &x, &y, &z, &bbox),
                 brute_force_neighbors(i, r, &x, &y, &z, &bbox)
             );
+        }
+
+        #[test]
+        fn prop_pruned_scan_equals_full_stencil_scan(
+            seed in 0u64..10_000,
+            n in 1usize..160,
+            cells in 1usize..=5,
+            periodic in proptest::bool::ANY,
+            adaptive in proptest::bool::ANY,
+            query_share in 0.0f64..=1.0,
+        ) {
+            let n_query = ((n as f64 * query_share) as usize).min(n);
+            pruned_build_matches_full_stencil(seed, n, cells, periodic, adaptive, n_query);
         }
 
         #[test]

@@ -57,10 +57,13 @@ pub(crate) fn store_density(parts: &mut Particles, sums: Vec<(f64, f64)>) {
 /// `(W, dW/dh)` over every candidate with the hoisted-`h` branch-free
 /// [`RowKernel`], then the `m_j`-scaled accumulation in visit order. No
 /// compaction pass, no data-dependent branches anywhere in the row.
-/// (Compact-first was measured slower on both bench workloads even at the
-/// adaptive list's ~36% pass rate: the in-order 5-channel push loop is
-/// branchy per lane, and its mispredicts cost more than the extra
-/// branch-free kernel evaluations save.)
+/// (A compaction would have next to nothing to remove: the list is built
+/// at `support(h)`, so on a uniform cloud every stored candidate is inside
+/// the support, and on an h-graded one the extras are the pairs a larger
+/// neighbour reaches. It was measured slower even on rows of which only
+/// ~36 % passed: the in-order 5-channel push loop is branchy per lane, and
+/// its mispredicts cost more than the extra branch-free kernel evaluations
+/// save.)
 ///
 /// Bit-identical to the reference callback even though that only folds the
 /// candidates within `support(h_i)`:

@@ -42,5 +42,8 @@ pub use ic::{
 pub use kernels::Kernel;
 pub use nbody::{plummer, NBody, NBODY_FUNCS};
 pub use particles::Particles;
-pub use sim::{NullObserver, SimConfig, Simulation, StepObserver, StepStats};
+pub use sim::{
+    interaction_radius, list_radii_into, NullObserver, SimConfig, Simulation, StepObserver,
+    StepStats,
+};
 pub use snapshot::{decode_particles, encode_particles, fnv1a, SNAPSHOT_VERSION};

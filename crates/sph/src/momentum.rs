@@ -49,11 +49,14 @@ pub(crate) fn store_rates(parts: &mut Particles, rates: Vec<(f64, f64, f64, f64)
 /// evaluated as mask arithmetic with a write-then-advance store so the loop
 /// carries no data-dependent branches. The two gradient prefactors
 /// `dW/dr / r` (one at `h_i` via the hoisted [`RowKernel`], one at the
-/// gathered `h_j`) are then batched over just the compacted survivors — on
-/// the h-aware list only ~1/1.4³ of a row interacts, and the varh pass pays
-/// two divisions per lane, so evaluating it on survivors rather than the
-/// raw row is the win — and the accumulation loop walks the survivor list
-/// with no skips left to take.
+/// gathered `h_j`) are then batched over just the compacted survivors, and
+/// the accumulation loop walks the survivor list with no skips left to
+/// take. The step's list stores exactly the pairs within
+/// `max(s_i, s_j)` (`crate::sim::list_radii_into`), so a row's survivors are
+/// the whole row minus the self-pair, pairs whose distance rounds to the
+/// support itself, and — on an h-graded cloud — pairs a much larger
+/// neighbour reaches from beyond this row's own `1.4 s_i` search, which
+/// the reference never sees either.
 ///
 /// Bit-identical to the reference: the survivor set and order equal its
 /// processed set and order (`keep` is the literal negation of its skips),

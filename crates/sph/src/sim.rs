@@ -167,6 +167,32 @@ pub struct StepStats {
     pub skew: f64,
 }
 
+/// The step's maximum interaction radius for a largest smoothing length
+/// `h_max`: the cell size of the neighbour grid and the halo import radius.
+/// The 1.4 is headroom over the kernel support — momentum's own pair search
+/// reaches `1.4 · support(h_i)` — and, being the cell size, it fixes the
+/// grid's visit order and the halo set, and with them every sweep's bits.
+pub fn interaction_radius(kernel: Kernel, h_max: f64) -> f64 {
+    kernel.support(h_max) * 1.4
+}
+
+/// Fill `radii` with the per-particle radii the step's neighbour list is
+/// built at (`NeighborList::build_adaptive_into`): the kernel support of
+/// each particle's own `h`. Pair `(i, j)` is then stored iff it lies within
+/// `max(support(h_i), support(h_j))` — every pair a sweep consumes and no
+/// other: the count, density and IAD cut at `support(h_i)`, and momentum
+/// keeps a pair only when `r < support(h_i)` or `r < support(h_j)`. (The
+/// sweeps compare `d² <= fl(s·s)` or `fl(sqrt(d²)) < s`; the second implies
+/// the first because `sqrt` is correctly rounded and monotone, so the rows
+/// are a superset down to the last bit.)
+///
+/// The one definition of the list rule: [`Simulation::step`], the
+/// `blocked_equivalence` oracle and the neighbour benches all call it.
+pub fn list_radii_into(kernel: Kernel, h: &[f64], radii: &mut Vec<f64>) {
+    radii.clear();
+    radii.extend(h.iter().map(|&h| kernel.support(h)));
+}
+
 /// One rank's share of the simulation.
 pub struct Simulation {
     pub cfg: SimConfig,
@@ -181,8 +207,9 @@ pub struct Simulation {
     /// Step-shared CSR neighbor candidates, rebuilt in place every step
     /// (`build_adaptive_into` keeps the allocations across steps).
     nlist: NeighborList,
-    /// Per-particle search radii (`1.4 · support(h)`) for the h-aware list
-    /// build, refilled every step; kept here to reuse the allocation.
+    /// Per-particle list radii (`support(h)`, see [`list_radii_into`]) for
+    /// the h-aware list build, refilled every step; kept here to reuse the
+    /// allocation.
     nlist_radii: Vec<f64>,
     nn: Vec<usize>,
     dt: f64,
@@ -377,14 +404,12 @@ impl Simulation {
         funcs.run(FuncId::FindNeighbors, ctx, |_| {
             let grid = self.build_grid();
             // One h-aware traversal: pair (i, j) is stored when within either
-            // particle's own search radius `1.4 · support(h)`, so every sweep
-            // below reads a row complete for its own query radius without
-            // rows inflating to the global maximum radius (the grid's cell
-            // size still is that maximum, as the scan stencil requires).
+            // particle's kernel support — exactly the pairs some sweep below
+            // consumes, so every row is complete for its sweeps' own radii
+            // and carries no padding (the grid's cells stay `interaction_radius`
+            // wide: they fix the visit order, hence the bits).
             let t0 = telemetry::active().then(std::time::Instant::now);
-            self.nlist_radii.clear();
-            self.nlist_radii
-                .extend(self.parts.h.iter().map(|&h| kernel.support(h) * 1.4));
+            list_radii_into(kernel, &self.parts.h, &mut self.nlist_radii);
             self.nlist.build_adaptive_into(
                 &grid,
                 &self.parts.x,
@@ -403,14 +428,19 @@ impl Simulation {
             // Overlap schedule: split owned rows by whether their CSR row
             // references any halo index (halos sit past n_local). Interior
             // rows never read deferred halo fields, so they can sweep before
-            // the stage-B payload is drained.
+            // the stage-B payload is drained. The per-row flag reads every
+            // stored index, so it is computed by all workers; the pushes stay
+            // serial and in index order.
             self.interior_rows.clear();
             self.boundary_rows.clear();
             if !self.pending_fields.is_empty() {
                 let n_local = self.parts.n_local;
-                for i in 0..n_local {
-                    let (jj, _, _, _) = self.nlist.row_deltas(i);
-                    if jj.iter().any(|&j| j as usize >= n_local) {
+                let nlist = &self.nlist;
+                let has_halo = par::par_map(n_local, |i| {
+                    nlist.row(i).iter().any(|&j| j as usize >= n_local)
+                });
+                for (i, boundary) in has_halo.into_iter().enumerate() {
+                    if boundary {
                         self.boundary_rows.push(i);
                     } else {
                         self.interior_rows.push(i);
@@ -534,12 +564,6 @@ impl Simulation {
         }
     }
 
-    /// Interaction radius covering every particle's kernel support (with the
-    /// same 1.4 headroom the force loop uses for pair asymmetry).
-    fn halo_radius(&self, global_h_max: f64) -> f64 {
-        self.cfg.kernel.support(global_h_max) * 1.4
-    }
-
     fn build_grid(&self) -> CellList {
         // `h_max_all` is maintained by `domain_decomp_and_sync`, which runs
         // at the start of every step before the grid is (re)built.
@@ -548,7 +572,7 @@ impl Simulation {
             &self.parts.y,
             &self.parts.z,
             &self.bbox,
-            self.cfg.kernel.support(self.h_max_all) * 1.4,
+            interaction_radius(self.cfg.kernel, self.h_max_all),
         )
     }
 
@@ -685,7 +709,7 @@ impl Simulation {
             .cloned()
             .fold(1e-6, f64::max);
         let h_max = ctx.allreduce_f64(h_local, Op::Max);
-        let radius = self.halo_radius(h_max);
+        let radius = interaction_radius(self.cfg.kernel, h_max);
         let my_box = Aabb::of_points(
             &self.parts.x[..self.parts.n_local],
             &self.parts.y[..self.parts.n_local],

@@ -13,8 +13,9 @@
 //!   traversal fixed and so isolates exactly the production row engine;
 //! * the production sweeps over the same list.
 //!
-//! The list is built with the h-aware adaptive pair rule over per-particle
-//! radii `1.4 · support(h_i)`, exactly as `Simulation::step` builds it.
+//! The list is built with the h-aware adaptive pair rule over the radii of
+//! `sph::list_radii_into`, on a grid `sph::interaction_radius` wide — the
+//! two functions `Simulation::step` builds its own list through.
 //! `Simulation::step` never walks the grid or replays pairs, so this is
 //! where both reference traversals stay exercised. (Test names keep the
 //! engine's working vocabulary: "blocked" is the production row engine,
@@ -58,9 +59,10 @@ fn h_max(parts: &Particles) -> f64 {
 
 /// The step's list over `parts`, plus the grid it was recorded from.
 fn grid_and_list(parts: &Particles, bbox: &Box3, kernel: Kernel) -> (CellList, NeighborList) {
-    let radius = kernel.support(h_max(parts)) * 1.4;
-    let grid = CellList::build(&parts.x, &parts.y, &parts.z, bbox, radius);
-    let radii: Vec<f64> = parts.h.iter().map(|&h| kernel.support(h) * 1.4).collect();
+    let cell = sph::interaction_radius(kernel, h_max(parts));
+    let grid = CellList::build(&parts.x, &parts.y, &parts.z, bbox, cell);
+    let mut radii = Vec::new();
+    sph::list_radii_into(kernel, &parts.h, &mut radii);
     let mut nl = NeighborList::new();
     nl.build_adaptive_into(&grid, &parts.x, &parts.y, &parts.z, parts.len(), &radii);
     (grid, nl)
@@ -273,6 +275,77 @@ fn isolated_particle_has_an_empty_neighbor_row() {
     assert_eq!(counts, vec![0]);
     assert_eq!(swept.ax[0], 0.0);
     assert!(swept.rho[0] > 0.0);
+}
+
+/// Positive finite `x` moved by `ulps` representable steps.
+fn step_ulps(x: f64, ulps: i64) -> f64 {
+    f64::from_bits((x.to_bits() as i64 + ulps) as u64)
+}
+
+#[test]
+fn pairs_on_the_support_boundary_are_stored_iff_a_sweep_can_consume_them() {
+    // The list stores (i, j) iff d² <= fl(s·s), s the larger of the two
+    // supports. The count, density and IAD consume a pair when
+    // d² <= fl(s_i·s_i), momentum when fl(sqrt(d²)) < s_i or < s_j — never
+    // more than the list holds. Two particles, the second placed so d² is
+    // exactly fl(s·s), exactly the next float up, and a few ulps of `s` to
+    // either side: the pair must be stored up to the boundary and not past
+    // it, and the three sweep paths must agree in every bit on all of them.
+    for kernel in KERNELS {
+        // The boundary is particle 0's own support; then its neighbour's
+        // (row 0 holds the pair only through `radii[1]`); then a neighbour
+        // support past the 1.4·s_0 that momentum searches from row 0.
+        for (h0, h1) in [(0.05, 0.04), (0.04, 0.05), (0.02, 0.05)] {
+            let s = kernel.support(f64::max(h0, h1));
+            let s2 = s * s;
+            let ulp = step_ulps(s2, 1) - s2;
+            assert_eq!(s2 + ulp.sqrt() * ulp.sqrt(), step_ulps(s2, 1));
+            let mut offsets = vec![(s, 0.0), (s, ulp.sqrt())];
+            offsets.extend((-3..=3).map(|k| (step_ulps(s, k), 0.0)));
+            for periodic in [false, true] {
+                let bbox = Box3::cube(-1.0, 1.0, periodic);
+                for &(dx, dy) in &offsets {
+                    let mut parts = Particles::new();
+                    parts.push(0.0, 0.0, 0.0, 0.3, -0.2, 0.1, 1.0, h0, 1.0);
+                    parts.push(dx, dy, 0.0, -0.1, 0.4, 0.2, 1.5, h1, 0.7);
+                    // Particle 0 sits at the origin, so the stored delta is
+                    // (dx, dy, 0) exactly and the scan sums d² this way.
+                    let stored = dx * dx + dy * dy <= s2;
+                    let (_, nl) = grid_and_list(&parts, &bbox, kernel);
+                    let what = format!("{kernel:?} h=({h0}, {h1}) offset ({dx:e}, {dy:e})");
+                    assert_eq!(nl.row(0).contains(&1), stored, "row 0, {what}");
+                    assert_eq!(nl.row(1).contains(&0), stored, "row 1, {what}");
+                    run_both(&parts, &bbox, kernel);
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn graded_cloud_stores_pairs_beyond_momentums_own_search() {
+    // Two thirds of the cloud at half the smoothing length: a small particle
+    // i next to a large j has s_j > 1.4·s_i, so row i stores pairs (within
+    // s_j) that momentum's 1.4·s_i search never reaches — it skips them, as
+    // the reference does, while row j consumes the same pair.
+    for periodic in [true, false] {
+        let (mut parts, bbox) = cloud(400, 11, periodic);
+        for (k, h) in parts.h.iter_mut().enumerate() {
+            if k % 3 != 0 {
+                *h *= 0.5;
+            }
+        }
+        for kernel in KERNELS {
+            let (_, nl) = grid_and_list(&parts, &bbox, kernel);
+            let beyond = (0..parts.len()).any(|i| {
+                let cut = 1.4 * kernel.support(parts.h[i]);
+                let (_, dx, dy, dz) = nl.row_deltas(i);
+                (0..dx.len()).any(|k| dx[k] * dx[k] + dy[k] * dy[k] + dz[k] * dz[k] > cut * cut)
+            });
+            assert!(beyond, "{kernel:?}: no stored pair past 1.4·s_i");
+            run_both(&parts, &bbox, kernel);
+        }
+    }
 }
 
 proptest! {
