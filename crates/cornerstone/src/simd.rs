@@ -1,8 +1,9 @@
 //! Runtime CPU-feature dispatch and the shared AVX2 left-pack step.
 //!
 //! The crate is built for the baseline `x86-64` target (SSE2). The hot
-//! candidate scan, the row compactors and the sweep batches each exist
-//! twice: a portable body, and a `#[target_feature(enable = "avx2")]`
+//! candidate scan, the row compactors, the sweep batches and `sph`'s
+//! Barnes-Hut group walk (four targets per pass over the node array) each
+//! exist twice: a portable body, and a `#[target_feature(enable = "avx2")]`
 //! function written with `core::arch::x86_64` intrinsics (LLVM's cost model
 //! keeps the portable bodies on 128-bit ops, so the 256-bit versions are
 //! spelled by hand). [`avx2()`] picks one at runtime (the
@@ -16,7 +17,8 @@
 //! independently, and rustc never licenses FMA contraction or
 //! reassociation, with or without `target_feature`. The tests drive both
 //! bodies on the same inputs and compare bits (`celllist`'s and
-//! `neighborlist`'s pack tests, `sph`'s blocked-vs-scalar suite).
+//! `neighborlist`'s pack tests, `sph`'s blocked-vs-scalar suite and its
+//! group-walk test in `gravity`).
 //!
 //! ## Left-pack
 //!

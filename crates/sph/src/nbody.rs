@@ -12,7 +12,7 @@ use ranks::{Op, RankCtx};
 
 use crate::conservation::EnergyBudget;
 use crate::funcs::{FuncId, WorkloadProfile};
-use crate::gravity::BhTree;
+use crate::gravity::self_gravity;
 use crate::ic::InitialConditions;
 use crate::particles::Particles;
 use crate::sim::{Instrumented, StepObserver, StepStats};
@@ -285,40 +285,9 @@ impl NBody {
     }
 
     fn apply_gravity(&mut self, ctx: &mut RankCtx) {
-        let n = self.parts.n_local;
-        let mut payload = Vec::with_capacity(n * 4);
-        for i in 0..n {
-            payload.extend_from_slice(&[
-                self.parts.x[i],
-                self.parts.y[i],
-                self.parts.z[i],
-                self.parts.m[i],
-            ]);
-        }
-        let gathered = ctx.allgather_f64s(&payload);
-        let mut gx = Vec::new();
-        let mut gy = Vec::new();
-        let mut gz = Vec::new();
-        let mut gm = Vec::new();
-        let mut my_offset = 0;
-        for (r, buf) in gathered.iter().enumerate() {
-            if r == ctx.rank() {
-                my_offset = gx.len();
-            }
-            for c in buf.chunks_exact(4) {
-                gx.push(c[0]);
-                gy.push(c[1]);
-                gz.push(c[2]);
-                gm.push(c[3]);
-            }
-        }
-        let tree = BhTree::build(&gx, &gy, &gz, &gm, self.theta, self.eps);
-        // Gather-parallel tree walks; the potential fold stays serial in
-        // index order so the sum is thread-count invariant.
-        let p = &self.parts;
-        let walks: Vec<([f64; 3], f64)> = par::par_map(n, |i| {
-            tree.accel_at(p.x[i], p.y[i], p.z[i], Some(my_offset + i))
-        });
+        let walks = self_gravity(ctx, &self.parts, self.theta, self.eps);
+        // The potential fold stays serial in index order so the sum is
+        // thread-count invariant.
         let mut potential = 0.0;
         for (i, (a, phi)) in walks.into_iter().enumerate() {
             self.parts.ax[i] = a[0];

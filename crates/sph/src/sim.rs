@@ -19,7 +19,7 @@ use crate::conservation::{local_budget, EnergyBudget};
 use crate::density::{density_gradh, neighbor_counts, xmass};
 use crate::eos::Eos;
 use crate::funcs::{FuncId, WorkloadProfile};
-use crate::gravity::BhTree;
+use crate::gravity::self_gravity;
 use crate::iad::iad_divv_curlv;
 use crate::ic::InitialConditions;
 use crate::kernels::Kernel;
@@ -790,44 +790,14 @@ impl Simulation {
             .fold(h_local, f64::max);
     }
 
-    /// Global Barnes-Hut gravity: gather all point masses, add accelerations,
-    /// and record this rank's share of the potential energy.
+    /// Global Barnes-Hut gravity ([`self_gravity`]): add the accelerations and
+    /// record this rank's share of the potential energy.
     fn apply_gravity(&mut self, ctx: &mut RankCtx) {
         let n_local = self.parts.n_local;
-        let mut payload = Vec::with_capacity(n_local * 4);
-        for i in 0..n_local {
-            payload.extend_from_slice(&[
-                self.parts.x[i],
-                self.parts.y[i],
-                self.parts.z[i],
-                self.parts.m[i],
-            ]);
-        }
-        let gathered = ctx.allgather_f64s(&payload);
-        let mut gx = Vec::new();
-        let mut gy = Vec::new();
-        let mut gz = Vec::new();
-        let mut gm = Vec::new();
-        let mut my_offset = 0usize;
-        for (r, buf) in gathered.iter().enumerate() {
-            if r == ctx.rank() {
-                my_offset = gx.len();
-            }
-            for c in buf.chunks_exact(4) {
-                gx.push(c[0]);
-                gy.push(c[1]);
-                gz.push(c[2]);
-                gm.push(c[3]);
-            }
-        }
         let h_mean = self.parts.h[..n_local].iter().sum::<f64>() / n_local.max(1) as f64;
-        let tree = BhTree::build(&gx, &gy, &gz, &gm, 0.6, 0.2 * h_mean);
-        // Gather-parallel tree walks; the potential fold stays serial in
-        // index order so the sum is thread-count invariant.
-        let p = &self.parts;
-        let walks: Vec<([f64; 3], f64)> = par::par_map(n_local, |i| {
-            tree.accel_at(p.x[i], p.y[i], p.z[i], Some(my_offset + i))
-        });
+        let walks = self_gravity(ctx, &self.parts, 0.6, 0.2 * h_mean);
+        // The potential fold stays serial in index order so the sum is
+        // thread-count invariant.
         let mut potential = 0.0;
         for (i, (a, phi)) in walks.into_iter().enumerate() {
             self.parts.ax[i] += a[0];

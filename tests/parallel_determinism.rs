@@ -4,7 +4,8 @@
 //! Every parallel loop in the workspace uses the gather pattern (map into
 //! per-index slots, fold serially), so 1-thread and N-thread runs are
 //! required to be *bit-identical* — not merely close. These tests pin that
-//! contract end to end: a gravity workload step and a full tuner sweep.
+//! contract end to end: a gravity workload step on one rank and on two, and
+//! a full tuner sweep.
 
 use std::sync::Mutex;
 
@@ -55,11 +56,17 @@ fn snapshot(parts: &Particles) -> Vec<u64> {
     out
 }
 
-/// One Evrard step (gravity exercises the Barnes-Hut build + walk on top of
-/// the SPH loops) at the given worker count.
-fn evrard_step_at(threads: usize) -> (Vec<u64>, StepStats) {
+/// Evrard steps (gravity exercises the Barnes-Hut build + walk on top of the
+/// SPH loops) at the given worker count. Returns every rank's state bits and
+/// its last step's stats.
+fn evrard_steps_at(
+    threads: usize,
+    ranks: usize,
+    n_side: usize,
+    steps: usize,
+) -> Vec<(Vec<u64>, StepStats)> {
     par::set_max_threads(threads);
-    let out = ranks::run(1, CommCost::default(), |ctx| {
+    let out = ranks::run(ranks, CommCost::default(), |ctx| {
         let cfg = SimConfig {
             kernel: Kernel::CubicSpline,
             target_particles_per_rank: 1e6,
@@ -67,13 +74,38 @@ fn evrard_step_at(threads: usize) -> (Vec<u64>, StepStats) {
             bucket_size: 32,
             ..SimConfig::default()
         };
-        let mut sim = Simulation::new(evrard(8), cfg);
-        let stats = sim.step(ctx, &mut NullObserver);
-        (snapshot(&sim.parts), stats)
-    })
-    .remove(0);
+        let mut sim = Simulation::distribute(evrard(n_side), cfg, ctx.rank(), ctx.size());
+        let mut stats = None;
+        for _ in 0..steps {
+            stats = Some(sim.step(ctx, &mut NullObserver));
+        }
+        (snapshot(&sim.parts), stats.expect("at least one step"))
+    });
     par::set_max_threads(0);
     out
+}
+
+/// Every rank's state, time step and energy budget agree to the last bit.
+fn assert_same_bits(at_1t: &[(Vec<u64>, StepStats)], at_4t: &[(Vec<u64>, StepStats)]) {
+    assert_eq!(at_1t.len(), at_4t.len());
+    for (rank, ((state_1t, stats_1t), (state_4t, stats_4t))) in at_1t.iter().zip(at_4t).enumerate()
+    {
+        assert!(!state_1t.is_empty(), "rank {rank} owns particles");
+        assert_eq!(
+            state_1t, state_4t,
+            "rank {rank}: particle state must be bit-identical at 1 vs 4 threads"
+        );
+        assert_eq!(stats_1t.dt.to_bits(), stats_4t.dt.to_bits());
+        assert_eq!(
+            stats_1t.budget.potential.to_bits(),
+            stats_4t.budget.potential.to_bits(),
+            "rank {rank}: gravity potential fold must be thread-count invariant"
+        );
+        assert_eq!(
+            stats_1t.budget.kinetic.to_bits(),
+            stats_4t.budget.kinetic.to_bits()
+        );
+    }
 }
 
 /// A full per-function frequency sweep at the given worker count. Frequencies
@@ -104,23 +136,22 @@ fn sweep_at(threads: usize) -> Vec<(String, u32, Vec<u64>)> {
 #[test]
 fn evrard_step_is_bit_identical_across_thread_counts() {
     let _guard = THREAD_OVERRIDE.lock().unwrap();
-    let (state_1t, stats_1t) = evrard_step_at(1);
-    let (state_4t, stats_4t) = evrard_step_at(4);
-    assert!(!state_1t.is_empty());
-    assert_eq!(
-        state_1t, state_4t,
-        "particle state must be bit-identical at 1 vs 4 threads"
+    assert_same_bits(&evrard_steps_at(1, 1, 8, 1), &evrard_steps_at(4, 1, 8, 1));
+}
+
+/// Two ranks: each walks its own share of the targets through the
+/// allgathered tree, rank 1 from a non-zero source offset, and with 1 790
+/// particles (2 mod 4) some rank ends in a partial group of four.
+#[test]
+fn evrard_2rank_steps_are_bit_identical_across_thread_counts() {
+    let _guard = THREAD_OVERRIDE.lock().unwrap();
+    let at_1t = evrard_steps_at(1, 2, 15, 2);
+    assert_eq!(at_1t.len(), 2);
+    assert!(
+        at_1t.iter().any(|(_, stats)| stats.n_local % 4 != 0),
+        "some rank walks a partial tail group"
     );
-    assert_eq!(stats_1t.dt.to_bits(), stats_4t.dt.to_bits());
-    assert_eq!(
-        stats_1t.budget.potential.to_bits(),
-        stats_4t.budget.potential.to_bits(),
-        "gravity potential fold must be thread-count invariant"
-    );
-    assert_eq!(
-        stats_1t.budget.kinetic.to_bits(),
-        stats_4t.budget.kinetic.to_bits()
-    );
+    assert_same_bits(&at_1t, &evrard_steps_at(4, 2, 15, 2));
 }
 
 #[test]
