@@ -3,7 +3,7 @@
 //! `list_seconds` column) against `sph::reference`, the per-pair callback
 //! sweeps the tests compare them to — over the cell grid, which re-walks
 //! the stencil per sweep (the pre-list baseline; `grid_seconds`), and over
-//! the same list's stored-delta replay (`scalar_list_seconds`, the row
+//! the same list's per-pair replay (`scalar_list_seconds`, the row
 //! engine's win alone with the traversal held fixed) — written as the
 //! `BENCH_neighbors.json` artifact checked into the repo root.
 //!
@@ -12,9 +12,9 @@
 //! plus the composite five-traversal step with the list build amortized in,
 //! median of 7 reps, on Evrard and subsonic-turbulence particle clouds — two
 //! cache-resident ones and a 46³ turbulence cloud (the `turb_100k` size of
-//! `crates/perf`), where the list is ~240 MB at the initial smoothing
-//! lengths and how it is laid out in memory shows (its slow grid-walk
-//! columns take 3 reps).
+//! `crates/perf`), where the list is ~40 MB at the initial smoothing
+//! lengths and the per-neighbour records no longer fit a core's cache (its
+//! slow grid-walk columns take 3 reps).
 //! Regenerate with:
 //!
 //! ```sh
@@ -26,7 +26,8 @@
 //! Either way the run exits non-zero on two exact counts, which repeat on
 //! any host and so cannot flake: a cloud whose list holds more than
 //! [`MAX_BYTES_PER_PAIR`] resident bytes per stored pair (it fails the day a
-//! second copy of the list — a splice target, build scratch — comes back),
+//! second copy of the list — a splice target, build scratch — or a column
+//! of stored pair geometry comes back),
 //! and a cloud whose list stores more than `2 · Σ_i (nn_i + 1)` pairs (see
 //! [`max_pairs`]: it fails the day the list radii regain headroom over the
 //! kernel support).
@@ -48,10 +49,12 @@ const REPS: usize = 7;
 /// Reps for the grid-walk columns of the 46³ cloud (seconds per sweep).
 const BIG_GRID_REPS: usize = 3;
 
-/// Residency bound on `csr_bytes / pair_count`: 1.5 × the 28 B a pair costs
-/// (a `u32` index + three `f64` deltas). One in-place copy with its `Vec`
-/// growth slack sits at 1.1–1.3×; the spliced two-copy layout sat at 2.3×.
-const MAX_BYTES_PER_PAIR: f64 = 1.5 * 28.0;
+/// Residency bound on `csr_bytes / pair_count`. A pair costs its `u32`
+/// index, 4 B; column growth slack (up to a quarter), the per-row words and
+/// the cell-sorted coordinate copies bring the three clouds to 5.1–5.4 B. A
+/// second copy of the indices, or a single `f64` column back beside them
+/// (12 B a pair before slack), lands well past 8.
+const MAX_BYTES_PER_PAIR: f64 = 8.0;
 
 /// Tightness bound on a list's `pair_count`, from the per-row neighbour
 /// counts `nn` (self excluded) the sweeps consume: with every particle a

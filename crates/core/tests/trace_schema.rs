@@ -244,13 +244,17 @@ fn evrard_online_run_emits_valid_chrome_trace() {
         assert!(metrics.contains("# TYPE freqscale_instrument_calls counter"));
         assert!(metrics.contains("freqscale_call_energy_j_count"));
         assert!(metrics.contains("freqscale_telemetry_overhead_ns"));
-        // The shared CSR neighbor-list build publishes its shape each step,
-        // and so does the Barnes-Hut tree (this run is an Evrard collapse).
+        // The shared CSR neighbor-list build publishes its shape each step
+        // (with the neighbour count `h` adapts to, and what a stored pair
+        // costs), and so does the Barnes-Hut tree (this run is an Evrard
+        // collapse).
         for g in [
             "freqscale_neighbors_avg",
             "freqscale_neighbors_max",
             "freqscale_neighbors_csr_bytes",
             "freqscale_neighbors_build_ms",
+            "freqscale_neighbors_nn_avg",
+            "freqscale_neighbors_bytes_per_pair",
             "freqscale_gravity_nodes",
             "freqscale_gravity_build_ms",
             "freqscale_gravity_walk_ms",

@@ -8,14 +8,21 @@
 use serde::{Deserialize, Serialize};
 
 use crate::box3::Box3;
-use crate::neighborlist::{RowChunk, SortedCoords};
+use crate::neighborlist::SortedCoords;
 
-/// The minimum-image displacement of the list build, in select form: the
-/// same operations as [`Box3::delta`]'s branches, shared by the portable
-/// scan and the AVX2 scan's remainder lanes so both compute the same
-/// expressions (same bits).
-#[derive(Clone, Copy)]
-struct MinImage {
+/// The minimum-image displacement in select form — the *one* definition of
+/// the pair-geometry expressions. The list scan decides membership with it
+/// and the sweeps recompute every pair's displacement with it
+/// ([`crate::NeighborList::min_image`]), so what a sweep folds is, bit for
+/// bit, what the scan tested.
+///
+/// It performs the same operations as [`Box3::delta`]'s branches (`d - 0.0
+/// == d` and `d - (-l) == d + l` exactly), so [`MinImage::delta`] of `a`
+/// relative to `b` equals `Box3::delta(a, b)`, and its `d2` equals
+/// [`Box3::dist2`] in either argument order (IEEE negation is exact and
+/// squares erase the sign).
+#[derive(Debug, Clone, Copy, Default)]
+pub struct MinImage {
     periodic: bool,
     /// Box edge lengths and their halves, per axis.
     l: [f64; 3],
@@ -23,7 +30,7 @@ struct MinImage {
 }
 
 impl MinImage {
-    fn new(bbox: &Box3) -> Self {
+    pub fn new(bbox: &Box3) -> Self {
         let l = [bbox.lx(), bbox.ly(), bbox.lz()];
         MinImage {
             periodic: bbox.periodic,
@@ -34,7 +41,7 @@ impl MinImage {
 
     /// `(dx, dy, dz, d2)` of candidate `(x, y, z)` relative to `(px, py, pz)`.
     #[inline(always)]
-    fn delta(&self, x: f64, y: f64, z: f64, px: f64, py: f64, pz: f64) -> (f64, f64, f64, f64) {
+    pub fn delta(&self, x: f64, y: f64, z: f64, px: f64, py: f64, pz: f64) -> (f64, f64, f64, f64) {
         let wrap = |d: f64, l: f64, h: f64| {
             d - if d > h {
                 l
@@ -51,6 +58,66 @@ impl MinImage {
             dz = wrap(dz, self.l[2], self.h[2]);
         }
         (dx, dy, dz, dx * dx + dy * dy + dz * dz)
+    }
+
+    /// [`MinImage::delta`] over a row: the candidate positions in `x/y/z`
+    /// are overwritten with their displacements relative to `p`, and
+    /// `d2[k]`/`r[k]` receive the squared distance and its (correctly
+    /// rounded) root. Elementwise, so every lane carries the bits of the
+    /// scalar call whatever its position. Dispatched through an AVX2 clone
+    /// when available ([`crate::simd`]).
+    pub fn geometry_in_place(
+        &self,
+        p: [f64; 3],
+        x: &mut [f64],
+        y: &mut [f64],
+        z: &mut [f64],
+        d2: &mut [f64],
+        r: &mut [f64],
+    ) {
+        #[cfg(target_arch = "x86_64")]
+        if crate::simd::avx2() {
+            // SAFETY: AVX2 support was just checked; the clone has no other
+            // precondition (portable body under different codegen).
+            return unsafe { self.geometry_in_place_avx2(p, x, y, z, d2, r) };
+        }
+        self.geometry_in_place_impl(p, x, y, z, d2, r)
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    unsafe fn geometry_in_place_avx2(
+        &self,
+        p: [f64; 3],
+        x: &mut [f64],
+        y: &mut [f64],
+        z: &mut [f64],
+        d2: &mut [f64],
+        r: &mut [f64],
+    ) {
+        self.geometry_in_place_impl(p, x, y, z, d2, r)
+    }
+
+    #[inline(always)]
+    fn geometry_in_place_impl(
+        &self,
+        [px, py, pz]: [f64; 3],
+        x: &mut [f64],
+        y: &mut [f64],
+        z: &mut [f64],
+        d2: &mut [f64],
+        r: &mut [f64],
+    ) {
+        let n = x.len();
+        let (y, z, d2, r) = (&mut y[..n], &mut z[..n], &mut d2[..n], &mut r[..n]);
+        for k in 0..n {
+            let (dx, dy, dz, q) = self.delta(x[k], y[k], z[k], px, py, pz);
+            x[k] = dx;
+            y[k] = dy;
+            z[k] = dz;
+            d2[k] = q;
+            r[k] = q.sqrt();
+        }
     }
 }
 
@@ -154,6 +221,21 @@ impl CellList {
     /// Grid dimensions `(nx, ny, nz)`.
     pub fn dims(&self) -> (usize, usize, usize) {
         (self.nx, self.ny, self.nz)
+    }
+
+    /// The box the grid was built over.
+    pub fn bbox(&self) -> &Box3 {
+        &self.bbox
+    }
+
+    /// Cell edge length per axis (box extent over cell count).
+    pub fn cell_edges(&self) -> [f64; 3] {
+        let b = &self.bbox;
+        [
+            b.lx() / self.nx as f64,
+            b.ly() / self.ny as f64,
+            b.lz() / self.nz as f64,
+        ]
     }
 
     /// Particles stored.
@@ -342,10 +424,11 @@ impl CellList {
 
     /// The [`for_neighbors`](CellList::for_neighbors) walk around `p`,
     /// reading candidate positions from the *cell-sorted* copies in `src`
-    /// and appending every passing candidate — its index and its
-    /// minimum-image displacement `r_j - r_i` — straight to `out`'s four
-    /// columns. Nothing is emitted through a callback and nothing is copied
-    /// afterwards: `out` is the neighbor list's own storage.
+    /// and appending the index of every passing candidate straight to
+    /// `out`'s index column. Nothing is emitted through a callback and
+    /// nothing is copied afterwards: `out` is the neighbor list's own
+    /// storage. The pair geometry is not stored — a sweep recomputes it from
+    /// the positions with the same [`MinImage`] the test below uses.
     ///
     /// A candidate in slot `k` passes if `d2 <= r²`, or — when `src` carries
     /// per-candidate squared radii (`src.r2` non-empty, the h-aware build) —
@@ -353,29 +436,35 @@ impl CellList {
     /// *either* particle's reach, which keeps every row complete for
     /// queries up to the row's own radius while dropping the far candidates
     /// a globally-maximal radius would haul in. The adaptive rule widens
-    /// the pass set, never reorders it.
+    /// the pass set, never reorders it. Returns how many of the appended
+    /// candidates lie within the query's own `r²` (all of them for a
+    /// fixed-radius scan) — the count `FindNeighbors` reports, taken while
+    /// the distances are in registers.
     ///
-    /// The appended `(j, d2)` sequence (`d2 = dx² + dy² + dz²` of the stored
-    /// delta) is bit-identical to the one `for_neighbors` produces for the
-    /// same query: the cell visit order is the same, IEEE negation is exact
-    /// (`b - a == -(a - b)`, squares agree), and the select form of the
-    /// periodic wrap in [`MinImage`] performs the same operations as
-    /// [`Box3::delta`]'s branches (`d - 0.0 == d` and `d - (-l) == d + l`
-    /// exactly).
+    /// The appended `j` sequence, with `d2` recomputed by [`MinImage::delta`]
+    /// or [`Box3::dist2`], is bit-identical to the `(j, d2)` sequence
+    /// `for_neighbors` produces for the same query: the cell visit order is
+    /// the same, and the two distance forms agree (see [`MinImage`]).
     ///
     /// Stencil cells the query cannot reach are not scanned at all
     /// (`stencil_runs`: the distance from `p` to the cell's near faces, less
     /// [`GAP_SLACK`], against `max(r², largest candidate radius² in the
     /// cell)`). A skipped cell holds no passing candidate, and the cells
-    /// that remain are walked in the same order, so the appended columns
-    /// are byte-identical to a scan of all 27. At the simulation's radii
+    /// that remain are walked in the same order, so the appended column
+    /// is byte-identical to a scan of all 27. At the simulation's radii
     /// (`support(h)`, cells `1.4 · support(h_max)` wide) about 11 of the 27
     /// cells survive on a uniform cloud and 13 % of the ~320 candidates
     /// scanned per row pass (5 % of ~780 unpruned); on h-graded clouds most
     /// rows sit in cells many radii wide and keep fewer still. The scan
     /// still dominates the build; it is dispatched to a hand-written AVX2
     /// body when available ([`crate::simd`]).
-    pub(crate) fn scan_into(&self, p: [f64; 3], r: f64, src: &SortedCoords, out: &mut RowChunk) {
+    pub(crate) fn scan_into(
+        &self,
+        p: [f64; 3],
+        r: f64,
+        src: &SortedCoords,
+        out: &mut Vec<u32>,
+    ) -> usize {
         #[cfg(target_arch = "x86_64")]
         if crate::simd::avx2() {
             // SAFETY: AVX2 and POPCNT support was just checked; the body has
@@ -397,21 +486,24 @@ impl CellList {
         [px, py, pz]: [f64; 3],
         r: f64,
         src: &SortedCoords,
-        out: &mut RowChunk,
-    ) {
+        out: &mut Vec<u32>,
+    ) -> usize {
         let adaptive = !src.r2.is_empty();
         let r2 = r * r;
         let wrap = MinImage::new(&self.bbox);
         let (runs, n) = self.stencil_runs([px, py, pz], r2, &src.cell_r2);
+        let mut own = 0;
         for &(s, e) in &runs[..n] {
             for k in s..e {
-                let (dx, dy, dz, d2) = wrap.delta(src.x[k], src.y[k], src.z[k], px, py, pz);
+                let d2 = wrap.delta(src.x[k], src.y[k], src.z[k], px, py, pz).3;
                 let lim = if adaptive { r2.max(src.r2[k]) } else { r2 };
                 if d2 <= lim {
-                    out.push(self.order[k], dx, dy, dz);
+                    out.push(self.order[k]);
+                    own += (d2 <= r2) as usize;
                 }
             }
         }
+        own
     }
 
     /// Hand-vectorized AVX2 scan. Every intrinsic is the same
@@ -424,15 +516,17 @@ impl CellList {
     /// matching `>`/`<`/`<=`; `vmaxpd` for the adaptive limit (identical to
     /// `f64::max` on the positive finite radii involved).
     ///
-    /// Emission has no per-lane branch: per 4-lane chunk the passing lanes
-    /// are left-packed ([`crate::simd::pack_store_pd`]) and stored at the
-    /// output cursor `len`, which then advances by `popcnt(mask)` — at the
-    /// build's ~13 % pass rate a per-lane `if` mispredicts more often than
-    /// four permutes cost. The one branch left skips a chunk in which no
+    /// Emission has no per-lane branch: per 4-lane chunk the passing lanes'
+    /// indices are left-packed ([`crate::simd::pack_store_u32`]) and stored
+    /// at the output cursor `len`, which then advances by `popcnt(mask)` —
+    /// at the build's ~13 % pass rate a per-lane `if` mispredicts more often
+    /// than a permute costs. The one branch left skips a chunk in which no
     /// lane passes; it predicts well because failing chunks come in long
     /// runs (the far corner of a reached cell fails whole), and on h-graded
     /// clouds, where cells hold thousands of candidates per passing one, it
-    /// halves the build. One `reserve(run + 4)` per cell run covers every
+    /// halves the build. A lane within the query's own radius always passes,
+    /// so the own-radius count (one more compare and `popcnt`) lives in the
+    /// passing arm only. One `grow(run + 4)` per cell run covers every
     /// store of the run; the up-to-3 remainder candidates are pushed by the
     /// scalar expressions.
     #[cfg(target_arch = "x86_64")]
@@ -442,9 +536,9 @@ impl CellList {
         [px, py, pz]: [f64; 3],
         r: f64,
         src: &SortedCoords,
-        out: &mut RowChunk,
-    ) {
-        use crate::simd::{pack_store_pd, pack_store_u32};
+        out: &mut Vec<u32>,
+    ) -> usize {
+        use crate::simd::pack_store_u32;
         use std::arch::x86_64::*;
         let r2 = r * r;
         let wrap = MinImage::new(&self.bbox);
@@ -472,22 +566,16 @@ impl CellList {
             let adj = _mm256_or_pd(_mm256_and_pd(hi, vl), _mm256_and_pd(lo, vnl));
             _mm256_sub_pd(d, adj)
         }
-        // The cursor below is shared by the four columns.
-        assert!(
-            out.dx.len() == out.j.len()
-                && out.dy.len() == out.j.len()
-                && out.dz.len() == out.j.len(),
-            "row chunk columns out of step"
-        );
         let (runs, n) = self.stencil_runs([px, py, pz], r2, &src.cell_r2);
+        let mut own = 0;
         for &(s, e) in &runs[..n] {
             // Checked once per run; every vector load below stays inside
             // these sub-slices.
             let (xr, yr, zr, jr) = (&src.x[s..e], &src.y[s..e], &src.z[s..e], &self.order[s..e]);
             let rr = if ADAPTIVE { &src.r2[s..e] } else { &[][..] };
             let run = e - s;
-            out.reserve(run + 4);
-            let mut len = out.j.len();
+            crate::neighborlist::grow(out, run + 4);
+            let mut len = out.len();
             let mut t = 0;
             while t + 4 <= run {
                 // SAFETY: `t + 4 <= run`, the length of `xr`/`yr`/`zr`/`jr`
@@ -496,7 +584,6 @@ impl CellList {
                 let mut dx = _mm256_sub_pd(_mm256_loadu_pd(xr.as_ptr().add(t)), vpx);
                 let mut dy = _mm256_sub_pd(_mm256_loadu_pd(yr.as_ptr().add(t)), vpy);
                 let mut dz = _mm256_sub_pd(_mm256_loadu_pd(zr.as_ptr().add(t)), vpz);
-                let vj = _mm_loadu_si128(jr.as_ptr().add(t).cast());
                 if wrap.periodic {
                     dx = wrap4(dx, vhx, vnhx, vlx, vnlx);
                     dy = wrap4(dy, vhy, vnhy, vly, vnly);
@@ -516,30 +603,36 @@ impl CellList {
                     t += 4;
                     continue;
                 }
-                // SAFETY: `reserve(run + 4)` above left `run + 4` spare
-                // slots behind the run's starting length in each column,
-                // and `len` has advanced by at most `t` since — so
-                // `len + 4 <= capacity` for all four stores (each
-                // debug-asserts it). `mask` is a 4-bit movemask.
-                pack_store_u32(&mut out.j, len, vj, mask);
-                pack_store_pd(&mut out.dx, len, dx, mask);
-                pack_store_pd(&mut out.dy, len, dy, mask);
-                pack_store_pd(&mut out.dz, len, dz, mask);
+                let within = if ADAPTIVE {
+                    _mm256_movemask_pd(_mm256_cmp_pd::<_CMP_LE_OQ>(d2, vr2)) as usize
+                } else {
+                    mask
+                };
+                own += within.count_ones() as usize;
+                // SAFETY: the load is in bounds as above. The `grow(run + 4)`
+                // left `run + 4` spare slots behind the run's starting
+                // length, and `len` has advanced by at most `t` since — so
+                // `len + 4 <= capacity` for the store (which debug-asserts
+                // it). `mask` is a 4-bit movemask.
+                let vj = _mm_loadu_si128(jr.as_ptr().add(t).cast());
+                pack_store_u32(out, len, vj, mask);
                 len += mask.count_ones() as usize;
                 t += 4;
             }
             // SAFETY: slots up to `len` were initialised by the pack stores
             // (each advanced `len` by exactly its count of meaningful
-            // lanes), and `len <= capacity` by the reserve above.
+            // lanes), and `len <= capacity` by the `grow` above.
             out.set_len(len);
             for k in t..run {
-                let (dx, dy, dz, d2) = wrap.delta(xr[k], yr[k], zr[k], px, py, pz);
+                let d2 = wrap.delta(xr[k], yr[k], zr[k], px, py, pz).3;
                 let lim = if ADAPTIVE { r2.max(rr[k]) } else { r2 };
                 if d2 <= lim {
-                    out.push(jr[k], dx, dy, dz);
+                    out.push(jr[k]);
+                    own += (d2 <= r2) as usize;
                 }
             }
         }
+        own
     }
 
     /// Collect neighbor indices of particle `i` within `r`, excluding `i`.
@@ -647,44 +740,115 @@ mod tests {
         src
     }
 
-    /// A chunk's columns as comparable bits.
-    fn chunk_bits(ch: &RowChunk) -> (Vec<u32>, Vec<[u64; 3]>) {
-        let d = (0..ch.j.len())
-            .map(|k| [ch.dx[k].to_bits(), ch.dy[k].to_bits(), ch.dz[k].to_bits()])
-            .collect();
-        (ch.j.clone(), d)
-    }
-
     #[test]
     fn scan_replays_for_neighbors_bitwise() {
         // The neighbor-list build rests on this: the sorted-coordinate scan
-        // must append the same (j, d2) sequence — same order, same bits —
-        // as for_neighbors, and its deltas must equal Box3::delta(j, i).
+        // must append the same j sequence as for_neighbors, the d2 a
+        // consumer recomputes through MinImage must be for_neighbors' d2 to
+        // the bit, and the own-radius count of a fixed-radius scan is the
+        // row length.
         for periodic in [true, false] {
             let (x, y, z) = cloud(250, 8);
             let bbox = Box3::cube(0.0, 1.0, periodic);
             let r = 0.14;
             let cl = CellList::build(&x, &y, &z, &bbox, r);
             let src = sorted(&cl, &x, &y, &z, None);
+            let wrap = MinImage::new(&bbox);
             for i in (0..250).step_by(9) {
                 let mut direct = Vec::new();
                 cl.for_neighbors(x[i], y[i], z[i], r, &x, &y, &z, |j, d2| {
                     direct.push((j, d2.to_bits()));
                 });
-                let mut out = RowChunk::default();
-                cl.scan_into([x[i], y[i], z[i]], r, &src, &mut out);
-                let mut replay = Vec::new();
-                for k in 0..out.j.len() {
-                    let j = out.j[k] as usize;
-                    let (dx, dy, dz) = (out.dx[k], out.dy[k], out.dz[k]);
-                    let (ex, ey, ez) = bbox.delta(x[j], y[j], z[j], x[i], y[i], z[i]);
-                    assert_eq!(dx.to_bits(), ex.to_bits(), "dx of pair ({i},{j})");
-                    assert_eq!(dy.to_bits(), ey.to_bits(), "dy of pair ({i},{j})");
-                    assert_eq!(dz.to_bits(), ez.to_bits(), "dz of pair ({i},{j})");
-                    replay.push((j, (dx * dx + dy * dy + dz * dz).to_bits()));
-                }
+                let mut out = Vec::new();
+                let own = cl.scan_into([x[i], y[i], z[i]], r, &src, &mut out);
+                assert_eq!(own, out.len(), "particle {i}, periodic={periodic}");
+                let replay: Vec<(usize, u64)> = out
+                    .iter()
+                    .map(|&j| {
+                        let j = j as usize;
+                        let d2 = wrap.delta(x[j], y[j], z[j], x[i], y[i], z[i]).3;
+                        (j, d2.to_bits())
+                    })
+                    .collect();
                 assert_eq!(direct, replay, "particle {i}, periodic={periodic}");
             }
+        }
+    }
+
+    #[test]
+    fn min_image_and_its_batch_body_match_box3_bitwise() {
+        // MinImage is the one definition of the pair geometry: delta(a
+        // relative to b) must be Box3::delta(a, b) and its d2 Box3::dist2 in
+        // either argument order, to the bit — on pairs that wrap on some
+        // axis and pairs that do not (a 0.45 reach in a unit box gives
+        // both), in boxes with unequal edges off the origin — and the batch
+        // body, dispatched and portable, must equal the scalar call in every
+        // lane for every tail length 0..=9.
+        let boxes = [
+            Box3::unit_periodic(),
+            Box3::cube(0.0, 1.0, false),
+            Box3 {
+                xmin: -0.5,
+                xmax: 0.5,
+                ymin: 2.0,
+                ymax: 4.0,
+                zmin: -3.0,
+                zmax: 0.0,
+                periodic: true,
+            },
+        ];
+        for bbox in boxes {
+            let wrap = MinImage::new(&bbox);
+            let mut rng = StdRng::seed_from_u64(91);
+            let mut point = || {
+                [
+                    bbox.xmin + bbox.lx() * rng.random::<f64>(),
+                    bbox.ymin + bbox.ly() * rng.random::<f64>(),
+                    bbox.zmin + bbox.lz() * rng.random::<f64>(),
+                ]
+            };
+            let (mut wrapped, mut unwrapped) = (0, 0);
+            for len in 0..=9usize {
+                for _ in 0..20 {
+                    let p = point();
+                    let cand: Vec<[f64; 3]> = (0..len).map(|_| point()).collect();
+                    let mut cols: [Vec<f64>; 3] =
+                        std::array::from_fn(|a| cand.iter().map(|c| c[a]).collect());
+                    let mut portable = cols.clone();
+                    let (mut d2, mut r) = (vec![0.0; len], vec![0.0; len]);
+                    let (mut d2p, mut rp) = (vec![0.0; len], vec![0.0; len]);
+                    let [cx, cy, cz] = &mut cols;
+                    wrap.geometry_in_place(p, cx, cy, cz, &mut d2, &mut r);
+                    let [px, py, pz] = &mut portable;
+                    wrap.geometry_in_place_impl(p, px, py, pz, &mut d2p, &mut rp);
+                    for (k, c) in cand.iter().enumerate() {
+                        let (ex, ey, ez) = bbox.delta(c[0], c[1], c[2], p[0], p[1], p[2]);
+                        let e2 = bbox.dist2(p[0], p[1], p[2], c[0], c[1], c[2]);
+                        let flipped = bbox.dist2(c[0], c[1], c[2], p[0], p[1], p[2]);
+                        assert_eq!(e2.to_bits(), flipped.to_bits());
+                        if (ex, ey, ez) == (c[0] - p[0], c[1] - p[1], c[2] - p[2]) {
+                            unwrapped += 1;
+                        } else {
+                            wrapped += 1;
+                        }
+                        let want = [ex, ey, ez, e2, e2.sqrt()].map(f64::to_bits);
+                        let (sx, sy, sz, s2) = wrap.delta(c[0], c[1], c[2], p[0], p[1], p[2]);
+                        assert_eq!([sx, sy, sz, s2].map(f64::to_bits), want[..4], "scalar");
+                        let batch = [cols[0][k], cols[1][k], cols[2][k], d2[k], r[k]];
+                        assert_eq!(batch.map(f64::to_bits), want, "batch lane {k} of {len}");
+                        let port = [
+                            portable[0][k],
+                            portable[1][k],
+                            portable[2][k],
+                            d2p[k],
+                            rp[k],
+                        ];
+                        assert_eq!(port.map(f64::to_bits), want, "portable lane {k} of {len}");
+                    }
+                }
+            }
+            assert!(unwrapped > 0, "no pair left unwrapped");
+            assert_eq!(wrapped > 0, bbox.periodic, "wrapped pairs iff periodic");
         }
     }
 
@@ -753,8 +917,8 @@ mod tests {
                 let src = sorted(&cl, &x, &y, &z, rr);
                 // Appended to across queries, so stores land at every
                 // cursor alignment and behind earlier rows.
-                let mut fast = RowChunk::default();
-                let mut slow = RowChunk::default();
+                let mut fast = Vec::new();
+                let mut slow = Vec::new();
                 for i in 0..n {
                     let p = [x[i], y[i], z[i]];
                     let r = rr.map_or(0.21, |rr| rr[i]);
@@ -780,16 +944,21 @@ mod tests {
                         }
                     }
                     // SAFETY: AVX2 and POPCNT support was checked above.
-                    unsafe {
+                    let own_fast = unsafe {
                         match rr {
                             Some(_) => cl.scan_into_avx2::<true>(p, r, &src, &mut fast),
                             None => cl.scan_into_avx2::<false>(p, r, &src, &mut fast),
                         }
-                    }
-                    cl.scan_into_portable(p, r, &src, &mut slow);
-                    assert_eq!(fast.j.len(), slow.j.len(), "query {i}, seed {seed}");
+                    };
+                    let own_slow = cl.scan_into_portable(p, r, &src, &mut slow);
+                    assert_eq!(fast.len(), slow.len(), "query {i}, seed {seed}");
+                    // The own-radius count against first principles: every
+                    // particle within r of the query, self included.
+                    let brute = brute_force_neighbors(i, r, &x, &y, &z, &bbox).len() + 1;
+                    assert_eq!(own_fast, brute, "avx2 count, query {i}, seed {seed}");
+                    assert_eq!(own_slow, brute, "portable count, query {i}, seed {seed}");
                 }
-                assert_eq!(chunk_bits(&fast), chunk_bits(&slow), "seed {seed}");
+                assert_eq!(fast, slow, "seed {seed}");
             }
         }
         assert_eq!(seen_mask, [true; 16], "every 4-lane pass mask exercised");

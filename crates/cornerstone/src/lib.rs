@@ -20,8 +20,8 @@ pub mod octree;
 pub mod simd;
 
 pub use box3::Box3;
-pub use celllist::{brute_force_neighbors, CellList};
+pub use celllist::{brute_force_neighbors, CellList, MinImage};
 pub use domain::{halo_candidates, load_skew, Aabb, Assignment};
 pub use key::{decode, encode, key_of, node_range, node_size, KEY_END, MAX_LEVEL};
-pub use neighborlist::{FilteredRow, NeighborList, NeighborSearch};
+pub use neighborlist::{NeighborList, NeighborSearch};
 pub use octree::Octree;

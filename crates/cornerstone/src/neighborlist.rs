@@ -1,14 +1,18 @@
-//! Shared per-step CSR neighbor list with stored minimum-image deltas.
+//! Shared per-step CSR neighbor list: rows of candidate indices.
 //!
 //! The SPH step performs five neighbor sweeps (`FindNeighbors`, density,
 //! two IAD passes, momentum) over the *same* candidates; walking the
 //! [`CellList`]'s 27-cell stencil per particle in each of them would do the
 //! search five times. [`NeighborList`] runs that walk once and stores, per
-//! candidate, the neighbor index *and* the wrapped displacement
-//! `r_j - r_i`; every sweep then reads the precomputed row with a per-sweep
-//! radius filter and never touches scattered positions or [`Box3`] again.
-//! The per-pair [`NeighborSearch`] replay of the same rows exists for the
-//! reference sweeps and the tests (see the trait docs). Rows are recorded either at one fixed superset radius
+//! row, the indices of the candidates that passed — 4 bytes a pair, nothing
+//! else. A row is the answer to "which particles", in grid visit order; the
+//! pair geometry (displacement, distance) is recomputed by whoever consumes
+//! the row, from the positions and the list's [`MinImage`]
+//! ([`NeighborList::min_image`]) — the same expressions the scan decided
+//! membership with, so a recomputed `d2` is the `d2` the scan tested, to
+//! the bit. The per-pair [`NeighborSearch`] replay of the same rows exists
+//! for the reference sweeps and the tests (see the trait docs). Rows are
+//! recorded either at one fixed superset radius
 //! ([`NeighborList::build_into`]) or — the simulation's default — with the
 //! h-aware per-pair rule of [`NeighborList::build_adaptive_into`], which
 //! keeps rows of small-`h` particles from hauling in candidates out to the
@@ -18,18 +22,26 @@
 //! once into cell-sorted coordinate copies (contiguous scans instead of
 //! `order` indirections), rows are cut into fixed chunks of 128
 //! (`ROWS_PER_CHUNK`), and each chunk's worker scans its rows' stencils
-//! straight into that chunk's own columns (`CellList::scan_into`). Those
-//! per-chunk columns *are* the list — there is no flat array to splice them
-//! into, so no serial pass and no second copy. One worker runs the same loop
-//! over the same chunks, so the stored bits do not depend on the worker
-//! count.
+//! straight into that chunk's own index column (`CellList::scan_into`).
+//! Those per-chunk columns *are* the list — there is no flat array to splice
+//! them into, so no serial pass and no second copy. One worker runs the same
+//! loop over the same chunks, so the stored bits do not depend on the worker
+//! count. While a row's distances are in registers the scan also counts the
+//! candidates within the row's *own* radius
+//! ([`NeighborList::within_own_radius`]): the neighbour count the step
+//! adapts `h` to costs no traversal of its own.
 //!
 //! ## Positions-unchanged contract
 //!
-//! Stored deltas are only valid while the positions the list was built over
-//! are unchanged. The simulation satisfies this by construction: positions
-//! move in `update_quantities`, after every sweep of the step, and the list
-//! is rebuilt at the start of the next step.
+//! A row names the candidates that passed the pair rule at the positions
+//! the list was built over; a consumer that recomputes geometry from moved
+//! positions would fold pairs the rule never admitted (and miss ones it
+//! would). Rows are therefore only valid while those positions are
+//! unchanged, and the contract now binds the sweeps' own deltas too: they
+//! must be computed from the build-time positions with
+//! [`NeighborList::min_image`]. The simulation satisfies this by
+//! construction: positions move in `update_quantities`, after every sweep of
+//! the step, and the list is rebuilt at the start of the next step.
 //!
 //! ## Bit-identity argument
 //!
@@ -38,16 +50,14 @@
 //! changes — so the candidates visited at radius `r <= R` are exactly the
 //! subsequence of the radius-`R` visit sequence passing the filter. A CSR
 //! row recorded at `R` in visit order, replayed with the per-sweep filter,
-//! therefore yields the identical `(j, d2)` callback sequence. The replayed
-//! `d2` is recomputed from the stored delta as `dx² + dy² + dz²` — the same
-//! value [`Box3::dist2`] produces, to the bit: the stored delta is the exact
-//! IEEE negation of `dist2`'s internal `r_i - r_j` (see
-//! `CellList::scan_into`), squares erase the sign, and the
-//! summation order matches. This requires the grid's cells to be at least
-//! `R` wide — the same precondition the direct path already has — which
-//! [`NeighborList::build`] cannot check (the grid does not expose its cell
-//! size) but the simulation guarantees by building the grid at the list
-//! radius.
+//! therefore yields the identical `(j, d2)` callback sequence, `d2` being
+//! recomputed from the two positions by [`Box3::dist2`] (the replay here;
+//! the very call the grid walk makes) or by [`MinImage::delta`] (the
+//! sweeps; the same operations in select form, see its docs). This requires
+//! the grid's cells to be at least `R` wide on every axis where the ±1
+//! stencil does not already cover every cell — a finer grid would silently
+//! drop the pairs beyond the stencil — which every build asserts against
+//! [`CellList::cell_edges`].
 //!
 //! The adaptive build preserves the argument row by row: row `i` stores the
 //! visit-order subsequence passing `d2 <= max(radii[i], radii[j])²`. That
@@ -71,32 +81,34 @@
 //!
 //! ## Memory cost model
 //!
-//! `28·pairs + 4·(n + chunks) + 24·stored` bytes (`+ 8·stored + 8·cells`
-//! for the adaptive build's squared radii and their per-cell maxima): a
-//! `u32` index plus three `f64` delta components per candidate pair, one
-//! `u32` chunk-local row start per row and one more per chunk, and one
-//! cell-sorted coordinate copy per stored particle. There is no transient
-//! build scratch — the columns are filled where they stay — so the only
-//! overhead on top of the model is column growth slack: capacity above
-//! length, bounded near 25 % (columns grow by a quarter, not by doubling)
-//! and kept across steps so the steady state allocates nothing. At the
-//! simulation's radii a row holds the particle's neighbours and little
-//! else (~40 candidates for a 40-neighbour target on a uniform cloud), so
-//! this is ~1.4 KiB/particle — a deliberate trade: the five sweeps re-read
-//! each pair's geometry 6× per step (IAD twice), and streaming 28 B beats
-//! re-gathering three scattered positions plus a minimum-image computation
-//! each time.
+//! `4·pairs + 8·rows + 24·stored` bytes (`+ 8·stored + 8·cells` for the
+//! adaptive build's squared radii and their per-cell maxima): a `u32` index
+//! per candidate pair, a `u32` chunk-local row start and a `u32` own-radius
+//! count per row (one more start per chunk), and one cell-sorted coordinate
+//! copy per stored particle. There is no transient build scratch — the
+//! columns are filled where they stay — so the only overhead on top of the
+//! model is column growth slack: capacity above length, bounded near 25 %
+//! (columns grow by a quarter, not by doubling) and kept across steps so the
+//! steady state allocates nothing. At the simulation's radii a row holds the
+//! particle's neighbours and little else (~40 candidates for a 40-neighbour
+//! target on a uniform cloud), so this is ~0.2 KiB/particle. The list used
+//! to carry three `f64` delta components beside every index (28 B a pair,
+//! 1.4 KiB/particle, 250 of a 97k-particle step's 291 MB peak RSS) on the
+//! argument that streaming them beats re-gathering positions; measured
+//! against one packed per-neighbour record per sweep (`sph::lanes`) rather
+//! than three scattered SoA loads and a branchy wrap, it does not: every
+//! sweep got faster reading 4 B a pair and recomputing.
 
 use crate::box3::Box3;
-use crate::celllist::CellList;
+use crate::celllist::{CellList, MinImage};
 
 /// Per-pair callback interface over neighbor-candidate enumeration, with
 /// exactly two implementations: the direct grid walk ([`CellList`]) and the
-/// stored-delta replay of the CSR list ([`NeighborList`]). The simulation's
+/// replay of the CSR list's rows ([`NeighborList`]). The simulation's
 /// sweeps do not go through it — they read the list's rows directly
-/// ([`NeighborList::row_deltas`], [`NeighborList::filter_pairs_into`],
-/// [`NeighborList::count_within`]); this is the traversal `sph::reference`
-/// and the tests here compare those rows against.
+/// ([`NeighborList::row`]) and recompute the geometry a whole row at a time;
+/// this is the traversal `sph::reference` and the tests here compare those
+/// rows against.
 ///
 /// Implementations MUST visit candidates in the canonical cell-list order
 /// (cell stencil order, insertion order within a cell) and call
@@ -204,21 +216,29 @@ impl SortedCoords {
     }
 }
 
+/// Make room for `additional` more candidates in an index column. Growth is
+/// by a quarter of the length rather than `Vec`'s doubling: the columns are
+/// the bulk of the list's resident memory and are kept across steps, so
+/// slack is bounded at ~25 % instead of ~100 %.
+#[inline]
+pub(crate) fn grow(v: &mut Vec<u32>, additional: usize) {
+    if v.capacity() - v.len() < additional {
+        v.reserve_exact(additional.max(v.len() / 4));
+    }
+}
+
 /// Up to [`ROWS_PER_CHUNK`] consecutive rows, stored where they were built:
-/// four parallel candidate columns in visit order plus chunk-local CSR row
-/// starts (local row `r` spans `starts[r]..starts[r + 1]`; `u32` because a
-/// chunk holds at most `128 × stored` candidates). The four columns always
-/// have equal length.
+/// one candidate-index column in visit order plus chunk-local CSR row starts
+/// (local row `r` spans `starts[r]..starts[r + 1]`; `u32` because a chunk
+/// holds at most `128 × stored` candidates) and each row's own-radius count.
 #[derive(Debug, Clone, Default)]
-pub(crate) struct RowChunk {
+struct RowChunk {
     starts: Vec<u32>,
     /// Candidate particle indices (self included).
-    pub(crate) j: Vec<u32>,
-    /// Wrapped displacement `r_j - r_i` per candidate, recorded at build
-    /// time (valid while positions are unchanged — see module docs).
-    pub(crate) dx: Vec<f64>,
-    pub(crate) dy: Vec<f64>,
-    pub(crate) dz: Vec<f64>,
+    j: Vec<u32>,
+    /// Per local row: how many of its candidates lie within the row's own
+    /// search radius (self included).
+    own: Vec<u32>,
 }
 
 impl RowChunk {
@@ -227,114 +247,26 @@ impl RowChunk {
         self.starts.clear();
         self.starts.push(0);
         self.j.clear();
-        self.dx.clear();
-        self.dy.clear();
-        self.dz.clear();
+        self.own.clear();
     }
 
-    /// Append one candidate to the four columns.
-    #[inline]
-    pub(crate) fn push(&mut self, j: u32, dx: f64, dy: f64, dz: f64) {
-        self.j.push(j);
-        self.dx.push(dx);
-        self.dy.push(dy);
-        self.dz.push(dz);
-    }
-
-    /// Make room for `additional` more candidates in every column. Growth
-    /// is by a quarter of the length rather than `Vec`'s doubling: the
-    /// columns are the bulk of the step's resident memory and are kept
-    /// across steps, so slack is bounded at ~25 % instead of ~100 %.
-    #[inline]
-    pub(crate) fn reserve(&mut self, additional: usize) {
-        #[inline]
-        fn grow<T>(v: &mut Vec<T>, additional: usize) {
-            if v.capacity() - v.len() < additional {
-                v.reserve_exact(additional.max(v.len() / 4));
-            }
-        }
-        grow(&mut self.j, additional);
-        grow(&mut self.dx, additional);
-        grow(&mut self.dy, additional);
-        grow(&mut self.dz, additional);
-    }
-
-    /// Set the length of all four columns.
-    ///
-    /// # Safety
-    ///
-    /// As [`Vec::set_len`], for each column: `len <= capacity` and slots
-    /// `..len` initialised.
-    #[inline]
-    pub(crate) unsafe fn set_len(&mut self, len: usize) {
-        self.j.set_len(len);
-        self.dx.set_len(len);
-        self.dy.set_len(len);
-        self.dz.set_len(len);
-    }
-
-    /// Close the current row: its candidates end where the columns end now.
-    fn end_row(&mut self) {
+    /// Close the current row: its candidates end where the column ends now,
+    /// `own` of them within the row's own radius.
+    fn end_row(&mut self, own: usize) {
         let end = u32::try_from(self.j.len()).expect("a chunk's candidates fit u32");
         self.starts.push(end);
+        self.own.push(own as u32);
     }
 
     fn bytes(&self) -> usize {
-        (self.starts.capacity() + self.j.capacity()) * std::mem::size_of::<u32>()
-            + (self.dx.capacity() + self.dy.capacity() + self.dz.capacity())
-                * std::mem::size_of::<f64>()
+        (self.starts.capacity() + self.j.capacity() + self.own.capacity())
+            * std::mem::size_of::<u32>()
     }
 }
 
-/// One row's interacting pairs ([`NeighborList::filter_pairs_into`]),
-/// compacted into contiguous lane buffers: parallel arrays of neighbor
-/// index, wrapped displacement `r_j - r_i`, and squared distance, in visit
-/// order. A blocked sweep fills one of these per row (thread-local, reused)
-/// and runs its pair math as passes over the buffers.
-#[derive(Debug, Clone, Default)]
-pub struct FilteredRow {
-    /// Passing candidate indices, visit order.
-    pub j: Vec<u32>,
-    /// Wrapped displacement components `r_j - r_i`.
-    pub dx: Vec<f64>,
-    pub dy: Vec<f64>,
-    pub dz: Vec<f64>,
-    /// `dx² + dy² + dz²` — the same bits the scalar replay hands callbacks.
-    pub d2: Vec<f64>,
-}
-
-impl FilteredRow {
-    /// Number of passing candidates.
-    pub fn len(&self) -> usize {
-        self.j.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.j.is_empty()
-    }
-
-    /// Drop all candidates, keeping capacity.
-    pub fn clear(&mut self) {
-        self.j.clear();
-        self.dx.clear();
-        self.dy.clear();
-        self.dz.clear();
-        self.d2.clear();
-    }
-
-    #[inline]
-    fn push(&mut self, j: u32, dx: f64, dy: f64, dz: f64, d2: f64) {
-        self.j.push(j);
-        self.dx.push(dx);
-        self.dy.push(dy);
-        self.dz.push(dz);
-        self.d2.push(d2);
-    }
-}
-
-/// CSR neighbor candidates for the first `n_query` stored particles,
-/// recorded with their minimum-image deltas at a fixed superset radius or
-/// under the h-aware per-pair rule (see the module docs).
+/// CSR neighbor candidates for the first `n_query` stored particles:
+/// indices only, recorded at a fixed superset radius or under the h-aware
+/// per-pair rule (see the module docs).
 ///
 /// Rows live in 128-row chunks (`ROWS_PER_CHUNK`), each owning its columns; the
 /// chunks are reused across steps via [`NeighborList::build_into`], so a
@@ -350,6 +282,8 @@ pub struct NeighborList {
     /// adaptive builds, where it bounds any *global*-radius query; row `i`
     /// individually answers queries up to its own `radii[i]`.
     radius: f64,
+    /// The displacement rule of the box the rows were recorded in.
+    wrap: MinImage,
     /// Cell-sorted build input, reused across steps.
     sorted: SortedCoords,
 }
@@ -361,9 +295,8 @@ impl NeighborList {
     }
 
     /// Build a fresh list: rows for particles `0..n_query` holding every
-    /// candidate within `radius` with its wrapped delta, in grid visit
-    /// order. The grid must have been built over `x/y/z` with cells at
-    /// least `radius` wide.
+    /// candidate within `radius`, in grid visit order. The grid must have
+    /// been built over `x/y/z` with cells at least `radius` wide (checked).
     pub fn build(
         grid: &CellList,
         x: &[f64],
@@ -381,7 +314,7 @@ impl NeighborList {
     ///
     /// Single traversal per row over cell-sorted coordinate copies, each
     /// chunk of rows filled by one worker (`par_for_each_mut`) directly
-    /// into the columns it is read from afterwards. The emitted `(j, d2)`
+    /// into the column it is read from afterwards. The emitted `(j, d2)`
     /// sequence per row is bit-identical to the direct grid walk (see
     /// `CellList::scan_into`) at any worker count.
     pub fn build_into(
@@ -409,8 +342,8 @@ impl NeighborList {
     /// to [`NeighborList::build_into`] at that radius.
     ///
     /// The grid's cells must be at least `max(radii)` wide (the same
-    /// precondition as the fixed-radius build at that maximum). An empty
-    /// particle set yields an empty list.
+    /// precondition as the fixed-radius build at that maximum, and checked
+    /// the same way). An empty particle set yields an empty list.
     pub fn build_adaptive_into(
         &mut self,
         grid: &CellList,
@@ -452,8 +385,21 @@ impl NeighborList {
             x.len(),
             "grid and coordinate arrays disagree on particle count"
         );
+        // The ±1 stencil reaches one cell edge: on an axis it does not
+        // already cover end to end (more than two cells), a cell narrower
+        // than the radius would drop pairs without a trace. The tolerance
+        // is for the rounding of `extent / floor(extent / cell_size)`.
+        let (dims, edges) = (grid.dims(), grid.cell_edges());
+        for (cells, edge) in [dims.0, dims.1, dims.2].into_iter().zip(edges) {
+            assert!(
+                cells <= 2 || edge >= radius * (1.0 - 1e-12),
+                "neighbor radius {radius} exceeds the grid's cell edge {edge}: \
+                 the ±1 stencil would miss pairs"
+            );
+        }
         self.radius = radius;
         self.n_rows = n_query;
+        self.wrap = MinImage::new(grid.bbox());
         self.sorted.fill(grid, x, y, z);
         if let Some(rr) = radii {
             self.sorted.fill_radii(grid, rr);
@@ -466,8 +412,8 @@ impl NeighborList {
             let lo = ci * ROWS_PER_CHUNK;
             for i in lo..(lo + ROWS_PER_CHUNK).min(n_query) {
                 let r = radii.map_or(radius, |rr| rr[i]);
-                grid.scan_into([x[i], y[i], z[i]], r, sorted, ch);
-                ch.end_row();
+                let own = grid.scan_into([x[i], y[i], z[i]], r, sorted, &mut ch.j);
+                ch.end_row(own);
             }
         });
     }
@@ -476,6 +422,12 @@ impl NeighborList {
     /// adaptive builds).
     pub fn radius(&self) -> f64 {
         self.radius
+    }
+
+    /// The displacement rule rows were recorded under: what a consumer
+    /// recomputes a stored pair's geometry with (see the module docs).
+    pub fn min_image(&self) -> MinImage {
+        self.wrap
     }
 
     /// Number of rows (query particles).
@@ -488,196 +440,23 @@ impl NeighborList {
     }
 
     /// Candidate indices of row `i`, in visit order (includes `i` itself).
-    pub fn row(&self, i: usize) -> &[u32] {
-        self.row_deltas(i).0
-    }
-
-    /// Row `i`'s raw candidates with their stored deltas, unfiltered:
-    /// `(j, dx, dy, dz)` parallel slices in visit order (self included).
-    /// Sweeps that can tolerate out-of-radius candidates (because the
-    /// kernel evaluates to exact zero beyond support, or because they apply
-    /// the radius cut themselves) iterate this directly and skip the
-    /// compaction pass entirely.
     ///
-    /// This is the one place a global row index is resolved to its chunk
-    /// and local row; every other accessor goes through it.
+    /// With [`NeighborList::within_own_radius`], one of the two places a
+    /// global row index is resolved to its chunk and local row.
     #[inline]
-    pub fn row_deltas(&self, i: usize) -> (&[u32], &[f64], &[f64], &[f64]) {
+    pub fn row(&self, i: usize) -> &[u32] {
         let ch = &self.chunks[i / ROWS_PER_CHUNK];
         let r = i % ROWS_PER_CHUNK;
-        let (s, e) = (ch.starts[r] as usize, ch.starts[r + 1] as usize);
-        (&ch.j[s..e], &ch.dx[s..e], &ch.dy[s..e], &ch.dz[s..e])
+        &ch.j[ch.starts[r] as usize..ch.starts[r + 1] as usize]
     }
 
-    /// Compact row `i`'s candidates with `0 < d2 <= r²` into `out`, in
-    /// visit order — index, stored delta and recomputed `d2` per passing
-    /// candidate, exactly the scalar replay's passing sequence minus the
-    /// zero-distance candidates, bit for bit. `d2 == 0` happens exactly for
-    /// the self-pair and coincident particles — the set every
-    /// pair-interaction sweep skips (`j == i || d2 == 0`), so fusing the
-    /// skip into the filter saves those sweeps a second compaction pass.
-    /// Dispatched to an AVX2 body when available ([`crate::simd`]).
-    pub fn filter_pairs_into(&self, i: usize, r: f64, out: &mut FilteredRow) {
-        debug_assert!(
-            r <= self.radius,
-            "query radius {r} exceeds the recorded superset radius {}",
-            self.radius
-        );
-        #[cfg(target_arch = "x86_64")]
-        if crate::simd::avx2() {
-            // SAFETY: AVX2 and POPCNT support was just checked; the body
-            // has no other precondition.
-            return unsafe { self.filter_pairs_into_avx2(i, r, out) };
-        }
-        self.filter_pairs_into_portable(i, r, out)
-    }
-
-    /// Hand-vectorized compaction: `d2` for four candidates per
-    /// `vmulpd`/`vaddpd` — the same `(a·a + b·b) + c·c` association as the
-    /// portable body, hence the same bits — then the pair condition
-    /// `0 < d2 <= r²` as two ordered compares and-ed into one mask, and the
-    /// passing lanes of all five columns left-packed at the output cursor
-    /// ([`crate::simd::pack_store_pd`]; the scan of the list build uses the
-    /// same step).
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2,popcnt")]
-    unsafe fn filter_pairs_into_avx2(&self, i: usize, r: f64, out: &mut FilteredRow) {
-        use crate::simd::{pack_store_pd, pack_store_u32};
-        use std::arch::x86_64::*;
-        out.clear();
-        let (jj, xs, ys, zs) = self.row_deltas(i);
-        let n = jj.len();
-        out.j.reserve(n + 4);
-        out.dx.reserve(n + 4);
-        out.dy.reserve(n + 4);
-        out.dz.reserve(n + 4);
-        out.d2.reserve(n + 4);
-        let r2 = r * r;
-        let vr2 = _mm256_set1_pd(r2);
-        let vzero = _mm256_setzero_pd();
-        let mut len = 0;
-        let mut k = 0;
-        while k + 4 <= n {
-            // SAFETY: `k + 4 <= n`, the length of all four row slices, so
-            // each 4-lane load is in bounds.
-            let x = _mm256_loadu_pd(xs.as_ptr().add(k));
-            let y = _mm256_loadu_pd(ys.as_ptr().add(k));
-            let z = _mm256_loadu_pd(zs.as_ptr().add(k));
-            let vj = _mm_loadu_si128(jj.as_ptr().add(k).cast());
-            let q = _mm256_add_pd(
-                _mm256_add_pd(_mm256_mul_pd(x, x), _mm256_mul_pd(y, y)),
-                _mm256_mul_pd(z, z),
-            );
-            let pass = _mm256_and_pd(
-                _mm256_cmp_pd::<_CMP_GT_OQ>(q, vzero),
-                _mm256_cmp_pd::<_CMP_LE_OQ>(q, vr2),
-            );
-            let mask = _mm256_movemask_pd(pass) as usize;
-            // SAFETY: the columns were cleared and `reserve(n + 4)`-ed
-            // above, and `len <= k <= n - 4` here — so `len + 4 <=
-            // capacity` for all five stores (each debug-asserts it). `mask`
-            // is a 4-bit movemask.
-            pack_store_u32(&mut out.j, len, vj, mask);
-            pack_store_pd(&mut out.dx, len, x, mask);
-            pack_store_pd(&mut out.dy, len, y, mask);
-            pack_store_pd(&mut out.dz, len, z, mask);
-            pack_store_pd(&mut out.d2, len, q, mask);
-            len += mask.count_ones() as usize;
-            k += 4;
-        }
-        // SAFETY: slots `..len` of every column were initialised by the
-        // pack stores (each advanced `len` by exactly its count of
-        // meaningful lanes), and `len <= n <= capacity`.
-        out.j.set_len(len);
-        out.dx.set_len(len);
-        out.dy.set_len(len);
-        out.dz.set_len(len);
-        out.d2.set_len(len);
-        for k in k..n {
-            let (a, b, c) = (xs[k], ys[k], zs[k]);
-            let q = a * a + b * b + c * c;
-            if q > 0.0 && q <= r2 {
-                out.push(jj[k], a, b, c, q);
-            }
-        }
-    }
-
-    fn filter_pairs_into_portable(&self, i: usize, r: f64, out: &mut FilteredRow) {
-        out.clear();
-        let (jj, xs, ys, zs) = self.row_deltas(i);
-        let r2 = r * r;
-        for k in 0..jj.len() {
-            let (a, b, c) = (xs[k], ys[k], zs[k]);
-            let q = a * a + b * b + c * c;
-            if q > 0.0 && q <= r2 {
-                out.push(jj[k], a, b, c, q);
-            }
-        }
-    }
-
-    /// Count row `i`'s candidates within `r` (inclusive), self-pair
-    /// included. Counting is order-insensitive, so the four lane counters
-    /// need no ordered combine.
-    /// Dispatched to an AVX2 body when available ([`crate::simd`]).
-    pub fn count_within(&self, i: usize, r: f64) -> usize {
-        debug_assert!(
-            r <= self.radius,
-            "query radius {r} exceeds the recorded superset radius {}",
-            self.radius
-        );
-        #[cfg(target_arch = "x86_64")]
-        if crate::simd::avx2() {
-            // SAFETY: AVX2 support was just checked; the body has no other
-            // precondition.
-            return unsafe { self.count_within_avx2(i, r) };
-        }
-        self.count_within_portable(i, r)
-    }
-
-    /// Hand-vectorized count: the pass mask (all-ones = -1 per passing
-    /// lane, reinterpreted as i64) is subtracted from a vector counter, so
-    /// each passing lane increments its own tally with no extract in the
-    /// loop. Counting is order-insensitive, so summing the four lane
-    /// counters at the end is exact.
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2")]
-    unsafe fn count_within_avx2(&self, i: usize, r: f64) -> usize {
-        use std::arch::x86_64::*;
-        let (_, xs, ys, zs) = self.row_deltas(i);
-        let n = xs.len();
-        let r2 = r * r;
-        let vr2 = _mm256_set1_pd(r2);
-        let mut vcount = _mm256_setzero_si256();
-        let mut k = 0;
-        while k + 4 <= n {
-            // SAFETY: `k + 4 <= n`, the length of all three delta slices.
-            let x = _mm256_loadu_pd(xs.as_ptr().add(k));
-            let y = _mm256_loadu_pd(ys.as_ptr().add(k));
-            let z = _mm256_loadu_pd(zs.as_ptr().add(k));
-            let q = _mm256_add_pd(
-                _mm256_add_pd(_mm256_mul_pd(x, x), _mm256_mul_pd(y, y)),
-                _mm256_mul_pd(z, z),
-            );
-            let pass = _mm256_castpd_si256(_mm256_cmp_pd::<_CMP_LE_OQ>(q, vr2));
-            vcount = _mm256_sub_epi64(vcount, pass);
-            k += 4;
-        }
-        let mut lanes = [0i64; 4];
-        _mm256_storeu_si256(lanes.as_mut_ptr() as *mut __m256i, vcount);
-        let mut total = (lanes[0] + lanes[1] + lanes[2] + lanes[3]) as usize;
-        for k in k..n {
-            let (a, b, c) = (xs[k], ys[k], zs[k]);
-            total += ((a * a + b * b + c * c) <= r2) as usize;
-        }
-        total
-    }
-
-    fn count_within_portable(&self, i: usize, r: f64) -> usize {
-        let (_, xs, ys, zs) = self.row_deltas(i);
-        let r2 = r * r;
-        (0..xs.len())
-            .filter(|&k| xs[k] * xs[k] + ys[k] * ys[k] + zs[k] * zs[k] <= r2)
-            .count()
+    /// How many of row `i`'s candidates lie within the radius the row was
+    /// built for — `radii[i]` of an adaptive build, the one radius of a
+    /// fixed build (then the whole row) — self included, counted by the
+    /// scan with the `d2 <= r²` test a replay at that radius applies.
+    #[inline]
+    pub fn within_own_radius(&self, i: usize) -> usize {
+        self.chunks[i / ROWS_PER_CHUNK].own[i % ROWS_PER_CHUNK] as usize
     }
 
     /// Total stored candidate pairs (self-pairs included).
@@ -704,10 +483,10 @@ impl NeighborList {
             .saturating_sub(1)
     }
 
-    /// Resident bytes of the list: every chunk's columns and row starts,
-    /// the chunk headers, and the cell-sorted build input (capacity, not
-    /// just length — this is what the buffer reuse actually holds onto
-    /// across steps). There is no other copy and no build scratch.
+    /// Resident bytes of the list: every chunk's columns, the chunk
+    /// headers, and the cell-sorted build input (capacity, not just length
+    /// — this is what the buffer reuse actually holds onto across steps).
+    /// There is no other copy and no build scratch.
     pub fn csr_bytes(&self) -> usize {
         self.chunks.iter().map(RowChunk::bytes).sum::<usize>()
             + self.chunks.capacity() * std::mem::size_of::<RowChunk>()
@@ -716,10 +495,10 @@ impl NeighborList {
 }
 
 impl NeighborSearch for NeighborList {
-    /// Scalar replay from the stored deltas: `d2` is `dx² + dy² + dz²` of
-    /// the recorded displacement — bit-identical to [`Box3::dist2`] on the
-    /// build-time positions (see the module docs). The coordinate and box
-    /// arguments are unused; they exist so the grid walk stays drop-in.
+    /// Scalar replay of row `i`: each stored candidate's `d2` through
+    /// [`Box3::dist2`] on the coordinates handed in — the call the grid walk
+    /// makes on the same two positions, so the same bits — filtered at `r`.
+    /// The coordinates must be the ones the list was built over.
     ///
     /// `r` may exceed the radius row `i` was recorded at: the replay then
     /// yields the *stored* candidates within `r` — of an adaptive row, the
@@ -730,19 +509,18 @@ impl NeighborSearch for NeighborList {
         &self,
         i: usize,
         r: f64,
-        _x: &[f64],
-        _y: &[f64],
-        _z: &[f64],
-        _bbox: &Box3,
+        x: &[f64],
+        y: &[f64],
+        z: &[f64],
+        bbox: &Box3,
         mut f: F,
     ) {
         let r2 = r * r;
-        let (jj, xs, ys, zs) = self.row_deltas(i);
-        for k in 0..jj.len() {
-            let (a, b, c) = (xs[k], ys[k], zs[k]);
-            let d2 = a * a + b * b + c * c;
+        for &j in self.row(i) {
+            let j = j as usize;
+            let d2 = bbox.dist2(x[i], y[i], z[i], x[j], y[j], z[j]);
             if d2 <= r2 {
-                f(jj[k] as usize, d2);
+                f(j, d2);
             }
         }
     }
@@ -785,87 +563,40 @@ mod tests {
         out
     }
 
-    /// Every row's candidates and delta bits — what "the same list" means.
-    fn list_bits(nl: &NeighborList) -> Vec<(Vec<u32>, Vec<[u64; 3]>)> {
+    /// Every row's candidates and own-radius count — what "the same list"
+    /// means.
+    fn list_bits(nl: &NeighborList) -> Vec<(Vec<u32>, usize)> {
         (0..nl.len())
-            .map(|i| {
-                let (j, dx, dy, dz) = nl.row_deltas(i);
-                let d = (0..j.len())
-                    .map(|k| [dx[k].to_bits(), dy[k].to_bits(), dz[k].to_bits()])
-                    .collect();
-                (j.to_vec(), d)
-            })
-            .collect()
-    }
-
-    /// Row `i`'s `(j, delta bits, d2 bits)` sequence with `0 < d2 <= r²`,
-    /// from the scalar `for_neighbors_of` replay and the stored row — what
-    /// `filter_pairs_into` must emit.
-    fn scalar_pairs(nl: &NeighborList, i: usize, r: f64) -> Vec<(u32, [u64; 3], u64)> {
-        let (jj, dx, dy, dz) = nl.row_deltas(i);
-        let mut passing = Vec::new();
-        nl.for_neighbors_of(i, r, &[], &[], &[], &Box3::unit_periodic(), |j, d2| {
-            if d2 > 0.0 {
-                passing.push((j as u32, d2.to_bits()));
-            }
-        });
-        // The replay hands out no deltas; take them from the stored row (a
-        // candidate index appears once per row).
-        passing
-            .into_iter()
-            .map(|(j, d2)| {
-                let k = jj
-                    .iter()
-                    .position(|&c| c == j)
-                    .expect("replayed j is stored");
-                (j, [dx[k].to_bits(), dy[k].to_bits(), dz[k].to_bits()], d2)
-            })
-            .collect()
-    }
-
-    fn filtered_bits(row: &FilteredRow) -> Vec<(u32, [u64; 3], u64)> {
-        (0..row.len())
-            .map(|k| {
-                let d = [
-                    row.dx[k].to_bits(),
-                    row.dy[k].to_bits(),
-                    row.dz[k].to_bits(),
-                ];
-                (row.j[k], d, row.d2[k].to_bits())
-            })
+            .map(|i| (nl.row(i).to_vec(), nl.within_own_radius(i)))
             .collect()
     }
 
     /// What a build must store, from first principles and with no stencil
     /// pruning: [`CellList::for_neighbors`] at an unbounded radius visits
     /// every candidate of all 27 stencil cells in canonical order; the pair
-    /// rule (or the fixed radius) filters them, and [`Box3::delta`] gives
-    /// the displacement the scan stores, bit for bit
-    /// (`scan_replays_for_neighbors_bitwise` in the cell-list tests).
-    #[allow(clippy::too_many_arguments)]
+    /// rule (or the fixed radius) filters them, and the candidates within
+    /// the row's own radius are counted on the way.
     fn full_stencil_bits(
         grid: &CellList,
         x: &[f64],
         y: &[f64],
         z: &[f64],
-        bbox: &Box3,
         n_query: usize,
         radius: f64,
         radii: Option<&[f64]>,
-    ) -> Vec<(Vec<u32>, Vec<[u64; 3]>)> {
+    ) -> Vec<(Vec<u32>, usize)> {
         (0..n_query)
             .map(|i| {
                 let ri = radii.map_or(radius, |rr| rr[i]);
-                let (mut jj, mut dd) = (Vec::new(), Vec::new());
+                let (mut jj, mut own) = (Vec::new(), 0);
                 grid.for_neighbors(x[i], y[i], z[i], f64::INFINITY, x, y, z, |j, d2| {
                     let lim = radii.map_or(ri * ri, |rr| (ri * ri).max(rr[j] * rr[j]));
                     if d2 <= lim {
-                        let (dx, dy, dz) = bbox.delta(x[j], y[j], z[j], x[i], y[i], z[i]);
                         jj.push(j as u32);
-                        dd.push([dx.to_bits(), dy.to_bits(), dz.to_bits()]);
+                        own += (d2 <= ri * ri) as usize;
                     }
                 });
-                (jj, dd)
+                (jj, own)
             })
             .collect()
     }
@@ -911,7 +642,7 @@ mod tests {
             .collect();
         let radius = 0.7 * cell;
         let rr = adaptive.then_some(radii.as_slice());
-        let want = full_stencil_bits(&grid, &x, &y, &z, &bbox, n_query, radius, rr);
+        let want = full_stencil_bits(&grid, &x, &y, &z, n_query, radius, rr);
         for workers in [1, 4] {
             par::set_max_threads(workers);
             let mut nl = NeighborList::new();
@@ -969,25 +700,57 @@ mod tests {
     }
 
     #[test]
-    fn stored_deltas_match_box_delta_bitwise() {
+    fn within_own_radius_is_the_brute_force_count_at_the_rows_radius() {
+        // Fixed and adaptive builds, periodic and open boxes, rows for a
+        // prefix of the stored particles only: the count the scan took on
+        // the way equals an O(n) count at radii[i] (self included), and a
+        // fixed-radius build counts exactly what it stores.
         for periodic in [true, false] {
-            let (x, y, z) = cloud(300, 21);
+            let n = 350;
+            let (x, y, z) = cloud(n, 21);
             let bbox = Box3::cube(0.0, 1.0, periodic);
-            let r = 0.18;
-            let grid = CellList::build(&x, &y, &z, &bbox, r);
-            let nl = NeighborList::build(&grid, &x, &y, &z, 300, r);
-            for i in (0..300).step_by(13) {
-                let (jj, dx, dy, dz) = nl.row_deltas(i);
-                for k in 0..jj.len() {
-                    let j = jj[k] as usize;
-                    let (ex, ey, ez) = bbox.delta(x[j], y[j], z[j], x[i], y[i], z[i]);
-                    assert_eq!(dx[k].to_bits(), ex.to_bits(), "dx of ({i},{j})");
-                    assert_eq!(dy[k].to_bits(), ey.to_bits(), "dy of ({i},{j})");
-                    assert_eq!(dz[k].to_bits(), ez.to_bits(), "dz of ({i},{j})");
-                    let d2 = dx[k] * dx[k] + dy[k] * dy[k] + dz[k] * dz[k];
-                    let expect = bbox.dist2(x[i], y[i], z[i], x[j], y[j], z[j]);
-                    assert_eq!(d2.to_bits(), expect.to_bits(), "d2 of ({i},{j})");
+            let radii: Vec<f64> = (0..n).map(|i| 0.05 + 0.09 * (i % 5) as f64 / 4.0).collect();
+            let rmax = 0.14;
+            let grid = CellList::build(&x, &y, &z, &bbox, rmax);
+            for n_query in [n, 200] {
+                let fixed = NeighborList::build(&grid, &x, &y, &z, n_query, rmax);
+                let mut adaptive = NeighborList::new();
+                adaptive.build_adaptive_into(&grid, &x, &y, &z, n_query, &radii);
+                for (i, &ri) in radii.iter().enumerate().take(n_query) {
+                    let brute = |r| brute_force_neighbors(i, r, &x, &y, &z, &bbox).len() + 1;
+                    assert_eq!(fixed.within_own_radius(i), brute(rmax), "fixed row {i}");
+                    assert_eq!(fixed.within_own_radius(i), fixed.row(i).len());
+                    assert_eq!(adaptive.within_own_radius(i), brute(ri), "adaptive row {i}");
                 }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "neighbor radius 0.2 exceeds the grid's cell edge 0.1")]
+    fn a_grid_finer_than_the_radius_is_refused() {
+        // Ten cells of 0.1 per axis: at radius 0.2 the ±1 stencil would
+        // silently miss every pair between 0.1 and 0.2 apart.
+        let (x, y, z) = cloud(100, 5);
+        let grid = CellList::build(&x, &y, &z, &Box3::unit_periodic(), 0.1);
+        assert_eq!(grid.cell_edges(), [0.1; 3]);
+        NeighborList::build(&grid, &x, &y, &z, 100, 0.2);
+    }
+
+    #[test]
+    fn a_radius_wider_than_the_box_passes_on_axes_the_stencil_covers() {
+        // One or two cells per axis: the ±1 stencil visits every cell, so
+        // any radius is complete however narrow the cell.
+        for (cell, r) in [(0.45, 0.6), (0.7, 1.5)] {
+            let (x, y, z) = cloud(60, 6);
+            let bbox = Box3::unit_periodic();
+            let grid = CellList::build(&x, &y, &z, &bbox, cell);
+            let nl = NeighborList::build(&grid, &x, &y, &z, 60, r);
+            for i in (0..60).step_by(7) {
+                assert_eq!(
+                    neighbors_via(&nl, i, r, &x, &y, &z, &bbox),
+                    brute_force_neighbors(i, r, &x, &y, &z, &bbox)
+                );
             }
         }
     }
@@ -1168,72 +931,6 @@ mod tests {
     }
 
     #[test]
-    fn pair_filter_matches_the_scalar_replay_minus_zero_distance() {
-        // filter_pairs_into must emit exactly the scalar replay's passing
-        // sequence without the zero-distance candidates (self included) —
-        // indices, stored deltas and d2 bits — at every radius, covering
-        // all 4-lane remainder classes (row lengths vary mod 4). Both
-        // bodies are driven, not just the one dispatch picks.
-        let (x, y, z) = cloud(400, 11);
-        let bbox = Box3::unit_periodic();
-        let big = 0.15;
-        let grid = CellList::build(&x, &y, &z, &bbox, big);
-        let nl = NeighborList::build(&grid, &x, &y, &z, 400, big);
-        let mut row = FilteredRow::default();
-        let mut seen_rem = [false; 4];
-        for i in 0..400 {
-            seen_rem[nl.row(i).len() % 4] = true;
-            for r in [big, 0.1, 0.04, 0.002] {
-                let want = scalar_pairs(&nl, i, r);
-                assert!(want.iter().all(|&(j, _, _)| j as usize != i));
-                nl.filter_pairs_into(i, r, &mut row);
-                assert_eq!(filtered_bits(&row), want, "row {i} at radius {r}");
-                nl.filter_pairs_into_portable(i, r, &mut row);
-                assert_eq!(filtered_bits(&row), want, "portable, row {i} at {r}");
-                #[cfg(target_arch = "x86_64")]
-                if crate::simd::avx2() {
-                    // SAFETY: AVX2 and POPCNT support was just checked.
-                    unsafe { nl.filter_pairs_into_avx2(i, r, &mut row) };
-                    assert_eq!(filtered_bits(&row), want, "avx2, row {i} at {r}");
-                }
-                let mut within = 0;
-                nl.for_neighbors_of(i, r, &x, &y, &z, &bbox, |_, _| within += 1);
-                assert_eq!(nl.count_within(i, r), within, "count of row {i} at {r}");
-                assert_eq!(nl.count_within_portable(i, r), within);
-            }
-        }
-        assert_eq!(seen_rem, [true; 4], "all remainder classes exercised");
-    }
-
-    #[test]
-    fn tiny_rows_cover_every_remainder_length() {
-        // Rows of length 1..=6 (a clustered line of particles): the
-        // remainder-lane path handles every length-mod-4 class including
-        // whole rows shorter than one chunk.
-        let bbox = Box3::cube(0.0, 1.0, false);
-        for n in 1usize..=6 {
-            let x: Vec<f64> = (0..n).map(|k| 0.5 + 0.001 * k as f64).collect();
-            let y = vec![0.5; n];
-            let z = vec![0.5; n];
-            let r = 0.1;
-            let grid = CellList::build(&x, &y, &z, &bbox, r);
-            let nl = NeighborList::build(&grid, &x, &y, &z, n, r);
-            let mut row = FilteredRow::default();
-            for i in 0..n {
-                nl.filter_pairs_into(i, r, &mut row);
-                assert_eq!(row.len(), n - 1, "row {i} of the {n}-cluster");
-                assert_eq!(filtered_bits(&row), scalar_pairs(&nl, i, r));
-                assert_eq!(nl.count_within(i, r), n);
-                // A sub-support filter that drops the far tail.
-                let small = 0.0015;
-                nl.filter_pairs_into(i, small, &mut row);
-                assert_eq!(filtered_bits(&row), scalar_pairs(&nl, i, small));
-                assert_eq!(nl.count_within(i, small), row.len() + 1);
-            }
-        }
-    }
-
-    #[test]
     fn build_into_reuses_buffers_and_stays_correct() {
         let bbox = Box3::unit_periodic();
         let (x, y, z) = cloud(500, 3);
@@ -1288,8 +985,10 @@ mod tests {
         // Recompute max from the rows directly.
         let by_rows = (0..300).map(|i| nl.row(i).len() - 1).max().unwrap();
         assert_eq!(max, by_rows);
-        // 28 bytes per pair (u32 index + 3 f64 deltas) at minimum.
-        assert!(nl.csr_bytes() >= nl.pair_count() * 28);
+        // 4 bytes per pair (the u32 index) at minimum, and nowhere near the
+        // 12 a single f64 column beside it would make.
+        assert!(nl.csr_bytes() >= nl.pair_count() * 4);
+        assert!(nl.csr_bytes() < nl.pair_count() * 8);
         // Empty list edge case.
         let empty = NeighborList::new();
         assert!(empty.is_empty());
@@ -1333,16 +1032,14 @@ mod tests {
         }
 
         #[test]
-        fn prop_filtered_rows_match_grid_at_smaller_radius(
+        fn prop_rows_replayed_at_a_smaller_radius_match_brute_force(
             seed in 0u64..1000,
             n in 1usize..120,
             shrink in 0.2f64..1.0,
             periodic in proptest::bool::ANY,
         ) {
             // Querying a NeighborList recorded at R with any r <= R must
-            // agree with brute force at r (the superset-plus-filter claim),
-            // and the blocked compaction must match the scalar replay on
-            // rows of every length (n down to 1 covers all remainders).
+            // agree with brute force at r (the superset-plus-filter claim).
             let big = 0.3;
             let (x, y, z) = cloud(n, seed);
             let bbox = Box3::cube(0.0, 1.0, periodic);
@@ -1354,12 +1051,6 @@ mod tests {
                 neighbors_via(&nl, i, r, &x, &y, &z, &bbox),
                 brute_force_neighbors(i, r, &x, &y, &z, &bbox)
             );
-            let mut row = FilteredRow::default();
-            nl.filter_pairs_into(i, r, &mut row);
-            prop_assert_eq!(filtered_bits(&row), scalar_pairs(&nl, i, r));
-            let mut within = 0;
-            nl.for_neighbors_of(i, r, &x, &y, &z, &bbox, |_, _| within += 1);
-            prop_assert_eq!(nl.count_within(i, r), within);
         }
     }
 }

@@ -1,14 +1,16 @@
-//! Runtime CPU-feature dispatch and the shared AVX2 left-pack step.
+//! Runtime CPU-feature dispatch and the AVX2 left-pack step.
 //!
 //! The crate is built for the baseline `x86-64` target (SSE2). The hot
-//! candidate scan, the row compactors, the sweep batches and `sph`'s
-//! Barnes-Hut group walk (four targets per pass over the node array) each
-//! exist twice: a portable body, and a `#[target_feature(enable = "avx2")]`
-//! function written with `core::arch::x86_64` intrinsics (LLVM's cost model
-//! keeps the portable bodies on 128-bit ops, so the 256-bit versions are
-//! spelled by hand). [`avx2()`] picks one at runtime (the
-//! `is_x86_feature_detected!` result is cached by `std`, so the check is an
-//! atomic load).
+//! candidate scan, the pair-geometry pass, the sweeps' record gathers and
+//! row passes and `sph`'s Barnes-Hut group walk (four targets per pass over
+//! the node array) each exist twice: a portable body, and a
+//! `#[target_feature(enable = "avx2")]` function — written with
+//! `core::arch::x86_64` intrinsics where the data movement needs spelling
+//! (the scan's left-pack, the gathers' 4×4 transposes, the group walk), and
+//! a clone of the portable body under wider codegen where it does not (LLVM's
+//! cost model keeps the baseline bodies on 128-bit ops). [`avx2()`] picks one
+//! at runtime (the `is_x86_feature_detected!` result is cached by `std`, so
+//! the check is an atomic load).
 //!
 //! The two bodies are separate code, so their agreement is an argument plus
 //! a test, not a tautology. The argument: every intrinsic used is the same
@@ -16,21 +18,20 @@
 //! on the same values with the same association — lanes are evaluated
 //! independently, and rustc never licenses FMA contraction or
 //! reassociation, with or without `target_feature`. The tests drive both
-//! bodies on the same inputs and compare bits (`celllist`'s and
-//! `neighborlist`'s pack tests, `sph`'s blocked-vs-scalar suite and its
-//! group-walk test in `gravity`).
+//! bodies on the same inputs and compare bits (`celllist`'s scan and
+//! geometry tests, `sph`'s gather and masked-row tests, its
+//! production-vs-reference suite and its group-walk test in `gravity`).
 //!
 //! ## Left-pack
 //!
-//! The scan ([`crate::CellList`]'s neighbor-list build) and the pair filter
-//! ([`crate::NeighborList::filter_pairs_into`]) both keep the lanes of a
-//! 4-wide chunk that pass a compare, in lane order. `pack_store_pd` and
-//! `pack_store_u32` do that without a per-lane branch: a 16-entry table
-//! indexed by the compare's movemask holds the permute control that moves
-//! the passing lanes to the front, the permuted vector is stored whole at
-//! the output cursor, and the caller advances the cursor by
-//! `popcnt(mask)`. The lanes behind the passing ones are scratch written
-//! into spare capacity and overwritten by the next store.
+//! The scan ([`crate::CellList`]'s neighbor-list build) keeps the lanes of
+//! a 4-wide chunk that pass a compare, in lane order. `pack_store_u32` does
+//! that without a per-lane branch: a 16-entry table indexed by the
+//! compare's movemask holds the permute control that moves the passing
+//! lanes to the front, the permuted vector is stored whole at the output
+//! cursor, and the caller advances the cursor by `popcnt(mask)`. The lanes
+//! behind the passing ones are scratch written into spare capacity and
+//! overwritten by the next store.
 
 /// `true` when the running CPU supports AVX2 and POPCNT (every AVX2 part
 /// does; the pack step's cursor advance wants the instruction, so both are
@@ -48,19 +49,12 @@ pub fn avx2() -> bool {
     false
 }
 
-/// Left-pack permute controls per 4-bit lane mask: `pd[m]` is the `vpermd`
-/// index vector for four f64 lanes (each a pair of 32-bit halves), `ps[m]`
-/// the `vpermilps` selectors for four 32-bit lanes. Slots past
-/// `popcnt(m)` select lane 0 — their output is scratch.
+/// Left-pack permute controls per 4-bit lane mask: `PACK[m]` holds the
+/// `vpermilps` selectors that move the four 32-bit lanes whose bit is set in
+/// `m` to the front, in lane order. Slots past `popcnt(m)` select lane 0 —
+/// their output is scratch.
 #[cfg(target_arch = "x86_64")]
-struct PackLut {
-    pd: [[u32; 8]; 16],
-    ps: [[u32; 4]; 16],
-}
-
-#[cfg(target_arch = "x86_64")]
-static PACK: PackLut = {
-    let mut pd = [[0u32; 8]; 16];
+static PACK: [[u32; 4]; 16] = {
     let mut ps = [[0u32; 4]; 16];
     let mut m = 0;
     while m < 16 {
@@ -69,46 +63,20 @@ static PACK: PackLut = {
         while lane < 4 {
             if m & (1 << lane) != 0 {
                 ps[m][slot] = lane as u32;
-                pd[m][2 * slot] = 2 * lane as u32;
-                pd[m][2 * slot + 1] = 2 * lane as u32 + 1;
                 slot += 1;
             }
             lane += 1;
         }
         m += 1;
     }
-    PackLut { pd, ps }
+    ps
 };
 
-/// Write the lanes of `lanes` whose bit is set in `mask` (bit `l` = lane
-/// `l`), in lane order, to `v`'s buffer starting at slot `len`. All four
-/// slots `len..len + 4` are written; only the first `popcnt(mask)` are
+/// Write the `u32` lanes of `lanes` whose bit is set in `mask` (bit `l` =
+/// lane `l`), in lane order, to `v`'s buffer starting at slot `len`. All
+/// four slots `len..len + 4` are written; only the first `popcnt(mask)` are
 /// meaningful. `v.len()` is not changed — the caller advances its cursor
 /// and calls `set_len` once the run is done.
-///
-/// # Safety
-///
-/// The CPU must support AVX2, `mask < 16`, and `len + 4 <= v.capacity()`.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-#[inline]
-pub(crate) unsafe fn pack_store_pd(
-    v: &mut Vec<f64>,
-    len: usize,
-    lanes: std::arch::x86_64::__m256d,
-    mask: usize,
-) {
-    use std::arch::x86_64::*;
-    debug_assert!(mask < 16 && len + 4 <= v.capacity());
-    // SAFETY: `PACK.pd[mask]` is 8 u32 = one unaligned 256-bit load; the
-    // 4-lane store covers slots `len..len + 4`, inside the allocation by
-    // the caller's `len + 4 <= capacity` (its `reserve(run + 4)`).
-    let idx = _mm256_loadu_si256(PACK.pd[mask].as_ptr().cast());
-    let packed = _mm256_permutevar8x32_epi32(_mm256_castpd_si256(lanes), idx);
-    _mm256_storeu_pd(v.as_mut_ptr().add(len), _mm256_castsi256_pd(packed));
-}
-
-/// [`pack_store_pd`] for four `u32` lanes (the candidate indices).
 ///
 /// # Safety
 ///
@@ -124,10 +92,10 @@ pub(crate) unsafe fn pack_store_u32(
 ) {
     use std::arch::x86_64::*;
     debug_assert!(mask < 16 && len + 4 <= v.capacity());
-    // SAFETY: `PACK.ps[mask]` is 4 u32 = one unaligned 128-bit load; the
+    // SAFETY: `PACK[mask]` is 4 u32 = one unaligned 128-bit load; the
     // 4-lane store covers slots `len..len + 4`, inside the allocation by
-    // the caller's `len + 4 <= capacity` (its `reserve(run + 4)`).
-    let ctrl = _mm_loadu_si128(PACK.ps[mask].as_ptr().cast());
+    // the caller's `len + 4 <= capacity` (its `grow(run + 4)`).
+    let ctrl = _mm_loadu_si128(PACK[mask].as_ptr().cast());
     let packed = _mm_permutevar_ps(_mm_castsi128_ps(lanes), ctrl);
     _mm_storeu_si128(v.as_mut_ptr().add(len).cast(), _mm_castps_si128(packed));
 }
@@ -142,33 +110,22 @@ mod tests {
             return;
         }
         use std::arch::x86_64::*;
-        let f = [10.5f64, -11.25, 12.0, -0.0];
         let u = [7u32, 8, 9, u32::MAX];
         for mask in 0usize..16 {
             let keep: Vec<usize> = (0..4).filter(|l| mask & (1 << l) != 0).collect();
-            let mut vf: Vec<f64> = vec![1.0, 2.0];
             let mut vu: Vec<u32> = vec![1, 2];
-            vf.reserve(4);
             vu.reserve(4);
             // SAFETY: AVX2 checked above; mask < 16; reserve(4) covers the
-            // stores at len = 2; set_len exposes only slots the stores
+            // store at len = 2; set_len exposes only slots the store
             // initialised (popcnt <= 4).
             unsafe {
-                pack_store_pd(&mut vf, 2, _mm256_loadu_pd(f.as_ptr()), mask);
                 pack_store_u32(&mut vu, 2, _mm_loadu_si128(u.as_ptr().cast()), mask);
-                vf.set_len(2 + keep.len());
                 vu.set_len(2 + keep.len());
             }
-            let bits = |v: &[f64]| v.iter().map(|d| d.to_bits()).collect::<Vec<_>>();
-            let want_f: Vec<f64> = [1.0, 2.0]
-                .into_iter()
-                .chain(keep.iter().map(|&l| f[l]))
-                .collect();
             let want_u: Vec<u32> = [1, 2]
                 .into_iter()
                 .chain(keep.iter().map(|&l| u[l]))
                 .collect();
-            assert_eq!(bits(&vf), bits(&want_f), "f64 lanes, mask {mask:#06b}");
             assert_eq!(vu, want_u, "u32 lanes, mask {mask:#06b}");
         }
     }

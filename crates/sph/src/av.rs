@@ -31,15 +31,23 @@ pub fn av_switches(parts: &mut Particles, dt: f64) {
 
 /// Monaghan artificial-viscosity term `Pi_ij` for one interacting pair.
 /// Zero for receding pairs. `mu` is `h v.r / (r^2 + eps h^2)`.
+///
+/// Select form — the term is evaluated either way and the sign of `v.r`
+/// picks it or zero — so the momentum sweep's whole-row pass, which inlines
+/// this per lane, stays branch-free; about half of a row's pairs recede, so
+/// as a branch it mispredicts on every other one.
 #[allow(clippy::too_many_arguments)]
+#[inline]
 pub fn viscosity_pi(alpha_ij: f64, h_ij: f64, c_ij: f64, rho_ij: f64, vdotr: f64, r2: f64) -> f64 {
-    if vdotr >= 0.0 {
-        return 0.0;
-    }
     const BETA_FACTOR: f64 = 2.0;
     const EPS: f64 = 0.01;
     let mu = h_ij * vdotr / (r2 + EPS * h_ij * h_ij);
-    (-alpha_ij * c_ij * mu + BETA_FACTOR * alpha_ij * mu * mu) / rho_ij
+    let pi = (-alpha_ij * c_ij * mu + BETA_FACTOR * alpha_ij * mu * mu) / rho_ij;
+    if vdotr >= 0.0 {
+        0.0
+    } else {
+        pi
+    }
 }
 
 #[cfg(test)]

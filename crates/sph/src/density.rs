@@ -34,7 +34,11 @@ pub fn xmass(parts: &mut Particles) {
 /// [`crate::reference::density_gradh`] over the grid or the list.
 pub fn density_gradh(parts: &mut Particles, nl: &NeighborList, kernel: Kernel) {
     let p = &*parts;
-    let sums: Vec<(f64, f64)> = par::par_map(p.n_local, |i| density_row(p, nl, i, kernel));
+    // What a pair reads from its `j` side: `[x, y, z, m]`, 32 bytes.
+    let record = |j: usize| [p.x[j], p.y[j], p.z[j], p.m[j]];
+    let sums: Vec<(f64, f64)> = lanes::with_records(p.len(), record, |recs| {
+        par::par_map(p.n_local, |i| density_row(p, nl, recs, i, kernel))
+    });
     store_density(parts, sums);
 }
 
@@ -52,18 +56,13 @@ pub(crate) fn store_density(parts: &mut Particles, sums: Vec<(f64, f64)>) {
     }
 }
 
-/// One density row: filter-free. The raw CSR row (recorded at the step's
-/// per-pair superset radius) is consumed whole — distances, then the fused
-/// `(W, dW/dh)` over every candidate with the hoisted-`h` branch-free
-/// [`RowKernel`], then the `m_j`-scaled accumulation in visit order. No
-/// compaction pass, no data-dependent branches anywhere in the row.
-/// (A compaction would have next to nothing to remove: the list is built
-/// at `support(h)`, so on a uniform cloud every stored candidate is inside
-/// the support, and on an h-graded one the extras are the pairs a larger
-/// neighbour reaches. It was measured slower even on rows of which only
-/// ~36 % passed: the in-order 5-channel push loop is branchy per lane, and
-/// its mispredicts cost more than the extra branch-free kernel evaluations
-/// save.)
+/// One density row: mask-free. The row (recorded at the step's per-pair
+/// superset radius) is consumed whole — gather the candidates' records,
+/// recompute the distances, then the fused `(W, dW/dh)` over every
+/// candidate with the hoisted-`h` branch-free [`RowKernel`], then the
+/// `m_j`-scaled accumulation in visit order. No data-dependent branches
+/// anywhere in the row, and no mask either: the kernel's own `q < 2` select
+/// is one.
 ///
 /// Bit-identical to the reference callback even though that only folds the
 /// candidates within `support(h_i)`:
@@ -77,34 +76,58 @@ pub(crate) fn store_density(parts: &mut Particles, sums: Vec<(f64, f64)>) {
 ///   yields `+0.0`), and adding `±0.0` to a non-`-0.0` accumulator never
 ///   changes its bits — so interleaving the zero terms leaves every
 ///   genuine partial sum, and the final bits, identical.
-fn density_row(p: &Particles, nl: &NeighborList, i: usize, kernel: Kernel) -> (f64, f64) {
-    let hi = p.h[i];
-    let rk = RowKernel::new(kernel, hi);
-    let (jj, dxs, dys, dzs) = nl.row_deltas(i);
+fn density_row(
+    p: &Particles,
+    nl: &NeighborList,
+    recs: &[f64],
+    i: usize,
+    kernel: Kernel,
+) -> (f64, f64) {
+    let rk = RowKernel::new(kernel, p.h[i]);
     lanes::with_scratch(|s| {
-        let lanes::RowScratch { r, w, aux, .. } = s;
-        lanes::dist_into(dxs, dys, dzs, r);
-        let [dwdh, ..] = aux;
+        let lanes::RowScratch {
+            cols,
+            d2,
+            r,
+            w,
+            w2: dwdh,
+            ..
+        } = s;
+        let jj = nl.row(i);
+        lanes::gather::<4>(recs, jj, cols);
+        lanes::geometry(nl.min_image(), [p.x[i], p.y[i], p.z[i]], cols, d2, r);
         rk.w_and_dw_dh_into(r, w, dwdh);
+        let n = jj.len();
+        let (m, w, dwdh) = (&cols[3][..n], &w[..n], &dwdh[..n]);
         let (mut rho, mut dh) = (0.0, 0.0);
-        for k in 0..jj.len() {
-            let mj = p.m[jj[k] as usize];
-            rho += mj * w[k];
-            dh += mj * dwdh[k];
+        for k in 0..n {
+            rho += m[k] * w[k];
+            dh += m[k] * dwdh[k];
         }
         (rho, dh)
     })
 }
 
-/// Count neighbors within the kernel support of each owned particle
-/// (`FindNeighbors`). Returned counts exclude the particle itself.
+/// Neighbors within the kernel support of each owned particle
+/// (`FindNeighbors`), the particle itself excluded. The list scan already
+/// counted them — a row built at `support(h_i)` holds its own-radius count
+/// (`NeighborList::within_own_radius`) — so this reads one integer per row;
+/// the list must have been built at those radii, as the step's is
+/// ([`crate::list_radii_into`]).
 pub fn neighbor_counts(parts: &Particles, nl: &NeighborList, kernel: Kernel) -> Vec<usize> {
+    // A list built at other radii counted something else; the superset
+    // radius is the part of that a list can still tell.
+    debug_assert_eq!(
+        nl.radius(),
+        kernel.support(parts.h.iter().fold(0.0f64, |m, &h| m.max(h))),
+        "the list was not built at support(h)"
+    );
     // The row always contains exactly one self-candidate (the grid stores
-    // each particle once) and it always passes the filter (d2 = 0), so
-    // "neighbors excluding self" is the lane count - 1.
-    par::par_map(parts.n_local, |i| {
-        nl.count_within(i, kernel.support(parts.h[i])) - 1
-    })
+    // each particle once) and it is always within the radius (d2 = 0), so
+    // "neighbors excluding self" is the count - 1.
+    (0..parts.n_local)
+        .map(|i| nl.within_own_radius(i) - 1)
+        .collect()
 }
 
 #[cfg(test)]

@@ -61,8 +61,25 @@ pub fn iad_divv_curlv(
 ) {
     let p = &*parts;
     let n = rows.map_or(p.n_local, <[usize]>::len);
-    let per_row: Vec<([f64; 6], f64, [f64; 3])> =
-        par::par_map(n, |k| iad_row(p, nl, rows.map_or(k, |r| r[k]), kernel));
+    // What a pair reads from its `j` side: `[x, y, z, V | vx, vy, vz, ·]`,
+    // 64 bytes, the volume by the reference's per-pair expression — one
+    // division per particle instead of one per pair and pass.
+    let record = |j: usize| {
+        // Bootstrap volume for particles whose density is not yet known
+        // (first-step halos): fall back to the mass itself, the same rule
+        // XMass uses.
+        let v = if p.rho[j] > 0.0 {
+            p.m[j] / p.rho[j]
+        } else {
+            p.m[j]
+        };
+        [p.x[j], p.y[j], p.z[j], v, p.vx[j], p.vy[j], p.vz[j], 0.0]
+    };
+    let per_row: Vec<([f64; 6], f64, [f64; 3])> = lanes::with_records(p.len(), record, |recs| {
+        par::par_map(n, |k| {
+            iad_row(p, nl, recs, rows.map_or(k, |r| r[k]), kernel)
+        })
+    });
     store_iad(parts, rows, per_row);
 }
 
@@ -86,100 +103,179 @@ pub(crate) fn store_iad(
     }
 }
 
-/// One IAD row. One fused pair filter serves both passes (the reference
+/// One IAD row. The geometry and the per-pair kernel value `W` (batched
+/// through the hoisted-`h` [`RowKernel`]) serve both passes — the reference
 /// re-walks the neighbor source twice at the same radius, visiting the same
-/// pairs in the same order, and skips `j == i || d2 == 0` in each — exactly
-/// the set [`cornerstone::NeighborList::filter_pairs_into`] drops), and the
-/// per-pair kernel value `W` (batched through the hoisted-`h`
-/// [`RowKernel`]) and bootstrap volume `V_j` are computed once and reused —
-/// the reference recomputes both in its second sweep with identical inputs,
-/// so reuse changes nothing bitwise and halves the kernel evaluations.
+/// pairs in the same order and recomputing both with identical inputs, so
+/// reuse changes nothing bitwise and halves the kernel evaluations — and
+/// the set it processes (`d2 <= support(h_i)²`, minus `j == i || d2 == 0`,
+/// i.e. the self pair and coincident particles) is the mask `0 < d2 <= r²`
+/// of the two term passes.
 ///
-/// The stored CSR delta is exactly the `r_j - r_i` direction the reference
-/// gets from `Box3::delta`, and every accumulation below keeps the
-/// reference's expressions as a running `+=` fold in visit order, so the
-/// results are bit-identical.
+/// The recomputed displacement is exactly the `r_j - r_i` the reference
+/// gets from `Box3::delta`, every term is the reference's expression, a
+/// masked lane holds the `+=` fold's identity `-0.0`, and every fold below
+/// is a running `+=` in row order, so the results are bit-identical (see
+/// [`crate::lanes`]).
 fn iad_row(
     p: &Particles,
     nl: &NeighborList,
+    recs: &[f64],
     i: usize,
     kernel: Kernel,
 ) -> ([f64; 6], f64, [f64; 3]) {
     let hi = p.h[i];
     let radius = kernel.support(hi);
     let rkn = RowKernel::new(kernel, hi);
-    let (vxi, vyi, vzi) = (p.vx[i], p.vy[i], p.vz[i]);
     lanes::with_scratch(|s| {
         let lanes::RowScratch {
-            row, r, w, vj, aux, ..
+            cols,
+            d2,
+            r,
+            w,
+            terms,
+            ..
         } = s;
-        nl.filter_pairs_into(i, radius, row);
-        let m = row.len();
-        lanes::sqrt_into(&row.d2, r);
+        let jj = nl.row(i);
+        lanes::gather::<8>(recs, jj, cols);
+        lanes::geometry(nl.min_image(), [p.x[i], p.y[i], p.z[i]], cols, d2, r);
         rkn.w_into(r, w);
-        vj.clear();
-        vj.resize(m, 0.0);
-        for (v, &j32) in vj.iter_mut().zip(&row.j) {
-            let j = j32 as usize;
-            // Bootstrap volume for particles whose density is not yet
-            // known (first-step halos): fall back to the mass itself, the
-            // same rule XMass uses.
-            *v = if p.rho[j] > 0.0 {
-                p.m[j] / p.rho[j]
-            } else {
-                p.m[j]
-            };
+        for t in terms.iter_mut() {
+            t.resize(d2.len(), 0.0);
         }
+        let m = jj.len();
+        let [dx, dy, dz, v, vx, vy, vz, ..] = cols;
+        let [t0, t1, t2, t3, t4, t5, t6, t7, t8] = terms;
+        let r2 = radius * radius;
 
         // Pass 1: moment tensor.
-        let mut tau = [0.0f64; 6];
-        for k in 0..m {
-            let (dx, dy, dz, wv, v) = (row.dx[k], row.dy[k], row.dz[k], w[k], vj[k]);
-            tau[0] += v * dx * dx * wv;
-            tau[1] += v * dx * dy * wv;
-            tau[2] += v * dx * dz * wv;
-            tau[3] += v * dy * dy * wv;
-            tau[4] += v * dy * dz * wv;
-            tau[5] += v * dz * dz * wv;
-        }
+        tau_terms(r2, d2, dx, dy, dz, v, w, t0, t1, t2, t3, t4, t5);
+        let tau = fold(m, [t0, t1, t2, t3, t4, t5]);
         let c = invert_sym3(tau);
 
-        // Pass 2: C·d products as a contiguous lane pass, then the velocity
-        // gradient with the reference's expressions and order.
-        let [cdx, cdy, cdz, ..] = aux;
-        cdx.clear();
-        cdx.resize(m, 0.0);
-        cdy.clear();
-        cdy.resize(m, 0.0);
-        cdz.clear();
-        cdz.resize(m, 0.0);
-        for k in 0..m {
-            let (dx, dy, dz) = (row.dx[k], row.dy[k], row.dz[k]);
-            cdx[k] = c[0] * dx + c[1] * dy + c[2] * dz;
-            cdy[k] = c[1] * dx + c[3] * dy + c[4] * dz;
-            cdz[k] = c[2] * dx + c[4] * dy + c[5] * dz;
-        }
-        let mut grad = [[0.0f64; 3]; 3]; // grad[a][b] = dv_a/dx_b
-        for k in 0..m {
-            let j = row.j[k] as usize;
-            let (v, wv) = (vj[k], w[k]);
-            let dvx = p.vx[j] - vxi;
-            let dvy = p.vy[j] - vyi;
-            let dvz = p.vz[j] - vzi;
-            for (a, dva) in [dvx, dvy, dvz].into_iter().enumerate() {
-                grad[a][0] += v * dva * cdx[k] * wv;
-                grad[a][1] += v * dva * cdy[k] * wv;
-                grad[a][2] += v * dva * cdz[k] * wv;
-            }
-        }
-        let divv = grad[0][0] + grad[1][1] + grad[2][2];
-        let curl = [
-            grad[2][1] - grad[1][2],
-            grad[0][2] - grad[2][0],
-            grad[1][0] - grad[0][1],
-        ];
+        // Pass 2: the velocity gradient through C·d.
+        let vi = [p.vx[i], p.vy[i], p.vz[i]];
+        grad_terms(
+            r2, &c, vi, d2, dx, dy, dz, v, w, vx, vy, vz, t0, t1, t2, t3, t4, t5, t6, t7, t8,
+        );
+        let grad = fold(m, [t0, t1, t2, t3, t4, t5, t6, t7, t8]); // grad[3a + b] = dv_a/dx_b
+        let divv = grad[0] + grad[4] + grad[8];
+        let curl = [grad[7] - grad[5], grad[2] - grad[6], grad[3] - grad[1]];
         (c, divv, curl)
     })
+}
+
+/// `N` term columns of `m` lanes, each folded as a running `+=` from `0.0`
+/// in row order. One loop over the row advances all `N` sums, so their
+/// dependent-add chains overlap instead of running one after another.
+// Indexed on purpose: in this form the `N` sums stay in registers and the
+// `[..m]` checks hoist out of the loop; the zipped form re-checks every
+// column on every lane.
+#[allow(clippy::needless_range_loop)]
+#[inline(always)]
+fn fold<const N: usize>(m: usize, terms: [&[f64]; N]) -> [f64; N] {
+    let mut acc = [0.0f64; N];
+    for k in 0..m {
+        for a in 0..N {
+            acc[a] += terms[a][..m][k];
+        }
+    }
+    acc
+}
+
+lanes::row_pass! {
+    /// `(xx, xy, xz, yy, yz, zz)[k] = V_j (r_j - r_i)_a (r_j - r_i)_b W_ij`, the
+    /// six terms of the symmetric moment tensor, or `-0.0` where `0 < d2 <=
+    /// r2` does not hold — one branch-free elementwise pass over the row's
+    /// columns (all sized to the row).
+    fn tau_terms(
+        r2: f64,
+        d2: &[f64],
+        dx: &[f64],
+        dy: &[f64],
+        dz: &[f64],
+        v: &[f64],
+        w: &[f64],
+        xx: &mut [f64],
+        xy: &mut [f64],
+        xz: &mut [f64],
+        yy: &mut [f64],
+        yz: &mut [f64],
+        zz: &mut [f64],
+    ) {
+        let m = d2.len();
+        let (dx, dy, dz, v, w) = (&dx[..m], &dy[..m], &dz[..m], &v[..m], &w[..m]);
+        let (xx, xy, xz) = (&mut xx[..m], &mut xy[..m], &mut xz[..m]);
+        let (yy, yz, zz) = (&mut yy[..m], &mut yz[..m], &mut zz[..m]);
+        for k in 0..m {
+            let keep = (d2[k] > 0.0) & (d2[k] <= r2);
+            let or_identity = |t: f64| if keep { t } else { -0.0 };
+            let (dx, dy, dz, v, w) = (dx[k], dy[k], dz[k], v[k], w[k]);
+            xx[k] = or_identity(v * dx * dx * w);
+            xy[k] = or_identity(v * dx * dy * w);
+            xz[k] = or_identity(v * dx * dz * w);
+            yy[k] = or_identity(v * dy * dy * w);
+            yz[k] = or_identity(v * dy * dz * w);
+            zz[k] = or_identity(v * dz * dz * w);
+        }
+    }
+}
+
+lanes::row_pass! {
+    /// `g[3a + b][k] = V_j (v_j - v_i)_a (C (r_j - r_i))_b W_ij` — the IAD
+    /// linear operator's nine velocity-gradient terms — or `-0.0` where
+    /// `0 < d2 <= r2` does not hold; the companion of `tau_terms`, same form.
+    fn grad_terms(
+        r2: f64,
+        c: &[f64; 6],
+        vi: [f64; 3],
+        d2: &[f64],
+        dx: &[f64],
+        dy: &[f64],
+        dz: &[f64],
+        v: &[f64],
+        w: &[f64],
+        vx: &[f64],
+        vy: &[f64],
+        vz: &[f64],
+        g0: &mut [f64],
+        g1: &mut [f64],
+        g2: &mut [f64],
+        g3: &mut [f64],
+        g4: &mut [f64],
+        g5: &mut [f64],
+        g6: &mut [f64],
+        g7: &mut [f64],
+        g8: &mut [f64],
+    ) {
+        let m = d2.len();
+        let (dx, dy, dz, v, w) = (&dx[..m], &dy[..m], &dz[..m], &v[..m], &w[..m]);
+        let (vx, vy, vz) = (&vx[..m], &vy[..m], &vz[..m]);
+        let (g0, g1, g2) = (&mut g0[..m], &mut g1[..m], &mut g2[..m]);
+        let (g3, g4, g5) = (&mut g3[..m], &mut g4[..m], &mut g5[..m]);
+        let (g6, g7, g8) = (&mut g6[..m], &mut g7[..m], &mut g8[..m]);
+        for k in 0..m {
+            let keep = (d2[k] > 0.0) & (d2[k] <= r2);
+            let or_identity = |t: f64| if keep { t } else { -0.0 };
+            let (dx, dy, dz, v, w) = (dx[k], dy[k], dz[k], v[k], w[k]);
+            // C * d (symmetric storage: xx xy xz yy yz zz)
+            let cdx = c[0] * dx + c[1] * dy + c[2] * dz;
+            let cdy = c[1] * dx + c[3] * dy + c[4] * dz;
+            let cdz = c[2] * dx + c[4] * dy + c[5] * dz;
+            let dvx = vx[k] - vi[0];
+            let dvy = vy[k] - vi[1];
+            let dvz = vz[k] - vi[2];
+            g0[k] = or_identity(v * dvx * cdx * w);
+            g1[k] = or_identity(v * dvx * cdy * w);
+            g2[k] = or_identity(v * dvx * cdz * w);
+            g3[k] = or_identity(v * dvy * cdx * w);
+            g4[k] = or_identity(v * dvy * cdy * w);
+            g5[k] = or_identity(v * dvy * cdz * w);
+            g6[k] = or_identity(v * dvz * cdx * w);
+            g7[k] = or_identity(v * dvz * cdy * w);
+            g8[k] = or_identity(v * dvz * cdz * w);
+        }
+    }
 }
 
 #[cfg(test)]

@@ -259,19 +259,28 @@ pub(crate) struct RowKernel {
     dq: f64,
 }
 
+/// The per-`h` normalization `(sigma, 1/h)` of `kernel`, each by the
+/// verbatim expression the scalar functions evaluate per call. Hoisted once
+/// per row by [`RowKernel::new`], and once per particle into the momentum
+/// sweep's neighbour records for [`dw_dr_over_r_varh_into`].
+pub(crate) fn kernel_norm(kernel: Kernel, h: f64) -> (f64, f64) {
+    debug_assert!(h > 0.0);
+    let sigma = match kernel {
+        Kernel::CubicSpline => 1.0 / (std::f64::consts::PI * h * h * h),
+        Kernel::WendlandC6 => 1365.0 / (512.0 * std::f64::consts::PI * h * h * h),
+        Kernel::Sinc5 => SINC5_SIGMA / (h * h * h),
+    };
+    (sigma, 1.0 / h)
+}
+
 impl RowKernel {
     pub fn new(kernel: Kernel, h: f64) -> Self {
-        debug_assert!(h > 0.0);
-        let sigma = match kernel {
-            Kernel::CubicSpline => 1.0 / (std::f64::consts::PI * h * h * h),
-            Kernel::WendlandC6 => 1365.0 / (512.0 * std::f64::consts::PI * h * h * h),
-            Kernel::Sinc5 => SINC5_SIGMA / (h * h * h),
-        };
+        let (sigma, dq) = kernel_norm(kernel, h);
         RowKernel {
             kernel,
             h,
             sigma,
-            dq: 1.0 / h,
+            dq,
         }
     }
 
@@ -343,6 +352,13 @@ impl RowKernel {
     /// [`Kernel::w_and_dw_dh`] per lane.
     /// Dispatched through an AVX2 clone when available (`cornerstone::simd`).
     pub fn w_and_dw_dh_into(&self, r: &[f64], w_out: &mut Vec<f64>, dwdh_out: &mut Vec<f64>) {
+        // The bodies take the outputs as slices: two slice parameters are
+        // known not to overlap each other or `r`, two `Vec`s behind
+        // references are not, and with two output streams to tell apart the
+        // optimiser left this loop — alone among the evaluators — scalar.
+        w_out.resize(r.len(), 0.0);
+        dwdh_out.resize(r.len(), 0.0);
+        let (w_out, dwdh_out) = (&mut w_out[..], &mut dwdh_out[..]);
         #[cfg(target_arch = "x86_64")]
         if cornerstone::simd::avx2() {
             // SAFETY: AVX2 support was just checked; the clone has no other
@@ -354,22 +370,14 @@ impl RowKernel {
 
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx2")]
-    unsafe fn w_and_dw_dh_into_avx2(
-        &self,
-        r: &[f64],
-        w_out: &mut Vec<f64>,
-        dwdh_out: &mut Vec<f64>,
-    ) {
+    unsafe fn w_and_dw_dh_into_avx2(&self, r: &[f64], w_out: &mut [f64], dwdh_out: &mut [f64]) {
         self.w_and_dw_dh_into_impl(r, w_out, dwdh_out)
     }
 
     #[inline(always)]
-    fn w_and_dw_dh_into_impl(&self, r: &[f64], w_out: &mut Vec<f64>, dwdh_out: &mut Vec<f64>) {
+    fn w_and_dw_dh_into_impl(&self, r: &[f64], w_out: &mut [f64], dwdh_out: &mut [f64]) {
         let n = r.len();
-        w_out.clear();
-        w_out.resize(n, 0.0);
-        dwdh_out.clear();
-        dwdh_out.resize(n, 0.0);
+        let (w_out, dwdh_out) = (&mut w_out[..n], &mut dwdh_out[..n]);
         match self.kernel {
             Kernel::CubicSpline => {
                 for k in 0..n {
@@ -428,8 +436,9 @@ impl RowKernel {
     }
 
     /// `out[k] = dW/dr(r[k], h) / r[k]` — the momentum equation's gradient
-    /// prefactor. Bit-identical to `Kernel::dw_dr(r, h) / r` per lane.
-    /// Requires `r[k] > 0` (pair-filtered rows).
+    /// prefactor. Bit-identical to `Kernel::dw_dr(r, h) / r` per lane. A
+    /// lane with `r[k] == 0` (the self pair) comes out NaN or infinite; the
+    /// momentum sweep masks it.
     /// Dispatched through an AVX2 clone when available (`cornerstone::simd`).
     pub fn dw_dr_over_r_into(&self, r: &[f64], out: &mut Vec<f64>) {
         #[cfg(target_arch = "x86_64")]
@@ -501,44 +510,65 @@ impl RowKernel {
 }
 
 /// `out[k] = dW/dr(r[k], h[k]) / r[k]` with a *per-lane* smoothing length —
-/// the momentum equation's neighbor-side gradient. Nothing hoists (each
-/// lane has its own `h`), but the select-form body keeps the loop
-/// branch-free so the normalization divisions issue as SIMD divides —
+/// the momentum equation's neighbor-side gradient. The per-lane
+/// normalization arrives precomputed (`sigma[k]`, `dq[k]` =
+/// [`kernel_norm`]`(kernel, h[k])`, the scalar functions' own expressions on
+/// the same `h`, hence the same bits), and the select-form body keeps the
+/// loop branch-free so the remaining divisions issue as SIMD divides —
 /// which are IEEE-correctly rounded per lane, hence still bit-identical to
-/// `Kernel::dw_dr(r, h) / r`. Requires `r[k] > 0` and `h[k] > 0`.
+/// `Kernel::dw_dr(r, h) / r`. A lane with `r[k] == 0` (the self pair) comes
+/// out NaN or infinite; the momentum sweep masks it.
 /// Dispatched through an AVX2 clone when available (`cornerstone::simd`).
-pub(crate) fn dw_dr_over_r_varh_into(kernel: Kernel, r: &[f64], h: &[f64], out: &mut Vec<f64>) {
+pub(crate) fn dw_dr_over_r_varh_into(
+    kernel: Kernel,
+    r: &[f64],
+    h: &[f64],
+    sigma: &[f64],
+    dq: &[f64],
+    out: &mut Vec<f64>,
+) {
     #[cfg(target_arch = "x86_64")]
     if cornerstone::simd::avx2() {
         // SAFETY: AVX2 support was just checked; the clone has no other
         // precondition (portable body under different codegen).
-        return unsafe { dw_dr_over_r_varh_into_avx2(kernel, r, h, out) };
+        return unsafe { dw_dr_over_r_varh_into_avx2(kernel, r, h, sigma, dq, out) };
     }
-    dw_dr_over_r_varh_into_impl(kernel, r, h, out)
+    dw_dr_over_r_varh_into_impl(kernel, r, h, sigma, dq, out)
 }
 
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-unsafe fn dw_dr_over_r_varh_into_avx2(kernel: Kernel, r: &[f64], h: &[f64], out: &mut Vec<f64>) {
-    dw_dr_over_r_varh_into_impl(kernel, r, h, out)
+unsafe fn dw_dr_over_r_varh_into_avx2(
+    kernel: Kernel,
+    r: &[f64],
+    h: &[f64],
+    sigma: &[f64],
+    dq: &[f64],
+    out: &mut Vec<f64>,
+) {
+    dw_dr_over_r_varh_into_impl(kernel, r, h, sigma, dq, out)
 }
 
 #[inline(always)]
-fn dw_dr_over_r_varh_into_impl(kernel: Kernel, r: &[f64], h: &[f64], out: &mut Vec<f64>) {
+fn dw_dr_over_r_varh_into_impl(
+    kernel: Kernel,
+    r: &[f64],
+    h: &[f64],
+    sigma: &[f64],
+    dq: &[f64],
+    out: &mut Vec<f64>,
+) {
     let n = r.len();
-    debug_assert_eq!(h.len(), n);
+    let (h, sigma, dq) = (&h[..n], &sigma[..n], &dq[..n]);
     out.clear();
     out.resize(n, 0.0);
     match kernel {
         Kernel::CubicSpline => {
             for k in 0..n {
-                let hk = h[k];
-                let sigma = 1.0 / (std::f64::consts::PI * hk * hk * hk);
-                let dq = 1.0 / hk;
-                let q = r[k] / hk;
-                let d1 = sigma * (-3.0 * q + 2.25 * q * q) * dq;
+                let q = r[k] / h[k];
+                let d1 = sigma[k] * (-3.0 * q + 2.25 * q * q) * dq[k];
                 let t = 2.0 - q;
-                let d2 = sigma * (-0.75 * t * t) * dq;
+                let d2 = sigma[k] * (-0.75 * t * t) * dq[k];
                 let dw = if q < 1.0 {
                     d1
                 } else if q < 2.0 {
@@ -553,14 +583,13 @@ fn dw_dr_over_r_varh_into_impl(kernel: Kernel, r: &[f64], h: &[f64], out: &mut V
             for k in 0..n {
                 let hk = h[k];
                 let q = r[k] / hk;
-                let sigma = 1365.0 / (512.0 * std::f64::consts::PI * hk * hk * hk);
                 let om = 1.0 - 0.5 * q;
                 let om2 = om * om;
                 let om7 = om2 * om2 * om2 * om;
                 let poly = 4.0 * q * q * q + 6.25 * q * q + 4.0 * q + 1.0;
                 let dpoly = 12.0 * q * q + 12.5 * q + 4.0;
                 let om8 = om7 * om;
-                let dv = sigma * (om8 * dpoly - 4.0 * om7 * poly) / hk;
+                let dv = sigma[k] * (om8 * dpoly - 4.0 * om7 * poly) / hk;
                 let dw = if q < 2.0 { dv } else { 0.0 };
                 out[k] = dw / r[k];
             }
@@ -572,7 +601,7 @@ fn dw_dr_over_r_varh_into_impl(kernel: Kernel, r: &[f64], h: &[f64], out: &mut V
                 let q = r[k] / hk;
                 let dw = if q < 2.0 {
                     let s = sinc(a * q);
-                    SINC5_SIGMA / (hk * hk * hk) * 5.0 * s.powi(4) * dsinc(a * q) * a / hk
+                    sigma[k] * 5.0 * s.powi(4) * dsinc(a * q) * a / hk
                 } else {
                     0.0
                 };
@@ -700,7 +729,9 @@ mod tests {
                 rk.w_and_dw_dh_into(&r, &mut w2, &mut dwdh);
                 rk.dw_dr_over_r_into(&r, &mut dwr);
                 let mut dwr_var = Vec::new();
-                dw_dr_over_r_varh_into(k, &r, &hs, &mut dwr_var);
+                let (sigma, dq): (Vec<f64>, Vec<f64>) =
+                    hs.iter().map(|&h| kernel_norm(k, h)).unzip();
+                dw_dr_over_r_varh_into(k, &r, &hs, &sigma, &dq, &mut dwr_var);
                 for (i, &ri) in r.iter().enumerate() {
                     assert_eq!(w[i].to_bits(), k.w(ri, h).to_bits(), "{k:?} w at r={ri}");
                     assert_eq!(w2[i].to_bits(), w[i].to_bits());

@@ -26,8 +26,44 @@ use crate::particles::Particles;
 /// [`crate::reference::momentum_energy`] over the grid or the list.
 pub fn momentum_energy(parts: &mut Particles, nl: &NeighborList, kernel: Kernel) {
     let p = &*parts;
-    let rates: Vec<(f64, f64, f64, f64)> =
-        par::par_map(p.n_local, |i| momentum_row(p, nl, i, kernel));
+    // What a pair reads from its `j` side, 14 doubles in a 128-byte record:
+    // `[x, y, z, h | m, vx, vy, vz | alpha, c, rho, P/(Om rho²) | sigma(h),
+    // 1/h, ·, ·]`. The last four values are the per-particle parts of the
+    // pair terms, each by the reference's per-pair expression: three
+    // divisions per pair become three per particle.
+    let record = |j: usize| {
+        // First-step halos arrive before their owner computed a density;
+        // they carry no pressure yet and must not divide by rho^2 = 0
+        // (which underflows to 0/0 = NaN).
+        let rho_j = p.rho[j];
+        let pj_term = if rho_j > 0.0 {
+            p.p[j] / (p.gradh[j] * rho_j * rho_j)
+        } else {
+            0.0
+        };
+        let (sigma, dq) = kernels::kernel_norm(kernel, p.h[j]);
+        [
+            p.x[j],
+            p.y[j],
+            p.z[j],
+            p.h[j],
+            p.m[j],
+            p.vx[j],
+            p.vy[j],
+            p.vz[j],
+            p.alpha[j],
+            p.c[j],
+            rho_j.max(1e-300),
+            pj_term,
+            sigma,
+            dq,
+            0.0,
+            0.0,
+        ]
+    };
+    let rates: Vec<(f64, f64, f64, f64)> = lanes::with_records(p.len(), record, |recs| {
+        par::par_map(p.n_local, |i| momentum_row(p, nl, recs, i, kernel))
+    });
     store_rates(parts, rates);
 }
 
@@ -41,137 +77,177 @@ pub(crate) fn store_rates(parts: &mut Particles, rates: Vec<(f64, f64, f64, f64)
     }
 }
 
-/// One momentum row: select-then-batch. Distances are batched over the
-/// whole CSR row; a branch-free selection pass then compacts the positions
-/// of the pairs the reference callback actually processes — its radius
-/// filter (`d2 > (1.4 s_i)²`), self/coincident skip (`d2 == 0`, exactly the
-/// reference's `j == i || d2 == 0` set), and pairwise support check,
-/// evaluated as mask arithmetic with a write-then-advance store so the loop
-/// carries no data-dependent branches. The two gradient prefactors
-/// `dW/dr / r` (one at `h_i` via the hoisted [`RowKernel`], one at the
-/// gathered `h_j`) are then batched over just the compacted survivors, and
-/// the accumulation loop walks the survivor list with no skips left to
-/// take. The step's list stores exactly the pairs within
-/// `max(s_i, s_j)` (`crate::sim::list_radii_into`), so a row's survivors are
-/// the whole row minus the self-pair, pairs whose distance rounds to the
+/// One momentum row: whole-row passes, the skips as a mask. The candidates'
+/// records are gathered and the geometry recomputed for the whole row; the
+/// two gradient prefactors `dW/dr / r` (one at `h_i` via the hoisted
+/// [`RowKernel`], one at the gathered `h_j` with its gathered
+/// normalisation) are batched over the whole row; one branch-free
+/// elementwise pass (`pair_terms`) then evaluates the four per-pair terms
+/// of every candidate and replaces those of the pairs the reference
+/// callback skips — its radius filter (`d2 > (1.4 s_i)²`), self/coincident
+/// skip (`d2 == 0`, exactly its `j == i || d2 == 0` set), and pairwise
+/// support check — by the fold's identity. The step's list stores exactly
+/// the pairs within `max(s_i, s_j)` (`crate::sim::list_radii_into`), so a
+/// row's masked lanes are the self-pair, pairs whose distance rounds to the
 /// support itself, and — on an h-graded cloud — pairs a much larger
 /// neighbour reaches from beyond this row's own `1.4 s_i` search, which
-/// the reference never sees either.
+/// the reference never sees either: nearly every lane's arithmetic is
+/// consumed.
 ///
-/// Bit-identical to the reference: the survivor set and order equal its
-/// processed set and order (`keep` is the literal negation of its skips),
-/// the batched evaluators are elementwise (same input value → same bits
-/// regardless of lane position), and visited pairs see the reference's
-/// exact expressions (deltas read negated from the stored `r_j - r_i` into
-/// the `r_i - r_j` direction `Box3::delta(i, j)` builds — IEEE negation is
-/// exact and `d2` is unchanged since squares erase the sign), accumulated
-/// as a running `+=`/`-=` fold in visit order. Per-`i` invariants (`hi`,
-/// `rho_i`, `pi_term`, `support(hi)`, velocities, `alpha`, `c`) are
-/// hoisted.
+/// Bit-identical to the reference: `keep` is the literal negation of its
+/// skips, the batched evaluators and the term pass are elementwise (same
+/// input value → same bits regardless of lane position) and see the
+/// reference's exact expressions (displacements negated from the
+/// recomputed `r_j - r_i` into the `r_i - r_j` direction `Box3::delta(i,
+/// j)` builds — IEEE negation is exact and `d2` is unchanged since squares
+/// erase the sign), a masked lane holds the identity of its fold (`+0.0`
+/// under `-=`, `-0.0` under `+=`; see [`crate::lanes`]) whatever NaN or
+/// infinity its arithmetic produced (the self pair divides by `r = 0`),
+/// and the folds are running `-=`/`+=` in row order.
 fn momentum_row(
     p: &Particles,
     nl: &NeighborList,
+    recs: &[f64],
     i: usize,
     kernel: Kernel,
 ) -> (f64, f64, f64, f64) {
     let hi = p.h[i];
     let rho_i = p.rho[i].max(1e-300);
-    let pi_term = p.p[i] / (p.gradh[i] * rho_i * rho_i);
     let si = kernel.support(hi);
     // Search must cover the larger support of interacting pairs; h is
     // smooth so 1.4x covers neighbor h differences.
     let radius = si * 1.4;
-    let r2 = radius * radius;
+    let own = RowSide {
+        kernel,
+        h: hi,
+        support: si,
+        search_r2: radius * radius,
+        rho: rho_i,
+        p_term: p.p[i] / (p.gradh[i] * rho_i * rho_i),
+        v: [p.vx[i], p.vy[i], p.vz[i]],
+        alpha: p.alpha[i],
+        c: p.c[i],
+    };
     let rkn = RowKernel::new(kernel, hi);
-    let (vxi, vyi, vzi) = (p.vx[i], p.vy[i], p.vz[i]);
-    let (alpha_i, c_i) = (p.alpha[i], p.c[i]);
-    let (jj, dxs, dys, dzs) = nl.row_deltas(i);
-    let m = jj.len();
     lanes::with_scratch(|s| {
         let lanes::RowScratch {
+            cols,
+            d2,
             r,
-            w: dwi_b,
-            vj: dwj_b,
-            aux,
-            idx,
-            ..
+            w: dwi,
+            w2: dwj,
+            terms,
         } = s;
-        let [hj_b, d2_b, rc, hjc] = aux;
-        lanes::dist2_dist_into(dxs, dys, dzs, d2_b, r);
-        hj_b.clear();
-        hj_b.resize(m, 0.0);
-        for k in 0..m {
-            hj_b[k] = p.h[jj[k] as usize];
+        let jj = nl.row(i);
+        lanes::gather::<16>(recs, jj, cols);
+        lanes::geometry(nl.min_image(), [p.x[i], p.y[i], p.z[i]], cols, d2, r);
+        let [dx, dy, dz, h, mass, vx, vy, vz, alpha, c, rho, p_term, sigma, dq, ..] = cols;
+        rkn.dw_dr_over_r_into(r, dwi);
+        kernels::dw_dr_over_r_varh_into(kernel, r, h, sigma, dq, dwj);
+        for t in &mut terms[..4] {
+            t.resize(d2.len(), 0.0);
         }
-        // Branch-free survivor selection (see the doc comment): `keep` is
-        // the exact negation of the reference's skip conditions.
-        idx.clear();
-        idx.resize(m, 0);
-        let mut nsel = 0usize;
-        for k in 0..m {
-            let d2k = d2_b[k];
-            let rk = r[k];
-            let keep = (d2k != 0.0) & (d2k <= r2) & ((rk < si) | (rk < kernel.support(hj_b[k])));
-            idx[nsel] = k as u32;
-            nsel += keep as usize;
-        }
-        idx.truncate(nsel);
-        // Dense gather of the survivors' `r` and `h_j` so the gradient
-        // batches touch only interacting pairs. Survivors have `d2 != 0`,
-        // so the varh pass never divides by a zero distance here.
-        rc.clear();
-        rc.resize(nsel, 0.0);
-        hjc.clear();
-        hjc.resize(nsel, 0.0);
-        for (c, &k32) in idx.iter().enumerate() {
-            rc[c] = r[k32 as usize];
-            hjc[c] = hj_b[k32 as usize];
-        }
-        rkn.dw_dr_over_r_into(rc, dwi_b);
-        kernels::dw_dr_over_r_varh_into(kernel, rc, hjc, dwj_b);
-
+        let [tx, ty, tz, tu, ..] = terms;
+        pair_terms(
+            &own, d2, r, dx, dy, dz, h, mass, vx, vy, vz, alpha, c, rho, p_term, dwi, dwj, tx, ty,
+            tz, tu,
+        );
+        let m = jj.len();
+        let (tx, ty, tz, tu) = (&tx[..m], &ty[..m], &tz[..m], &tu[..m]);
         let (mut ax, mut ay, mut az, mut du) = (0.0, 0.0, 0.0, 0.0);
-        for (c, &k32) in idx.iter().enumerate() {
-            let k = k32 as usize;
-            let d2k = d2_b[k];
-            let j = jj[k] as usize;
-            let hj = hjc[c];
-            let (dx, dy, dz) = (-dxs[k], -dys[k], -dzs[k]);
-            let dwi = dwi_b[c];
-            let dwj = dwj_b[c];
-            let dw_avg = 0.5 * (dwi + dwj);
-
-            // First-step halos arrive before their owner computed a density;
-            // they carry no pressure yet and must not divide by rho^2 = 0
-            // (which underflows to 0/0 = NaN).
-            let rho_j = p.rho[j];
-            let pj_term = if rho_j > 0.0 {
-                p.p[j] / (p.gradh[j] * rho_j * rho_j)
-            } else {
-                0.0
-            };
-            let rho_j = rho_j.max(1e-300);
-
-            let dvx = vxi - p.vx[j];
-            let dvy = vyi - p.vy[j];
-            let dvz = vzi - p.vz[j];
-            let vdotr = dvx * dx + dvy * dy + dvz * dz;
-
-            let alpha_ij = 0.5 * (alpha_i + p.alpha[j]);
-            let h_ij = 0.5 * (hi + hj);
-            let c_ij = 0.5 * (c_i + p.c[j]);
-            let rho_ij = 0.5 * (rho_i + rho_j);
-            let visc = viscosity_pi(alpha_ij, h_ij, c_ij, rho_ij, vdotr, d2k);
-
-            let mj = p.m[j];
-            let grad_scale = pi_term * dwi + pj_term * dwj + visc * dw_avg;
-            ax -= mj * grad_scale * dx;
-            ay -= mj * grad_scale * dy;
-            az -= mj * grad_scale * dz;
-            du += mj * (pi_term * dwi + 0.5 * visc * dw_avg) * vdotr;
+        for k in 0..m {
+            ax -= tx[k];
+            ay -= ty[k];
+            az -= tz[k];
+            du += tu[k];
         }
         (ax, ay, az, du)
     })
+}
+
+/// The `i` side of a momentum row: everything the pair terms read that does
+/// not vary along the row, hoisted.
+struct RowSide {
+    kernel: Kernel,
+    h: f64,
+    /// `support(h)` and the squared `1.4 · support(h)` search radius.
+    support: f64,
+    search_r2: f64,
+    /// `rho.max(1e-300)` and `P / (Omega rho²)` on it.
+    rho: f64,
+    p_term: f64,
+    v: [f64; 3],
+    alpha: f64,
+    c: f64,
+}
+
+lanes::row_pass! {
+    /// `(tx, ty, tz)[k] = m_j · grad_scale · (r_i - r_j)` and `tu[k]` the
+    /// energy term of candidate `k` — the reference's per-pair expressions —
+    /// or the identity of their folds (`+0.0` for the three `-=`, `-0.0` for
+    /// the `+=`) where the reference skips the pair. One branch-free
+    /// elementwise pass over the row's columns (all sized to the row; `dx/dy/
+    /// dz` hold `r_j - r_i`).
+    fn pair_terms(
+        own: &RowSide,
+        d2: &[f64],
+        r: &[f64],
+        dx: &[f64],
+        dy: &[f64],
+        dz: &[f64],
+        h: &[f64],
+        mass: &[f64],
+        vx: &[f64],
+        vy: &[f64],
+        vz: &[f64],
+        alpha: &[f64],
+        c: &[f64],
+        rho: &[f64],
+        p_term: &[f64],
+        dwi: &[f64],
+        dwj: &[f64],
+        tx: &mut [f64],
+        ty: &mut [f64],
+        tz: &mut [f64],
+        tu: &mut [f64],
+    ) {
+        let m = d2.len();
+        let (r, dx, dy, dz, h) = (&r[..m], &dx[..m], &dy[..m], &dz[..m], &h[..m]);
+        let (mass, vx, vy, vz) = (&mass[..m], &vx[..m], &vy[..m], &vz[..m]);
+        let (alpha, c, rho, p_term) = (&alpha[..m], &c[..m], &rho[..m], &p_term[..m]);
+        let (dwi, dwj) = (&dwi[..m], &dwj[..m]);
+        let (tx, ty, tz, tu) = (&mut tx[..m], &mut ty[..m], &mut tz[..m], &mut tu[..m]);
+        for k in 0..m {
+            let (d2, r, hj) = (d2[k], r[k], h[k]);
+            // Pair interacts if within either particle's support.
+            let keep = (d2 != 0.0)
+                & (d2 <= own.search_r2)
+                & ((r < own.support) | (r < own.kernel.support(hj)));
+            let (dx, dy, dz) = (-dx[k], -dy[k], -dz[k]);
+            let (dwi, dwj) = (dwi[k], dwj[k]);
+            let dw_avg = 0.5 * (dwi + dwj);
+            let (pj_term, rho_j) = (p_term[k], rho[k]);
+
+            let dvx = own.v[0] - vx[k];
+            let dvy = own.v[1] - vy[k];
+            let dvz = own.v[2] - vz[k];
+            let vdotr = dvx * dx + dvy * dy + dvz * dz;
+
+            let alpha_ij = 0.5 * (own.alpha + alpha[k]);
+            let h_ij = 0.5 * (own.h + hj);
+            let c_ij = 0.5 * (own.c + c[k]);
+            let rho_ij = 0.5 * (own.rho + rho_j);
+            let visc = viscosity_pi(alpha_ij, h_ij, c_ij, rho_ij, vdotr, d2);
+
+            let mj = mass[k];
+            let grad_scale = own.p_term * dwi + pj_term * dwj + visc * dw_avg;
+            tx[k] = if keep { mj * grad_scale * dx } else { 0.0 };
+            ty[k] = if keep { mj * grad_scale * dy } else { 0.0 };
+            tz[k] = if keep { mj * grad_scale * dz } else { 0.0 };
+            let energy = mj * (own.p_term * dwi + 0.5 * visc * dw_avg) * vdotr;
+            tu[k] = if keep { energy } else { -0.0 };
+        }
+    }
 }
 
 #[cfg(test)]

@@ -1,6 +1,6 @@
 //! Reference sweeps: the four neighbor sweeps written as one per-pair
 //! callback over any [`NeighborSearch`] — the direct [`CellList`] grid walk
-//! or the stored-delta replay of a [`NeighborList`].
+//! or the per-pair replay of a [`NeighborList`]'s rows.
 //!
 //! Nothing in `Simulation::step` calls these. They are the oracle the
 //! production sweeps ([`crate::density`], [`crate::iad`],

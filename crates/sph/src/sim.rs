@@ -418,13 +418,22 @@ impl Simulation {
                 self.parts.n_local,
                 &self.nlist_radii,
             );
+            // The scan counted each row's own-radius neighbours on the way.
+            self.nn = neighbor_counts(&self.parts, &self.nlist, kernel);
             if let Some(t0) = t0 {
+                let (bytes, pairs) = (self.nlist.csr_bytes(), self.nlist.pair_count());
                 telemetry::gauge_set("neighbors/avg", self.nlist.avg_neighbors());
                 telemetry::gauge_set("neighbors/max", self.nlist.max_neighbors() as f64);
-                telemetry::gauge_set("neighbors/csr_bytes", self.nlist.csr_bytes() as f64);
+                telemetry::gauge_set("neighbors/csr_bytes", bytes as f64);
                 telemetry::gauge_set("neighbors/build_ms", t0.elapsed().as_secs_f64() * 1e3);
+                // `neighbors/avg` is what a row stores; `nn_avg` is the count
+                // `update_smoothing_lengths` steers `h` by, to be read against
+                // `target_neighbors`.
+                let nn_avg = self.nn.iter().sum::<usize>() as f64 / self.nn.len().max(1) as f64;
+                telemetry::gauge_set("neighbors/nn_avg", nn_avg);
+                let per_pair = bytes as f64 / pairs.max(1) as f64;
+                telemetry::gauge_set("neighbors/bytes_per_pair", per_pair);
             }
-            self.nn = neighbor_counts(&self.parts, &self.nlist, kernel);
             // Overlap schedule: split owned rows by whether their CSR row
             // references any halo index (halos sit past n_local). Interior
             // rows never read deferred halo fields, so they can sweep before

@@ -1,16 +1,18 @@
 //! Production-vs-reference sweep equivalence, bit for bit.
 //!
 //! The production sweeps (`sph::density`, `sph::iad`, `sph::momentum`) read
-//! the step's [`NeighborList`] rows directly: lane buffers, fused row
-//! kernels, vectorized compaction, momentum's select-then-batch survivor
-//! pass. `sph::reference` holds the same four sweeps as per-pair callbacks
-//! over any `NeighborSearch`. Every case here runs three things over one
+//! the step's [`NeighborList`] rows directly: packed per-neighbour records
+//! gathered into lane columns, the pair geometry recomputed a row at a
+//! time, fused row kernels, the skip conditions as a mask over whole-row
+//! term passes. `sph::reference` holds the same four sweeps as per-pair
+//! callbacks over any `NeighborSearch`. Every case here runs three things over one
 //! particle state and requires every swept field to agree in every bit:
 //!
 //! * `reference` over the cell grid — the direct 27-cell walk, the
 //!   traversal the list was recorded from;
-//! * `reference` over the list — the stored-delta replay, which holds the
-//!   traversal fixed and so isolates exactly the production row engine;
+//! * `reference` over the list — the per-pair replay of its rows, which
+//!   holds the traversal fixed and so isolates exactly the production row
+//!   engine;
 //! * the production sweeps over the same list.
 //!
 //! The list is built with the h-aware adaptive pair rule over the radii of
@@ -308,7 +310,7 @@ fn pairs_on_the_support_boundary_are_stored_iff_a_sweep_can_consume_them() {
                     let mut parts = Particles::new();
                     parts.push(0.0, 0.0, 0.0, 0.3, -0.2, 0.1, 1.0, h0, 1.0);
                     parts.push(dx, dy, 0.0, -0.1, 0.4, 0.2, 1.5, h1, 0.7);
-                    // Particle 0 sits at the origin, so the stored delta is
+                    // Particle 0 sits at the origin, so the displacement is
                     // (dx, dy, 0) exactly and the scan sums d² this way.
                     let stored = dx * dx + dy * dy <= s2;
                     let (_, nl) = grid_and_list(&parts, &bbox, kernel);
@@ -337,14 +339,94 @@ fn graded_cloud_stores_pairs_beyond_momentums_own_search() {
         }
         for kernel in KERNELS {
             let (_, nl) = grid_and_list(&parts, &bbox, kernel);
+            let (x, y, z) = (&parts.x, &parts.y, &parts.z);
             let beyond = (0..parts.len()).any(|i| {
                 let cut = 1.4 * kernel.support(parts.h[i]);
-                let (_, dx, dy, dz) = nl.row_deltas(i);
-                (0..dx.len()).any(|k| dx[k] * dx[k] + dy[k] * dy[k] + dz[k] * dz[k] > cut * cut)
+                nl.row(i).iter().any(|&j| {
+                    let j = j as usize;
+                    bbox.dist2(x[i], y[i], z[i], x[j], y[j], z[j]) > cut * cut
+                })
             });
             assert!(beyond, "{kernel:?}: no stored pair past 1.4·s_i");
             run_both(&parts, &bbox, kernel);
         }
+    }
+}
+
+#[test]
+fn masked_lanes_leave_every_fold_untouched() {
+    // One row engine pass evaluates every stored candidate and masks the
+    // ones the reference skips; this cloud lines up every kind of masked
+    // lane, and every kind of running sum one can arrive at. A tight
+    // cluster inside one grid cell of an open box, so every row visits its
+    // candidates in index order:
+    //
+    // * 0 (leftmost) and 1 (rightmost) rush inwards at 1e160: their
+    //   viscosity terms overflow, with opposite directions, so in every
+    //   row between them the force sums are ±inf after candidate 0 and NaN
+    //   (inf - inf) after candidate 1, the energy sum +inf — and must stay
+    //   so through the masked lanes that follow; row 1 meets its own masked
+    //   self pair on an infinite sum;
+    // * 2 and 3 are coincident (d2 == 0 with j != i), and every row holds
+    //   its own self pair;
+    // * 4 has a tenth of the others' smoothing length: its rows store the
+    //   others only through *their* supports, beyond its own support (IAD
+    //   masks them) and beyond its 1.4·s_i momentum search;
+    // * 7 and 8 are halos (past n_local) that never get a density: rho = 0,
+    //   the first-step bootstrap volume and the zero pressure term.
+    let bbox = Box3::cube(0.0, 1.0, false);
+    let mut parts = Particles::new();
+    let at = |k: usize| 0.5 + 0.003 * k as f64;
+    let mut push = |x: f64, vx: f64, h: f64| {
+        parts.push(x, 0.5, 0.5, vx, 0.01, -0.02, 1.0, h, 1.0);
+    };
+    push(at(0), 1e160, 0.02);
+    push(at(9), -1e160, 0.02);
+    push(at(2), 0.1, 0.02);
+    push(at(2), -0.1, 0.02);
+    push(at(4), 0.2, 0.002);
+    push(at(5), -0.2, 0.02);
+    push(at(6), 0.3, 0.02);
+    push(at(7), -0.3, 0.02);
+    push(at(8), 0.05, 0.02);
+    parts.n_local = 7;
+    for kernel in KERNELS {
+        let (grid, nl) = grid_and_list(&parts, &bbox, kernel);
+        let (x, y, z) = (&parts.x, &parts.y, &parts.z);
+        let d2 = |i: usize, j: u32| {
+            let j = j as usize;
+            bbox.dist2(x[i], y[i], z[i], x[j], y[j], z[j])
+        };
+        let s4 = kernel.support(parts.h[4]);
+        let (cx, _, _) = grid.dims();
+        let cell = |x: f64| (x * cx as f64) as usize;
+        assert_eq!(
+            cell(at(0)),
+            cell(at(9)),
+            "one cell: rows are in index order"
+        );
+        for i in [0, 1, 2, 3, 5, 6] {
+            assert_eq!(nl.row(i), [0, 1, 2, 3, 4, 5, 6, 7, 8], "row {i}");
+        }
+        assert_eq!(d2(2, 3), 0.0, "coincident pair");
+        assert!(
+            nl.row(4).iter().any(|&j| d2(4, j) > 1.96 * s4 * s4),
+            "row 4 stores pairs beyond its own 1.4·s_i search"
+        );
+        let (swept, _) = run_both(&parts, &bbox, kernel);
+        assert_eq!(&swept.rho[7..], [0.0, 0.0], "halos keep rho = 0");
+        for i in [0, 1] {
+            assert!(swept.ax[i].is_infinite(), "{kernel:?}: ax[{i}]");
+        }
+        for i in [2, 3, 5, 6] {
+            assert!(
+                swept.ax[i].is_nan(),
+                "{kernel:?}: ax[{i}] = {}",
+                swept.ax[i]
+            );
+            assert_eq!(swept.du[i], f64::INFINITY, "{kernel:?}: du[{i}]");
+        }
+        assert!(swept.ax[4].is_finite(), "row 4's search reaches neither");
     }
 }
 
