@@ -182,48 +182,53 @@ mod tests {
         assert_eq!(up, MegaHertz(1410));
     }
 
+    /// Properties, 256 generated cases each.
     mod props {
         use super::*;
-        use proptest::prelude::*;
 
-        proptest! {
-            #[test]
-            fn prop_settle_target_monotone_in_activity(a in 0.0f64..=1.0, b in 0.0f64..=1.0) {
+        #[test]
+        fn prop_settle_target_monotone_in_activity() {
+            rng::cases(256, |g| {
+                let (a, b) = (g.f64(0.0..1.0), g.f64(0.0..1.0));
                 // More compute-intense kernels never settle *lower*.
                 let p = DvfsParams::default();
-                let g = gpu();
+                let gpu = gpu();
                 let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
-                let t_lo = p.settle_target(&kernel(lo), &g);
-                let t_hi = p.settle_target(&kernel(hi), &g);
-                prop_assert!(t_lo <= t_hi, "{lo}->{t_lo} vs {hi}->{t_hi}");
-            }
+                let t_lo = p.settle_target(&kernel(lo), &gpu);
+                let t_hi = p.settle_target(&kernel(hi), &gpu);
+                assert!(t_lo <= t_hi, "{lo}->{t_lo} vs {hi}->{t_hi}");
+            });
+        }
 
-            #[test]
-            fn prop_analog_step_bounded_and_directed(
-                cur in 210.0f64..1410.0,
-                tgt in 210u32..=1410,
-                dt_us in 0.0f64..100_000.0,
-            ) {
+        #[test]
+        fn prop_analog_step_bounded_and_directed() {
+            rng::cases(256, |g| {
+                let cur = g.f64(210.0..1410.0);
+                let tgt = g.u32(210..=1410);
+                let dt_us = g.f64(0.0..100_000.0);
                 let p = DvfsParams::default();
                 let next = p.step_analog(cur, MegaHertz(tgt), dt_us);
                 let tgt_f = f64::from(tgt);
                 // Moves toward the target without overshooting it.
                 if tgt_f >= cur {
-                    prop_assert!(next >= cur && next <= tgt_f + 1e-9);
-                    prop_assert!(next - cur <= p.ramp_up_mhz_per_us * dt_us + 1e-9);
+                    assert!(next >= cur && next <= tgt_f + 1e-9);
+                    assert!(next - cur <= p.ramp_up_mhz_per_us * dt_us + 1e-9);
                 } else {
-                    prop_assert!(next <= cur && next >= tgt_f - 1e-9);
-                    prop_assert!(cur - next <= p.ramp_down_mhz_per_us * dt_us + 1e-9);
+                    assert!(next <= cur && next >= tgt_f - 1e-9);
+                    assert!(cur - next <= p.ramp_down_mhz_per_us * dt_us + 1e-9);
                 }
-            }
+            });
+        }
 
-            #[test]
-            fn prop_targets_always_on_device_ladder(a in 0.0f64..=1.0) {
+        #[test]
+        fn prop_targets_always_on_device_ladder() {
+            rng::cases(256, |g| {
+                let a = g.f64(0.0..1.0);
                 let p = DvfsParams::default();
-                let g = gpu();
-                prop_assert!(g.clock_table.supports(p.settle_target(&kernel(a), &g)));
-                prop_assert!(g.clock_table.supports(p.launch_boost_target(&g)));
-            }
+                let gpu = gpu();
+                assert!(gpu.clock_table.supports(p.settle_target(&kernel(a), &gpu)));
+                assert!(gpu.clock_table.supports(p.launch_boost_target(&gpu)));
+            });
         }
     }
 }

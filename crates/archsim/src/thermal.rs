@@ -162,17 +162,16 @@ mod tests {
         assert!((whole - half).abs() < 1e-9);
     }
 
+    /// Properties, 256 generated cases each.
     mod props {
         use super::*;
-        use proptest::prelude::*;
 
-        proptest! {
-            #[test]
-            fn prop_temperature_bounded_by_endpoints(
-                t0 in 20.0f64..100.0,
-                p in 0.0f64..600.0,
-                dt_ms in 1u64..100_000,
-            ) {
+        #[test]
+        fn prop_temperature_bounded_by_endpoints() {
+            rng::cases(256, |g| {
+                let t0 = g.f64(20.0..100.0);
+                let p = g.f64(0.0..600.0);
+                let dt_ms = g.u64(1..100_000);
                 // The RC response never overshoots: the new temperature lies
                 // between the start and the steady state.
                 let th = ThermalSpec::sxm();
@@ -180,30 +179,34 @@ mod tests {
                 let t1 = th.step(t0, Watts(p), SimDuration::from_millis(dt_ms));
                 let lo = t0.min(ss) - 1e-9;
                 let hi = t0.max(ss) + 1e-9;
-                prop_assert!(t1 >= lo && t1 <= hi, "{t0} -> {t1} (ss {ss})");
-            }
+                assert!(t1 >= lo && t1 <= hi, "{t0} -> {t1} (ss {ss})");
+            });
+        }
 
-            #[test]
-            fn prop_leakage_monotone_in_temperature(a in -20.0f64..120.0, b in -20.0f64..120.0) {
+        #[test]
+        fn prop_leakage_monotone_in_temperature() {
+            rng::cases(256, |g| {
+                let (a, b) = (g.f64(-20.0..120.0), g.f64(-20.0..120.0));
                 let th = ThermalSpec::pcie();
                 let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
-                prop_assert!(th.leakage_factor(lo) <= th.leakage_factor(hi));
-                prop_assert!(th.leakage_factor(lo) >= 1.0);
-            }
+                assert!(th.leakage_factor(lo) <= th.leakage_factor(hi));
+                assert!(th.leakage_factor(lo) >= 1.0);
+            });
+        }
 
-            #[test]
-            fn prop_hotter_start_stays_hotter(
-                t_a in 20.0f64..90.0,
-                delta in 0.1f64..30.0,
-                p in 0.0f64..500.0,
-                dt_ms in 1u64..60_000,
-            ) {
+        #[test]
+        fn prop_hotter_start_stays_hotter() {
+            rng::cases(256, |g| {
+                let t_a = g.f64(20.0..90.0);
+                let delta = g.f64(0.1..30.0);
+                let p = g.f64(0.0..500.0);
+                let dt_ms = g.u64(1..60_000);
                 // Single-pole response preserves ordering of initial states.
                 let th = ThermalSpec::oam();
                 let cold = th.step(t_a, Watts(p), SimDuration::from_millis(dt_ms));
                 let hot = th.step(t_a + delta, Watts(p), SimDuration::from_millis(dt_ms));
-                prop_assert!(hot > cold);
-            }
+                assert!(hot > cold);
+            });
         }
     }
 }

@@ -99,7 +99,6 @@ fn main() {
             TuneOptions {
                 objective: Objective::Edp,
                 iterations,
-                ..Default::default()
             },
         );
         let pred = predictive_core_mem_sweep(

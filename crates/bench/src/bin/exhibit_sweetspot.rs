@@ -92,7 +92,6 @@ fn tune_cell(
             TuneOptions {
                 objective: Objective::Edp,
                 iterations,
-                ..Default::default()
             },
         );
         let best = result.best_frequency().expect("frequency axis present");

@@ -141,7 +141,7 @@ pub fn max_deviation_mhz(deviations: &[TableDeviation]) -> u32 {
 }
 
 /// True when every kernel agrees within `bin_mhz` — one ladder step
-/// (15 MHz on the A100) is the paper-relevant convergence criterion.
+/// (15 MHz on the A100) is the paper-relevant test of convergence.
 pub fn tables_within_bin(deviations: &[TableDeviation], bin_mhz: u32) -> bool {
     max_deviation_mhz(deviations) <= bin_mhz
 }

@@ -123,7 +123,6 @@ pub fn tune_table(
             TuneOptions {
                 objective,
                 iterations: 3,
-                ..Default::default()
             },
         );
         (func, result)

@@ -666,12 +666,11 @@ pub fn brute_force_neighbors(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
-    use rand::{rngs::StdRng, Rng, SeedableRng};
+    use rng::Rng;
 
     fn cloud(n: usize, seed: u64) -> (Vec<f64>, Vec<f64>, Vec<f64>) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut f = || (0..n).map(|_| rng.random::<f64>()).collect::<Vec<_>>();
+        let mut rng = Rng::seed_from_u64(seed);
+        let mut f = || (0..n).map(|_| rng.unit()).collect::<Vec<_>>();
         let x = f();
         let y = f();
         let z = f();
@@ -799,12 +798,12 @@ mod tests {
         ];
         for bbox in boxes {
             let wrap = MinImage::new(&bbox);
-            let mut rng = StdRng::seed_from_u64(91);
+            let mut rng = Rng::seed_from_u64(91);
             let mut point = || {
                 [
-                    bbox.xmin + bbox.lx() * rng.random::<f64>(),
-                    bbox.ymin + bbox.ly() * rng.random::<f64>(),
-                    bbox.zmin + bbox.lz() * rng.random::<f64>(),
+                    bbox.xmin + bbox.lx() * rng.unit(),
+                    bbox.ymin + bbox.ly() * rng.unit(),
+                    bbox.zmin + bbox.lz() * rng.unit(),
                 ]
             };
             let (mut wrapped, mut unwrapped) = (0, 0);
@@ -975,24 +974,22 @@ mod tests {
         assert_eq!(cl.neighbors_of(0, 0.1, &x, &y, &z), Vec::<usize>::new());
     }
 
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(24))]
-
-        #[test]
-        fn prop_celllist_equals_brute_force(
-            seed in 0u64..1000,
-            n in 1usize..150,
-            r in 0.02f64..0.5,
-            periodic in proptest::bool::ANY,
-        ) {
+    // Properties: 24 generated cases each, failing case index printed.
+    #[test]
+    fn prop_celllist_equals_brute_force() {
+        rng::cases(24, |g| {
+            let seed = g.u64(0..1000);
+            let n = g.usize(1..150);
+            let r = g.f64(0.02..0.5);
+            let periodic = g.bool();
             let (x, y, z) = cloud(n, seed);
             let bbox = Box3::cube(0.0, 1.0, periodic);
             let cl = CellList::build(&x, &y, &z, &bbox, r);
             let i = (seed as usize) % n;
-            prop_assert_eq!(
+            assert_eq!(
                 cl.neighbors_of(i, r, &x, &y, &z),
                 brute_force_neighbors(i, r, &x, &y, &z, &bbox)
             );
-        }
+        });
     }
 }

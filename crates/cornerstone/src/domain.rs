@@ -180,21 +180,13 @@ pub fn halo_candidates(
 mod tests {
     use super::*;
     use crate::key::key_of;
-    use proptest::prelude::*;
-    use rand::{rngs::StdRng, Rng, SeedableRng};
+    use rng::Rng;
 
     fn sorted_keys(n: usize, seed: u64) -> Vec<u64> {
-        let mut rng = StdRng::seed_from_u64(seed);
+        let mut rng = Rng::seed_from_u64(seed);
         let bbox = Box3::unit_periodic();
         let mut keys: Vec<u64> = (0..n)
-            .map(|_| {
-                key_of(
-                    rng.random::<f64>(),
-                    rng.random::<f64>(),
-                    rng.random::<f64>(),
-                    &bbox,
-                )
-            })
+            .map(|_| key_of(rng.unit(), rng.unit(), rng.unit(), &bbox))
             .collect();
         keys.sort_unstable();
         keys
@@ -359,25 +351,28 @@ mod tests {
         assert_eq!(got, vec![1, 2]);
     }
 
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(32))]
-
-        #[test]
-        fn prop_rank_of_key_consistent_with_ranges(seed in 0u64..300, parts in 1usize..16) {
+    // Properties: 32 generated cases each, failing case index printed.
+    #[test]
+    fn prop_rank_of_key_consistent_with_ranges() {
+        rng::cases(32, |g| {
+            let seed = g.u64(0..300);
+            let parts = g.usize(1..16);
             let keys = sorted_keys(1000, seed);
             let tree = Octree::build(&keys, 32);
             let a = Assignment::from_octree(&tree, parts);
             for &k in keys.iter().step_by(53) {
                 let r = a.rank_of_key(k);
                 let (s, e) = a.range(r);
-                prop_assert!(s <= k && k < e);
+                assert!(s <= k && k < e);
             }
-        }
+        });
+    }
 
-        #[test]
-        fn prop_split_boundary_keys_route_into_their_own_range(
-            seed in 0u64..200, parts in 2usize..12
-        ) {
+    #[test]
+    fn prop_split_boundary_keys_route_into_their_own_range() {
+        rng::cases(32, |g| {
+            let seed = g.u64(0..200);
+            let parts = g.usize(2..12);
             // Every interior split key is the first key of some rank's
             // half-open range; `rank_of_key` must return a rank whose range
             // contains it — even when neighboring ranges are empty.
@@ -390,19 +385,19 @@ mod tests {
                 }
                 let r = a.rank_of_key(s);
                 let (lo, hi) = a.range(r);
-                prop_assert!(lo <= s && s < hi, "split {s} -> rank {r} [{lo},{hi})");
+                assert!(lo <= s && s < hi, "split {s} -> rank {r} [{lo},{hi})");
             }
-        }
+        });
+    }
 
-        #[test]
-        fn prop_empty_domains_never_own_keys(
-            raw in (0u64..KEY_END, 0u64..KEY_END, 0u64..KEY_END, 0u64..KEY_END, 0u64..KEY_END),
-            n_cuts in 1usize..=5,
-            probe in 0u64..KEY_END
-        ) {
+    #[test]
+    fn prop_empty_domains_never_own_keys() {
+        rng::cases(32, |g| {
+            let mut cuts: Vec<u64> = (0..5).map(|_| g.u64(0..KEY_END)).collect();
+            let n_cuts = g.usize(1..=5);
+            let probe = g.u64(0..KEY_END);
             // Arbitrary split vectors (duplicates allowed -> empty domains):
             // routing always returns a non-empty range containing the key.
-            let mut cuts = vec![raw.0, raw.1, raw.2, raw.3, raw.4];
             cuts.truncate(n_cuts);
             cuts.sort_unstable();
             let mut splits = vec![0u64];
@@ -411,22 +406,26 @@ mod tests {
             let a = Assignment::from_splits(splits);
             let r = a.rank_of_key(probe);
             let (lo, hi) = a.range(r);
-            prop_assert!(lo < hi, "key {probe} routed to empty rank {r}");
-            prop_assert!(lo <= probe && probe < hi);
-        }
+            assert!(lo < hi, "key {probe} routed to empty rank {r}");
+            assert!(lo <= probe && probe < hi);
+        });
+    }
 
-        #[test]
-        fn prop_halo_candidates_superset_of_true_neighbors(
-            seed in 0u64..200, r in 0.02f64..0.2
-        ) {
+    #[test]
+    fn prop_halo_candidates_superset_of_true_neighbors() {
+        rng::cases(32, |g| {
+            let seed = g.u64(0..200);
+            let r = g.f64(0.02..0.2);
             // Any particle actually within r of a peer particle must be a
             // halo candidate for that peer's box.
-            let mut rng = StdRng::seed_from_u64(seed);
+            let mut rng = Rng::seed_from_u64(seed);
             let bbox = Box3::cube(0.0, 1.0, false);
-            let mine: Vec<(f64, f64, f64)> =
-                (0..40).map(|_| (rng.random(), rng.random(), rng.random())).collect();
-            let theirs: Vec<(f64, f64, f64)> =
-                (0..40).map(|_| (rng.random(), rng.random(), rng.random())).collect();
+            let mine: Vec<(f64, f64, f64)> = (0..40)
+                .map(|_| (rng.unit(), rng.unit(), rng.unit()))
+                .collect();
+            let theirs: Vec<(f64, f64, f64)> = (0..40)
+                .map(|_| (rng.unit(), rng.unit(), rng.unit()))
+                .collect();
             let (mx, my, mz): (Vec<f64>, Vec<f64>, Vec<f64>) = (
                 mine.iter().map(|p| p.0).collect(),
                 mine.iter().map(|p| p.1).collect(),
@@ -440,13 +439,15 @@ mod tests {
             let peer_box = Aabb::of_points(&tx, &ty, &tz);
             let cands = halo_candidates(&mx, &my, &mz, &peer_box, r, &bbox);
             for i in 0..mx.len() {
-                let near = (0..tx.len()).any(|j| {
-                    bbox.dist2(mx[i], my[i], mz[i], tx[j], ty[j], tz[j]) <= r * r
-                });
+                let near = (0..tx.len())
+                    .any(|j| bbox.dist2(mx[i], my[i], mz[i], tx[j], ty[j], tz[j]) <= r * r);
                 if near {
-                    prop_assert!(cands.contains(&i), "particle {i} near peer but not a candidate");
+                    assert!(
+                        cands.contains(&i),
+                        "particle {i} near peer but not a candidate"
+                    );
                 }
             }
-        }
+        });
     }
 }

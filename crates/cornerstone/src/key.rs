@@ -80,7 +80,6 @@ pub fn node_size(level: u32) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
 
     #[test]
     fn encode_decode_roundtrip_corners() {
@@ -120,29 +119,43 @@ mod tests {
         assert_eq!(node_size(10), 1.0 / 1024.0);
     }
 
-    proptest! {
-        #[test]
-        fn prop_roundtrip(ix in 0..GRID, iy in 0..GRID, iz in 0..GRID) {
-            prop_assert_eq!(decode(encode(ix, iy, iz)), (ix, iy, iz));
-        }
+    // Properties: 256 generated cases each, failing case index printed.
+    #[test]
+    fn prop_roundtrip() {
+        rng::cases(256, |g| {
+            let (ix, iy, iz) = (g.u64(0..GRID), g.u64(0..GRID), g.u64(0..GRID));
+            assert_eq!(decode(encode(ix, iy, iz)), (ix, iy, iz));
+        });
+    }
 
-        #[test]
-        fn prop_keys_in_range(x in -2.0..2.0f64, y in -2.0..2.0f64, z in -2.0..2.0f64) {
+    #[test]
+    fn prop_keys_in_range() {
+        rng::cases(256, |g| {
+            let (x, y, z) = (g.f64(-2.0..2.0), g.f64(-2.0..2.0), g.f64(-2.0..2.0));
             let k = key_of(x, y, z, &Box3::unit_periodic());
-            prop_assert!(k < KEY_END);
-        }
+            assert!(k < KEY_END);
+        });
+    }
 
-        #[test]
-        fn prop_monotone_along_x(ix in 0..GRID-1, iy in 0..GRID, iz in 0..GRID) {
+    #[test]
+    fn prop_monotone_along_x() {
+        rng::cases(256, |g| {
+            let (ix, iy, iz) = (g.u64(0..GRID - 1), g.u64(0..GRID), g.u64(0..GRID));
             // Moving +1 in x from an even cell increases the key.
-            prop_assume!(ix % 2 == 0);
-            prop_assert!(encode(ix + 1, iy, iz) > encode(ix, iy, iz));
-        }
+            if ix % 2 != 0 {
+                return;
+            }
+            assert!(encode(ix + 1, iy, iz) > encode(ix, iy, iz));
+        });
+    }
 
-        #[test]
-        fn prop_node_range_contains_key(k in 0..KEY_END, level in 0u32..=MAX_LEVEL) {
+    #[test]
+    fn prop_node_range_contains_key() {
+        rng::cases(256, |g| {
+            let k = g.u64(0..KEY_END);
+            let level = g.u32(0..=MAX_LEVEL);
             let (s, e) = node_range(k, level);
-            prop_assert!(s <= k && k < e);
-        }
+            assert!(s <= k && k < e);
+        });
     }
 }

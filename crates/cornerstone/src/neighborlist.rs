@@ -530,12 +530,11 @@ impl NeighborSearch for NeighborList {
 mod tests {
     use super::*;
     use crate::celllist::brute_force_neighbors;
-    use proptest::prelude::*;
-    use rand::{rngs::StdRng, Rng, SeedableRng};
+    use rng::Rng;
 
     fn cloud(n: usize, seed: u64) -> (Vec<f64>, Vec<f64>, Vec<f64>) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut f = || (0..n).map(|_| rng.random::<f64>()).collect::<Vec<_>>();
+        let mut rng = Rng::seed_from_u64(seed);
+        let mut f = || (0..n).map(|_| rng.unit()).collect::<Vec<_>>();
         let x = f();
         let y = f();
         let z = f();
@@ -625,11 +624,9 @@ mod tests {
             zmax: 0.0,
             periodic,
         };
-        let mut rng = StdRng::seed_from_u64(seed);
+        let mut rng = Rng::seed_from_u64(seed);
         let mut axis = |lo: f64, l: f64| -> Vec<f64> {
-            (0..n)
-                .map(|_| lo + l * (1.5 * rng.random::<f64>() - 0.25))
-                .collect()
+            (0..n).map(|_| lo + l * (1.5 * rng.unit() - 0.25)).collect()
         };
         let x = axis(bbox.xmin, bbox.lx());
         let y = axis(bbox.ymin, bbox.ly());
@@ -637,9 +634,7 @@ mod tests {
         let cell = 1.0 / (cells as f64 + 0.5);
         let grid = CellList::build(&x, &y, &z, &bbox, cell);
         assert_eq!(grid.dims(), (cells, 2 * cells + 1, 3 * cells + 1));
-        let radii: Vec<f64> = (0..n)
-            .map(|_| cell * (0.1 + 0.9 * rng.random::<f64>()))
-            .collect();
+        let radii: Vec<f64> = (0..n).map(|_| cell * (0.1 + 0.9 * rng.unit())).collect();
         let radius = 0.7 * cell;
         let rr = adaptive.then_some(radii.as_slice());
         let want = full_stencil_bits(&grid, &x, &y, &z, n_query, radius, rr);
@@ -997,47 +992,47 @@ mod tests {
         assert_eq!(empty.pair_count(), 0);
     }
 
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(24))]
-
-        #[test]
-        fn prop_neighborlist_equals_brute_force(
-            seed in 0u64..1000,
-            n in 1usize..150,
-            r in 0.02f64..0.5,
-            periodic in proptest::bool::ANY,
-        ) {
+    // Properties: 24 generated cases each, failing case index printed.
+    #[test]
+    fn prop_neighborlist_equals_brute_force() {
+        rng::cases(24, |g| {
+            let seed = g.u64(0..1000);
+            let n = g.usize(1..150);
+            let r = g.f64(0.02..0.5);
+            let periodic = g.bool();
             let (x, y, z) = cloud(n, seed);
             let bbox = Box3::cube(0.0, 1.0, periodic);
             let grid = CellList::build(&x, &y, &z, &bbox, r);
             let nl = NeighborList::build(&grid, &x, &y, &z, n, r);
             let i = (seed as usize) % n;
-            prop_assert_eq!(
+            assert_eq!(
                 neighbors_via(&nl, i, r, &x, &y, &z, &bbox),
                 brute_force_neighbors(i, r, &x, &y, &z, &bbox)
             );
-        }
+        });
+    }
 
-        #[test]
-        fn prop_pruned_scan_equals_full_stencil_scan(
-            seed in 0u64..10_000,
-            n in 1usize..160,
-            cells in 1usize..=5,
-            periodic in proptest::bool::ANY,
-            adaptive in proptest::bool::ANY,
-            query_share in 0.0f64..=1.0,
-        ) {
+    #[test]
+    fn prop_pruned_scan_equals_full_stencil_scan() {
+        rng::cases(24, |g| {
+            let seed = g.u64(0..10_000);
+            let n = g.usize(1..160);
+            let cells = g.usize(1..=5);
+            let periodic = g.bool();
+            let adaptive = g.bool();
+            let query_share = g.f64(0.0..1.0);
             let n_query = ((n as f64 * query_share) as usize).min(n);
             pruned_build_matches_full_stencil(seed, n, cells, periodic, adaptive, n_query);
-        }
+        });
+    }
 
-        #[test]
-        fn prop_rows_replayed_at_a_smaller_radius_match_brute_force(
-            seed in 0u64..1000,
-            n in 1usize..120,
-            shrink in 0.2f64..1.0,
-            periodic in proptest::bool::ANY,
-        ) {
+    #[test]
+    fn prop_rows_replayed_at_a_smaller_radius_match_brute_force() {
+        rng::cases(24, |g| {
+            let seed = g.u64(0..1000);
+            let n = g.usize(1..120);
+            let shrink = g.f64(0.2..1.0);
+            let periodic = g.bool();
             // Querying a NeighborList recorded at R with any r <= R must
             // agree with brute force at r (the superset-plus-filter claim).
             let big = 0.3;
@@ -1047,10 +1042,10 @@ mod tests {
             let nl = NeighborList::build(&grid, &x, &y, &z, n, big);
             let r = big * shrink;
             let i = (seed as usize) % n;
-            prop_assert_eq!(
+            assert_eq!(
                 neighbors_via(&nl, i, r, &x, &y, &z, &bbox),
                 brute_force_neighbors(i, r, &x, &y, &z, &bbox)
             );
-        }
+        });
     }
 }

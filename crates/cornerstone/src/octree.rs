@@ -229,21 +229,13 @@ mod tests {
     use super::*;
     use crate::box3::Box3;
     use crate::key::key_of;
-    use proptest::prelude::*;
-    use rand::{rngs::StdRng, Rng, SeedableRng};
+    use rng::Rng;
 
     fn random_keys(n: usize, seed: u64) -> Vec<u64> {
-        let mut rng = StdRng::seed_from_u64(seed);
+        let mut rng = Rng::seed_from_u64(seed);
         let bbox = Box3::unit_periodic();
         let mut keys: Vec<u64> = (0..n)
-            .map(|_| {
-                key_of(
-                    rng.random::<f64>(),
-                    rng.random::<f64>(),
-                    rng.random::<f64>(),
-                    &bbox,
-                )
-            })
+            .map(|_| key_of(rng.unit(), rng.unit(), rng.unit(), &bbox))
             .collect();
         keys.sort_unstable();
         keys
@@ -270,24 +262,19 @@ mod tests {
     #[test]
     fn clustered_cloud_refines_locally() {
         let bbox = Box3::unit_periodic();
-        let mut rng = StdRng::seed_from_u64(7);
+        let mut rng = Rng::seed_from_u64(7);
         // 2000 particles crammed into a corner, 100 spread out.
         let mut keys: Vec<u64> = Vec::with_capacity(2100);
         for _ in 0..2000 {
             keys.push(key_of(
-                rng.random::<f64>() * 0.01,
-                rng.random::<f64>() * 0.01,
-                rng.random::<f64>() * 0.01,
+                rng.unit() * 0.01,
+                rng.unit() * 0.01,
+                rng.unit() * 0.01,
                 &bbox,
             ));
         }
         for _ in 0..100 {
-            keys.push(key_of(
-                rng.random::<f64>(),
-                rng.random::<f64>(),
-                rng.random::<f64>(),
-                &bbox,
-            ));
+            keys.push(key_of(rng.unit(), rng.unit(), rng.unit(), &bbox));
         }
         keys.sort_unstable();
         let t = Octree::build(&keys, 32);
@@ -334,18 +321,23 @@ mod tests {
         }
     }
 
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(32))]
-
-        #[test]
-        fn prop_tree_invariants(seed in 0u64..500, n in 0usize..3000, bucket in 1usize..200) {
+    // Properties: 32 generated cases each, failing case index printed.
+    #[test]
+    fn prop_tree_invariants() {
+        rng::cases(32, |g| {
+            let seed = g.u64(0..500);
+            let n = g.usize(0..3000);
+            let bucket = g.usize(1..200);
             let keys = random_keys(n, seed);
             let t = Octree::build(&keys, bucket);
-            prop_assert!(t.validate(n).is_ok());
-        }
+            assert!(t.validate(n).is_ok());
+        });
+    }
 
-        #[test]
-        fn prop_every_key_lands_in_counted_leaf(seed in 0u64..200) {
+    #[test]
+    fn prop_every_key_lands_in_counted_leaf() {
+        rng::cases(32, |g| {
+            let seed = g.u64(0..200);
             let keys = random_keys(500, seed);
             let t = Octree::build(&keys, 16);
             // Histogram by leaf index must equal stored counts.
@@ -353,7 +345,7 @@ mod tests {
             for &k in &keys {
                 hist[t.leaf_of_key(k)] += 1;
             }
-            prop_assert_eq!(hist, t.counts().to_vec());
-        }
+            assert_eq!(hist, t.counts().to_vec());
+        });
     }
 }

@@ -1,8 +1,7 @@
 //! Per-rank execution context: clock, collectives, point-to-point messaging.
 
+use std::sync::mpsc::{Receiver, Sender};
 use std::sync::Arc;
-
-use crossbeam::channel::{Receiver, Sender};
 
 use archsim::{SimDuration, SimInstant};
 

@@ -20,9 +20,8 @@ mod cost;
 mod ctx;
 mod shared;
 
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
-
-use crossbeam::channel::unbounded;
 
 pub use cost::CommCost;
 pub use ctx::{CommStats, Op, RankCtx};
@@ -40,15 +39,15 @@ where
     let slot = Arc::new(AllgatherSlot::new(size));
 
     // Channel matrix: tx[src][dst] feeds rx[dst][src].
-    let mut tx: Vec<Vec<Option<crossbeam::channel::Sender<Envelope>>>> = (0..size)
+    let mut tx: Vec<Vec<Option<Sender<Envelope>>>> = (0..size)
         .map(|_| (0..size).map(|_| None).collect())
         .collect();
-    let mut rx: Vec<Vec<Option<crossbeam::channel::Receiver<Envelope>>>> = (0..size)
+    let mut rx: Vec<Vec<Option<Receiver<Envelope>>>> = (0..size)
         .map(|_| (0..size).map(|_| None).collect())
         .collect();
     for src in 0..size {
         for dst in 0..size {
-            let (s, r) = unbounded();
+            let (s, r) = channel();
             tx[src][dst] = Some(s);
             rx[dst][src] = Some(r);
         }
@@ -200,6 +199,20 @@ mod tests {
         assert_eq!(clocks[0], SimInstant::ZERO, "send is non-blocking");
         let expect = SimInstant::ZERO + SimDuration::from_micros(10) + SimDuration::from_millis(1);
         assert_eq!(clocks[1], expect);
+    }
+
+    #[test]
+    #[should_panic(expected = "rank thread panicked")]
+    fn a_panicking_rank_propagates_out_of_run_instead_of_hanging_its_peer() {
+        run(2, CommCost::free(), |ctx| {
+            ctx.barrier();
+            if ctx.rank() == 1 {
+                panic!("rank 1 dies before its send");
+            }
+            // Rank 0 parks on a message that will never come; the dead
+            // rank's dropped sender wakes it.
+            ctx.recv(1);
+        });
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Generation-counted allgather slot — the one shared primitive every
 //! collective is built from.
 
-use parking_lot::{Condvar, Mutex};
+use std::sync::{Condvar, Mutex, PoisonError};
 
 /// Payload carried through a collective: the sender's virtual clock (ns) and
 //  an opaque byte message.
@@ -44,7 +44,9 @@ impl AllgatherSlot {
     /// rank order) once all `size` participants have arrived.
     pub fn allgather(&self, rank: usize, value: Envelope) -> Vec<Envelope> {
         assert!(rank < self.size, "rank {rank} out of range {}", self.size);
-        let mut g = self.state.lock();
+        // A rank that panicked inside a collective must not take the others'
+        // lock with it: poisoning is ignored, the round's data is intact.
+        let mut g = self.state.lock().unwrap_or_else(PoisonError::into_inner);
         let my_gen = g.generation;
         assert!(
             g.values[rank].is_none(),
@@ -65,7 +67,7 @@ impl AllgatherSlot {
             gathered
         } else {
             while g.generation == my_gen {
-                self.cv.wait(&mut g);
+                g = self.cv.wait(g).unwrap_or_else(PoisonError::into_inner);
             }
             g.result.clone()
         }
@@ -102,6 +104,31 @@ mod tests {
             handles.into_iter().map(|h| h.join().unwrap()).collect()
         });
         assert_eq!(results.len(), 4);
+    }
+
+    #[test]
+    fn a_panic_under_the_lock_does_not_poison_the_round() {
+        let slot = AllgatherSlot::new(2);
+        let arrived = || {
+            slot.state
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .arrived
+        };
+        std::thread::scope(|s| {
+            let waiter = s.spawn(|| slot.allgather(0, (1, vec![0])));
+            while arrived() == 0 {
+                std::thread::yield_now();
+            }
+            // A second entry as rank 0 trips the double-entry assert while
+            // holding the lock, mid-collective.
+            let intruder = s.spawn(|| slot.allgather(0, (1, vec![9])));
+            assert!(intruder.join().is_err());
+            assert!(slot.state.is_poisoned());
+            let mine = slot.allgather(1, (1, vec![1]));
+            assert_eq!(mine, vec![(1, vec![0]), (1, vec![1])]);
+            assert_eq!(waiter.join().expect("waiter survives the poison"), mine);
+        });
     }
 
     #[test]

@@ -593,18 +593,18 @@ pub fn direct_accel(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::{rngs::StdRng, Rng, SeedableRng};
+    use rng::Rng;
 
     fn sphere_cloud(n: usize, seed: u64) -> (Vec<f64>, Vec<f64>, Vec<f64>, Vec<f64>) {
-        let mut rng = StdRng::seed_from_u64(seed);
+        let mut rng = Rng::seed_from_u64(seed);
         let mut x = Vec::new();
         let mut y = Vec::new();
         let mut z = Vec::new();
         while x.len() < n {
             let (a, b, c) = (
-                rng.random::<f64>() * 2.0 - 1.0,
-                rng.random::<f64>() * 2.0 - 1.0,
-                rng.random::<f64>() * 2.0 - 1.0,
+                rng.unit() * 2.0 - 1.0,
+                rng.unit() * 2.0 - 1.0,
+                rng.unit() * 2.0 - 1.0,
             );
             if a * a + b * b + c * c <= 1.0 {
                 x.push(a);
@@ -940,14 +940,14 @@ mod tests {
 
     /// Uneven masses and a dense clump, so octants fill very unevenly.
     fn lumpy_cloud(n: usize, seed: u64) -> Cloud {
-        let mut rng = StdRng::seed_from_u64(seed);
+        let mut rng = Rng::seed_from_u64(seed);
         let mut c: Cloud = Default::default();
         for i in 0..n {
             let s = if i % 3 == 0 { 0.05 } else { 1.0 };
-            c.0.push(0.3 + s * (rng.random::<f64>() - 0.5));
-            c.1.push(-0.2 + s * (rng.random::<f64>() - 0.5));
-            c.2.push(0.1 + s * (rng.random::<f64>() - 0.5));
-            c.3.push(0.5 + rng.random::<f64>());
+            c.0.push(0.3 + s * (rng.unit() - 0.5));
+            c.1.push(-0.2 + s * (rng.unit() - 0.5));
+            c.2.push(0.1 + s * (rng.unit() - 0.5));
+            c.3.push(0.5 + rng.unit());
         }
         c
     }

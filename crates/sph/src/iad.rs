@@ -282,18 +282,18 @@ lanes::row_pass! {
 mod tests {
     use super::*;
     use cornerstone::Box3;
-    use rand::{rngs::StdRng, Rng, SeedableRng};
+    use rng::Rng;
 
     fn glass(n_side: usize, seed: u64) -> (Particles, Box3) {
         let bbox = Box3::unit_periodic();
-        let mut rng = StdRng::seed_from_u64(seed);
+        let mut rng = Rng::seed_from_u64(seed);
         let mut parts = Particles::new();
         let spacing = 1.0 / n_side as f64;
         let m = 1.0 / (n_side * n_side * n_side) as f64;
         for ix in 0..n_side {
             for iy in 0..n_side {
                 for iz in 0..n_side {
-                    let mut jitter = || (rng.random::<f64>() - 0.5) * 0.2 * spacing;
+                    let mut jitter = || (rng.unit() - 0.5) * 0.2 * spacing;
                     parts.push(
                         (ix as f64 + 0.5) * spacing + jitter(),
                         (iy as f64 + 0.5) * spacing + jitter(),

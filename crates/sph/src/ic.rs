@@ -1,7 +1,7 @@
 //! Initial conditions for the paper's two workloads: Subsonic Turbulence and
 //! Evrard Collapse (Table I).
 
-use rand::{rngs::StdRng, Rng, SeedableRng};
+use rng::Rng;
 
 use cornerstone::Box3;
 
@@ -35,7 +35,7 @@ pub const SOD_MIN_SIDE: usize = 4;
 pub fn subsonic_turbulence(n_side: usize, mach: f64, seed: u64) -> InitialConditions {
     assert!(n_side >= TURBULENCE_MIN_SIDE);
     let bbox = Box3::unit_periodic();
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = Rng::seed_from_u64(seed);
     let n3 = n_side.pow(3);
     let spacing = 1.0 / n_side as f64;
     let m = 1.0 / n3 as f64;
@@ -48,16 +48,12 @@ pub fn subsonic_turbulence(n_side: usize, mach: f64, seed: u64) -> InitialCondit
     let mut modes = Vec::with_capacity(MODES);
     for _ in 0..MODES {
         let k: [f64; 3] = [
-            rng.random_range(1..=2) as f64,
-            rng.random_range(1..=2) as f64,
-            rng.random_range(1..=2) as f64,
+            rng.i32(1..=2) as f64,
+            rng.i32(1..=2) as f64,
+            rng.i32(1..=2) as f64,
         ];
         // Random direction, then project out the k-component -> solenoidal.
-        let a: [f64; 3] = [
-            rng.random::<f64>() - 0.5,
-            rng.random::<f64>() - 0.5,
-            rng.random::<f64>() - 0.5,
-        ];
+        let a: [f64; 3] = [rng.unit() - 0.5, rng.unit() - 0.5, rng.unit() - 0.5];
         let k2 = k[0] * k[0] + k[1] * k[1] + k[2] * k[2];
         let adotk = (a[0] * k[0] + a[1] * k[1] + a[2] * k[2]) / k2;
         let a = [
@@ -65,7 +61,7 @@ pub fn subsonic_turbulence(n_side: usize, mach: f64, seed: u64) -> InitialCondit
             a[1] - adotk * k[1],
             a[2] - adotk * k[2],
         ];
-        let phase: f64 = rng.random::<f64>() * std::f64::consts::TAU;
+        let phase: f64 = rng.unit() * std::f64::consts::TAU;
         modes.push((k, a, phase));
     }
 
@@ -74,7 +70,7 @@ pub fn subsonic_turbulence(n_side: usize, mach: f64, seed: u64) -> InitialCondit
     for ix in 0..n_side {
         for iy in 0..n_side {
             for iz in 0..n_side {
-                let jitter = |rng: &mut StdRng| (rng.random::<f64>() - 0.5) * 0.2 * spacing;
+                let jitter = |rng: &mut Rng| (rng.unit() - 0.5) * 0.2 * spacing;
                 let x = (ix as f64 + 0.5) * spacing + jitter(&mut rng);
                 let y = (iy as f64 + 0.5) * spacing + jitter(&mut rng);
                 let z = (iz as f64 + 0.5) * spacing + jitter(&mut rng);
@@ -230,7 +226,7 @@ pub fn sedov(n_side: usize, e0: f64) -> InitialConditions {
 pub fn kelvin_helmholtz(n_side: usize, seed: u64) -> InitialConditions {
     assert!(n_side >= KELVIN_HELMHOLTZ_MIN_SIDE);
     let bbox = Box3::unit_periodic();
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = Rng::seed_from_u64(seed);
     let spacing = 1.0 / n_side as f64;
     let n3 = n_side.pow(3);
     // Unit background density; band particles carry double mass on the same
@@ -249,7 +245,7 @@ pub fn kelvin_helmholtz(n_side: usize, seed: u64) -> InitialConditions {
     for ix in 0..n_side {
         for iy in 0..n_side {
             for iz in 0..n_side {
-                let jitter = |rng: &mut StdRng| (rng.random::<f64>() - 0.5) * 0.1 * spacing;
+                let jitter = |rng: &mut Rng| (rng.unit() - 0.5) * 0.1 * spacing;
                 let x = (ix as f64 + 0.5) * spacing + jitter(&mut rng);
                 let y = (iy as f64 + 0.5) * spacing + jitter(&mut rng);
                 let z = (iz as f64 + 0.5) * spacing + jitter(&mut rng);
@@ -365,6 +361,31 @@ pub fn sod(n_side: usize) -> InitialConditions {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Pins the random stream: every position and velocity bit of each
+    /// seeded IC. A changed draw — another generator, another order of
+    /// calls, another `rng` — fails here on any build.
+    #[test]
+    fn seeded_ics_are_pinned_to_the_stream() {
+        let digest = |ic: InitialConditions| {
+            let p = &ic.parts;
+            let bytes: Vec<u8> = [&p.x, &p.y, &p.z, &p.vx, &p.vy, &p.vz]
+                .into_iter()
+                .flatten()
+                .flat_map(|v| v.to_le_bytes())
+                .collect();
+            crate::snapshot::fnv1a(&bytes)
+        };
+        assert_eq!(
+            digest(subsonic_turbulence(4, 0.3, 1)),
+            0x536c_a256_0d98_8068
+        );
+        assert_eq!(digest(kelvin_helmholtz(4, 1)), 0xfd13_5705_a5ea_b5ff);
+        assert_eq!(
+            digest(crate::nbody::plummer(64, 1.0, 1)),
+            0x098c_4b93_1a74_6d7f
+        );
+    }
 
     #[test]
     fn turbulence_ic_has_requested_mach_number() {

@@ -614,7 +614,6 @@ fn dw_dr_over_r_varh_into_impl(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
 
     const KERNELS: [Kernel; 3] = [Kernel::CubicSpline, Kernel::WendlandC6, Kernel::Sinc5];
 
@@ -756,25 +755,30 @@ mod tests {
         }
     }
 
-    proptest! {
-        #[test]
-        fn prop_kernel_nonnegative_and_derivative_nonpositive(
-            r in 0.0f64..3.0, h in 0.1f64..3.0
-        ) {
+    // Properties: 256 generated cases each, failing case index printed.
+    #[test]
+    fn prop_kernel_nonnegative_and_derivative_nonpositive() {
+        rng::cases(256, |g| {
+            let r = g.f64(0.0..3.0);
+            let h = g.f64(0.1..3.0);
             for k in KERNELS {
-                prop_assert!(k.w(r, h) >= 0.0);
-                prop_assert!(k.dw_dr(r, h) <= 1e-12);
+                assert!(k.w(r, h) >= 0.0);
+                assert!(k.dw_dr(r, h) <= 1e-12);
             }
-        }
+        });
+    }
 
-        #[test]
-        fn prop_kernel_scales_as_h_cubed(r in 0.0f64..1.9, s in 0.5f64..2.0) {
+    #[test]
+    fn prop_kernel_scales_as_h_cubed() {
+        rng::cases(256, |g| {
+            let r = g.f64(0.0..1.9);
+            let s = g.f64(0.5..2.0);
             // W(s r, s h) = W(r, h) / s^3
             for k in KERNELS {
                 let lhs = k.w(r * s, s);
                 let rhs = k.w(r, 1.0) / (s * s * s);
-                prop_assert!((lhs - rhs).abs() < 1e-9 * rhs.abs().max(1.0));
+                assert!((lhs - rhs).abs() < 1e-9 * rhs.abs().max(1.0));
             }
-        }
+        });
     }
 }

@@ -257,18 +257,18 @@ mod tests {
     use crate::density::tests::list;
     use crate::eos::Eos;
     use cornerstone::Box3;
-    use rand::{rngs::StdRng, Rng, SeedableRng};
+    use rng::Rng;
 
     fn uniform_gas(n_side: usize, jitter: f64, seed: u64) -> (Particles, Box3) {
         let bbox = Box3::unit_periodic();
-        let mut rng = StdRng::seed_from_u64(seed);
+        let mut rng = Rng::seed_from_u64(seed);
         let mut parts = Particles::new();
         let spacing = 1.0 / n_side as f64;
         let m = 1.0 / (n_side * n_side * n_side) as f64;
         for ix in 0..n_side {
             for iy in 0..n_side {
                 for iz in 0..n_side {
-                    let mut j = || (rng.random::<f64>() - 0.5) * jitter * spacing;
+                    let mut j = || (rng.unit() - 0.5) * jitter * spacing;
                     let (jx, jy, jz) = (j(), j(), j());
                     parts.push(
                         (ix as f64 + 0.5) * spacing + jx,
@@ -318,11 +318,11 @@ mod tests {
         let kernel = Kernel::CubicSpline;
         let (mut parts, bbox) = uniform_gas(7, 0.4, 2);
         // Give particles random velocities so AV participates.
-        let mut rng = StdRng::seed_from_u64(3);
+        let mut rng = Rng::seed_from_u64(3);
         for i in 0..parts.len() {
-            parts.vx[i] = rng.random::<f64>() - 0.5;
-            parts.vy[i] = rng.random::<f64>() - 0.5;
-            parts.vz[i] = rng.random::<f64>() - 0.5;
+            parts.vx[i] = rng.unit() - 0.5;
+            parts.vy[i] = rng.unit() - 0.5;
+            parts.vz[i] = rng.unit() - 0.5;
         }
         let nl = prep(&mut parts, &bbox, kernel);
         momentum_energy(&mut parts, &nl, kernel);

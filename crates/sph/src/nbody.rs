@@ -7,8 +7,8 @@
 //! instrumentation and every frequency policy attach to it unchanged.
 
 use cornerstone::{Assignment, Box3, Octree};
-use rand::{rngs::StdRng, Rng, SeedableRng};
 use ranks::{Op, RankCtx};
+use rng::Rng;
 
 use crate::conservation::EnergyBudget;
 use crate::funcs::{FuncId, WorkloadProfile};
@@ -24,7 +24,7 @@ use crate::sim::{Instrumented, StepObserver, StepStats};
 pub fn plummer(n: usize, a: f64, seed: u64) -> InitialConditions {
     assert!(n >= 2);
     assert!(a > 0.0);
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = Rng::seed_from_u64(seed);
     let mut parts = Particles::new();
     let m = 1.0 / n as f64;
     // The box exists only for SFC keys; make it generously large and open.
@@ -33,7 +33,7 @@ pub fn plummer(n: usize, a: f64, seed: u64) -> InitialConditions {
         // Radius from the inverse cumulative mass profile (truncated so no
         // particle starts outside the key box).
         let r = loop {
-            let u: f64 = rng.random_range(1e-8..1.0);
+            let u: f64 = rng.f64(1e-8..1.0);
             let r = a / (u.powf(-2.0 / 3.0) - 1.0).sqrt();
             if r < 15.0 * a {
                 break r;
@@ -43,8 +43,8 @@ pub fn plummer(n: usize, a: f64, seed: u64) -> InitialConditions {
         // Velocity magnitude by rejection from q² (1-q²)^(7/2), scaled by the
         // local escape velocity v_e = sqrt(2) (1 + r²/a²)^(-1/4).
         let q = loop {
-            let q: f64 = rng.random();
-            let g: f64 = rng.random_range(0.0..0.1);
+            let q: f64 = rng.unit();
+            let g: f64 = rng.f64(0.0..0.1);
             if g < q * q * (1.0 - q * q).powf(3.5) {
                 break q;
             }
@@ -64,9 +64,9 @@ pub fn plummer(n: usize, a: f64, seed: u64) -> InitialConditions {
     }
 }
 
-fn isotropic(rng: &mut StdRng, magnitude: f64) -> (f64, f64, f64) {
-    let z: f64 = rng.random_range(-1.0..1.0);
-    let phi: f64 = rng.random_range(0.0..std::f64::consts::TAU);
+fn isotropic(rng: &mut Rng, magnitude: f64) -> (f64, f64, f64) {
+    let z: f64 = rng.f64(-1.0..1.0);
+    let phi: f64 = rng.f64(0.0..std::f64::consts::TAU);
     let s = (1.0 - z * z).sqrt();
     (
         magnitude * s * phi.cos(),

@@ -24,8 +24,7 @@
 //! "scalar" the per-pair reference.)
 
 use cornerstone::{Box3, CellList, NeighborList, NeighborSearch};
-use proptest::prelude::*;
-use rand::{rngs::StdRng, Rng, SeedableRng};
+use rng::Rng;
 use sph::{reference, Eos, Kernel, Particles};
 
 const KERNELS: [Kernel; 3] = [Kernel::CubicSpline, Kernel::WendlandC6, Kernel::Sinc5];
@@ -34,22 +33,22 @@ const KERNELS: [Kernel; 3] = [Kernel::CubicSpline, Kernel::WendlandC6, Kernel::S
 /// velocities, so every sweep term (AV included) participates.
 fn cloud(n: usize, seed: u64, periodic: bool) -> (Particles, Box3) {
     let bbox = Box3::cube(0.0, 1.0, periodic);
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = Rng::seed_from_u64(seed);
     let mut parts = Particles::new();
     // Spacing targets a realistic neighbor count for the cloud size.
     let spacing = 1.0 / (n as f64).cbrt().max(1.0);
     for _ in 0..n {
-        let h = (0.8 + 0.4 * rng.random::<f64>()) * 1.3 * spacing.min(0.35);
+        let h = (0.8 + 0.4 * rng.unit()) * 1.3 * spacing.min(0.35);
         parts.push(
-            rng.random::<f64>(),
-            rng.random::<f64>(),
-            rng.random::<f64>(),
-            rng.random::<f64>() - 0.5,
-            rng.random::<f64>() - 0.5,
-            rng.random::<f64>() - 0.5,
-            (0.5 + rng.random::<f64>()) / n as f64,
+            rng.unit(),
+            rng.unit(),
+            rng.unit(),
+            rng.unit() - 0.5,
+            rng.unit() - 0.5,
+            rng.unit() - 0.5,
+            (0.5 + rng.unit()) / n as f64,
             h,
-            0.5 + rng.random::<f64>(),
+            0.5 + rng.unit(),
         );
     }
     (parts, bbox)
@@ -171,11 +170,11 @@ fn dense_lattice() -> (Particles, Box3) {
     let mut parts = Particles::new();
     let n_side = 6;
     let spacing = 1.0 / n_side as f64;
-    let mut rng = StdRng::seed_from_u64(7);
+    let mut rng = Rng::seed_from_u64(7);
     for ix in 0..n_side {
         for iy in 0..n_side {
             for iz in 0..n_side {
-                let mut j = || (rng.random::<f64>() - 0.5) * 0.2 * spacing;
+                let mut j = || (rng.unit() - 0.5) * 0.2 * spacing;
                 parts.push(
                     (ix as f64 + 0.5) * spacing + j(),
                     (iy as f64 + 0.5) * spacing + j(),
@@ -430,17 +429,15 @@ fn masked_lanes_leave_every_fold_untouched() {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
-
-    #[test]
-    fn prop_blocked_matches_scalar(
-        seed in 0u64..10_000,
-        n in 1usize..40,
-        periodic in proptest::bool::ANY,
-        kidx in 0usize..3,
-    ) {
+// Properties: 16 generated cases each, failing case index printed.
+#[test]
+fn prop_blocked_matches_scalar() {
+    rng::cases(16, |g| {
+        let seed = g.u64(0..10_000);
+        let n = g.usize(1..40);
+        let periodic = g.bool();
+        let kidx = g.usize(0..3);
         let (parts, bbox) = cloud(n, seed, periodic);
         run_both(&parts, &bbox, KERNELS[kidx]);
-    }
+    });
 }

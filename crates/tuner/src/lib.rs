@@ -27,13 +27,12 @@
 
 pub mod measure;
 pub mod space;
-pub mod strategy;
+mod strategy;
 
 use archsim::{GpuSpec, KernelWorkload, MegaHertz};
 
 pub use measure::{measure_config, ConfigResult};
 pub use space::{ParamSpace, ParamValues, FREQ_KEY, MEM_FREQ_KEY};
-pub use strategy::Strategy;
 
 /// What to optimize for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -64,8 +63,6 @@ pub struct TuneOptions {
     /// Times each configuration is executed; results are averaged
     /// (KernelTuner's `iterations`, default 7).
     pub iterations: u32,
-    /// Search strategy (brute force is KernelTuner's default).
-    pub strategy: Strategy,
 }
 
 impl Default for TuneOptions {
@@ -73,7 +70,6 @@ impl Default for TuneOptions {
         TuneOptions {
             objective: Objective::Edp,
             iterations: 7,
-            strategy: Strategy::BruteForce,
         }
     }
 }
@@ -120,15 +116,12 @@ where
     F: Fn(&ParamValues, f64) -> KernelWorkload + Sync,
 {
     // Each evaluation benchmarks a fresh simulated device, so configurations
-    // are independent and the brute-force sweep runs configurations
-    // concurrently (collected in enumeration order — identical output).
+    // are independent and the sweep runs them concurrently.
     let evaluate = |assignment: &ParamValues| -> ConfigResult {
         let workload = kernel_source(assignment, problem_size);
         measure_config(gpu, &workload, assignment, opts.iterations)
     };
-    let configs = opts
-        .strategy
-        .search_parallel(params, &opts.objective, evaluate);
+    let configs = strategy::sweep(params, evaluate);
     assert!(!configs.is_empty(), "empty parameter space");
     let best = configs
         .iter()
@@ -393,58 +386,6 @@ mod tests {
             );
             assert!(e.best_frequency().unwrap() <= d.best_frequency().unwrap());
         }
-    }
-
-    #[test]
-    fn random_strategy_subset_of_space_and_reproducible() {
-        let opts = TuneOptions {
-            strategy: Strategy::Random {
-                samples: 5,
-                seed: 42,
-            },
-            ..Default::default()
-        };
-        let r1 = tune_kernel(
-            "k",
-            compute_bound,
-            1e6,
-            &paper_space(),
-            &gpu(),
-            opts.clone(),
-        );
-        let r2 = tune_kernel("k", compute_bound, 1e6, &paper_space(), &gpu(), opts);
-        assert_eq!(r1.configs.len(), 5);
-        let f1: Vec<_> = r1.configs.iter().map(|c| c.params.frequency()).collect();
-        let f2: Vec<_> = r2.configs.iter().map(|c| c.params.frequency()).collect();
-        assert_eq!(f1, f2, "seeded random search must be deterministic");
-    }
-
-    #[test]
-    fn hill_climb_matches_brute_force_on_unimodal_curve() {
-        let brute = tune_kernel(
-            "k",
-            memory_bound,
-            1e6,
-            &paper_space(),
-            &gpu(),
-            TuneOptions::default(),
-        );
-        let hill = tune_kernel(
-            "k",
-            memory_bound,
-            1e6,
-            &paper_space(),
-            &gpu(),
-            TuneOptions {
-                strategy: Strategy::HillClimb {
-                    restarts: 3,
-                    seed: 7,
-                },
-                ..Default::default()
-            },
-        );
-        assert_eq!(hill.best_frequency(), brute.best_frequency());
-        assert!(hill.configs.len() <= brute.configs.len());
     }
 
     #[test]

@@ -1,210 +1,42 @@
-//! Search strategies over the parameter space.
+//! The one search strategy: evaluate every configuration.
 //!
-//! KernelTuner offers many; brute force is its default and is entirely
-//! adequate for the paper's one-axis frequency sweep (§III-C notes brute
-//! force "can be done in a reasonable amount of time" for small spaces).
-
-use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
-use rand::{Rng, SeedableRng};
+//! KernelTuner offers many strategies; brute force is its default and is
+//! entirely adequate for the paper's one-axis frequency sweep (§III-C notes
+//! brute force "can be done in a reasonable amount of time" for small
+//! spaces).
 
 use crate::measure::ConfigResult;
 use crate::space::{ParamSpace, ParamValues};
-use crate::Objective;
 
-/// Search strategy selector.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Strategy {
-    /// Evaluate every configuration.
-    BruteForce,
-    /// Evaluate a random sample (without replacement).
-    Random { samples: usize, seed: u64 },
-    /// Greedy hill-climbing over the cartesian-product index with restarts.
-    HillClimb { restarts: usize, seed: u64 },
-    /// Simulated annealing over the cartesian-product index (KernelTuner
-    /// ships one too). Useful when the objective landscape has plateaus the
-    /// greedy climber stalls on.
-    Annealing {
-        iterations: usize,
-        seed: u64,
-        initial_temp: f64,
-    },
-}
-
-/// Record one configuration evaluation as a `tuner/eval` span.
-fn traced_eval(
-    evaluate: &mut dyn FnMut(&ParamValues) -> ConfigResult,
-    p: &ParamValues,
-) -> ConfigResult {
-    let mut sp = telemetry::span_start("tuner", "eval");
-    let r = evaluate(p);
-    if sp.is_active() {
-        if let Some(f) = r.params.frequency() {
-            sp.field("freq_mhz", f.0);
-        }
-        sp.field("time_s", r.time_s);
-        sp.field("energy_j", r.energy_j);
-        sp.field("edp", r.edp);
+/// Evaluate all of `space`, fanned out across worker threads. Results come
+/// back in enumeration order, so the output does not depend on the worker
+/// count. One `tuner/sweep` span wraps one `tuner/eval` span per
+/// configuration.
+pub(crate) fn sweep<F>(space: &ParamSpace, evaluate: F) -> Vec<ConfigResult>
+where
+    F: Fn(&ParamValues) -> ConfigResult + Sync,
+{
+    let all = space.enumerate();
+    let mut sweep = telemetry::span_start("tuner", "sweep");
+    if sweep.is_active() {
+        sweep.field("strategy", "brute_force_parallel");
+        sweep.field("space", all.len());
     }
-    r
-}
-
-impl Strategy {
-    /// Short label for traces.
-    fn label(&self) -> &'static str {
-        match self {
-            Strategy::BruteForce => "brute_force",
-            Strategy::Random { .. } => "random",
-            Strategy::HillClimb { .. } => "hill_climb",
-            Strategy::Annealing { .. } => "annealing",
+    let results = par::par_map(all.len(), |i| {
+        let mut sp = telemetry::span_start("tuner", "eval");
+        let r = evaluate(&all[i]);
+        if sp.is_active() {
+            if let Some(f) = r.params.frequency() {
+                sp.field("freq_mhz", f.0);
+            }
+            sp.field("time_s", r.time_s);
+            sp.field("energy_j", r.energy_j);
+            sp.field("edp", r.edp);
         }
-    }
-
-    /// Produce the list of evaluated configurations.
-    pub fn search<F>(
-        &self,
-        space: &ParamSpace,
-        objective: &Objective,
-        mut inner: F,
-    ) -> Vec<ConfigResult>
-    where
-        F: FnMut(&ParamValues) -> ConfigResult,
-    {
-        let all = space.enumerate();
-        let mut sweep = telemetry::span_start("tuner", "sweep");
-        if sweep.is_active() {
-            sweep.field("strategy", self.label());
-            sweep.field("space", all.len());
-        }
-        let mut evaluate = |p: &ParamValues| traced_eval(&mut inner, p);
-        let results: Vec<ConfigResult> = match *self {
-            Strategy::BruteForce => all.iter().map(&mut evaluate).collect(),
-            Strategy::Random { samples, seed } => {
-                let mut rng = StdRng::seed_from_u64(seed);
-                let mut indices: Vec<usize> = (0..all.len()).collect();
-                indices.shuffle(&mut rng);
-                indices.truncate(samples.max(1).min(all.len()));
-                indices.into_iter().map(|i| evaluate(&all[i])).collect()
-            }
-            Strategy::HillClimb { restarts, seed } => {
-                let mut rng = StdRng::seed_from_u64(seed);
-                let mut evaluated: Vec<(usize, ConfigResult)> = Vec::new();
-                let eval_at = |i: usize,
-                               evaluated: &mut Vec<(usize, ConfigResult)>,
-                               evaluate: &mut dyn FnMut(&ParamValues) -> ConfigResult|
-                 -> f64 {
-                    if let Some((_, r)) = evaluated.iter().find(|(j, _)| *j == i) {
-                        return objective.score(r);
-                    }
-                    let r = evaluate(&all[i]);
-                    let s = objective.score(&r);
-                    evaluated.push((i, r));
-                    s
-                };
-                for _ in 0..restarts.max(1) {
-                    let mut cur = rng.random_range(0..all.len());
-                    let mut cur_score = eval_at(cur, &mut evaluated, &mut evaluate);
-                    loop {
-                        // Neighbors in enumeration order (adjacent indices):
-                        // exact for 1-D spaces, heuristic for higher.
-                        let mut improved = false;
-                        for next in [cur.wrapping_sub(1), cur + 1] {
-                            if next >= all.len() {
-                                continue;
-                            }
-                            let s = eval_at(next, &mut evaluated, &mut evaluate);
-                            if s < cur_score {
-                                cur = next;
-                                cur_score = s;
-                                improved = true;
-                                break;
-                            }
-                        }
-                        if !improved {
-                            break;
-                        }
-                    }
-                }
-                evaluated.into_iter().map(|(_, r)| r).collect()
-            }
-            Strategy::Annealing {
-                iterations,
-                seed,
-                initial_temp,
-            } => {
-                let mut rng = StdRng::seed_from_u64(seed);
-                let mut evaluated: Vec<(usize, ConfigResult)> = Vec::new();
-                let eval_at = |i: usize,
-                               evaluated: &mut Vec<(usize, ConfigResult)>,
-                               evaluate: &mut dyn FnMut(&ParamValues) -> ConfigResult|
-                 -> f64 {
-                    if let Some((_, r)) = evaluated.iter().find(|(j, _)| *j == i) {
-                        return objective.score(r);
-                    }
-                    let r = evaluate(&all[i]);
-                    let s = objective.score(&r);
-                    evaluated.push((i, r));
-                    s
-                };
-                let mut cur = rng.random_range(0..all.len());
-                let mut cur_score = eval_at(cur, &mut evaluated, &mut evaluate);
-                // Normalize the temperature scale to the first score so the
-                // acceptance probability is problem-size independent.
-                let scale = cur_score.abs().max(1e-12);
-                for step in 0..iterations.max(1) {
-                    let temp = initial_temp * (1.0 - step as f64 / iterations.max(1) as f64);
-                    // Propose a nearby index (±3 window keeps moves local on
-                    // the frequency axis).
-                    let delta = rng.random_range(-3i64..=3);
-                    let cand = (cur as i64 + delta).rem_euclid(all.len() as i64) as usize;
-                    let cand_score = eval_at(cand, &mut evaluated, &mut evaluate);
-                    let accept = cand_score < cur_score || {
-                        let d = (cand_score - cur_score) / scale;
-                        temp > 0.0 && rng.random::<f64>() < (-d / temp).exp()
-                    };
-                    if accept {
-                        cur = cand;
-                        cur_score = cand_score;
-                    }
-                }
-                evaluated.into_iter().map(|(_, r)| r).collect()
-            }
-        };
-        sweep.field("evals", results.len());
-        results
-    }
-
-    /// Like [`Strategy::search`] for evaluators that are safe to call
-    /// concurrently. Brute force fans the sweep out across worker threads —
-    /// results come back in enumeration order, so the output is identical
-    /// to the serial sweep. The sampling and climbing strategies are
-    /// inherently sequential (each step depends on earlier scores) and
-    /// delegate to the serial path.
-    pub fn search_parallel<F>(
-        &self,
-        space: &ParamSpace,
-        objective: &Objective,
-        evaluate: F,
-    ) -> Vec<ConfigResult>
-    where
-        F: Fn(&ParamValues) -> ConfigResult + Sync,
-    {
-        match self {
-            Strategy::BruteForce => {
-                let all = space.enumerate();
-                let mut sweep = telemetry::span_start("tuner", "sweep");
-                if sweep.is_active() {
-                    sweep.field("strategy", "brute_force_parallel");
-                    sweep.field("space", all.len());
-                }
-                par::par_map(all.len(), |i| {
-                    let mut one = |p: &ParamValues| evaluate(p);
-                    traced_eval(&mut one, &all[i])
-                })
-            }
-            _ => self.search(space, objective, evaluate),
-        }
-    }
+        r
+    });
+    sweep.field("evals", results.len());
+    results
 }
 
 #[cfg(test)]
@@ -212,118 +44,36 @@ mod tests {
     use super::*;
     use archsim::MegaHertz;
 
-    fn space() -> ParamSpace {
-        let mut p = ParamSpace::new();
-        p.add_frequency_range(MegaHertz(1005), MegaHertz(1410), 15);
-        p
-    }
-
-    /// Synthetic objective: EDP minimized at 1110 MHz.
-    fn fake_eval(a: &ParamValues) -> ConfigResult {
-        let f = a.frequency().unwrap().0 as f64;
-        let edp = (f - 1110.0).powi(2) + 1.0;
-        ConfigResult {
+    fn sweep_paper_space() -> Vec<ConfigResult> {
+        let mut space = ParamSpace::new();
+        space.add_frequency_range(MegaHertz(1005), MegaHertz(1410), 15);
+        sweep(&space, |a| ConfigResult {
             params: a.clone(),
             time_s: 1.0,
-            energy_j: edp,
-            edp,
-        }
+            energy_j: 1.0,
+            edp: 1.0,
+        })
     }
 
     #[test]
     fn brute_force_covers_everything_in_order() {
-        let out = Strategy::BruteForce.search(&space(), &Objective::Edp, fake_eval);
+        let out = sweep_paper_space();
         assert_eq!(out.len(), 28);
         assert_eq!(out[0].params.frequency(), Some(MegaHertz(1410)));
+        assert_eq!(out[27].params.frequency(), Some(MegaHertz(1005)));
     }
 
+    /// Exported traces are compared across PRs: the span names and field
+    /// names and values are part of the output.
     #[test]
-    fn random_without_replacement() {
-        let out = Strategy::Random {
-            samples: 10,
-            seed: 1,
+    fn sweep_and_eval_spans_keep_their_fields() {
+        telemetry::start();
+        sweep_paper_space();
+        let trace = telemetry::chrome_trace(&telemetry::stop());
+        if telemetry::ENABLED {
+            let sweep_args = r#""strategy":"brute_force_parallel","space":28,"evals":28"#;
+            assert!(trace.contains(sweep_args), "{trace}");
+            assert!(trace.contains(r#""freq_mhz":1005,"time_s":1"#), "{trace}");
         }
-        .search(&space(), &Objective::Edp, fake_eval);
-        assert_eq!(out.len(), 10);
-        let mut freqs: Vec<u32> = out
-            .iter()
-            .map(|c| c.params.frequency().unwrap().0)
-            .collect();
-        freqs.sort_unstable();
-        freqs.dedup();
-        assert_eq!(freqs.len(), 10, "samples must be distinct");
-    }
-
-    #[test]
-    fn random_cannot_exceed_space() {
-        let out = Strategy::Random {
-            samples: 999,
-            seed: 1,
-        }
-        .search(&space(), &Objective::Edp, fake_eval);
-        assert_eq!(out.len(), 28);
-    }
-
-    #[test]
-    fn hill_climb_finds_unimodal_minimum_without_full_sweep() {
-        let out = Strategy::HillClimb {
-            restarts: 2,
-            seed: 3,
-        }
-        .search(&space(), &Objective::Edp, fake_eval);
-        let best = out
-            .iter()
-            .min_by(|a, b| a.edp.partial_cmp(&b.edp).unwrap())
-            .unwrap();
-        assert_eq!(best.params.frequency(), Some(MegaHertz(1110)));
-        assert!(out.len() < 28, "hill climb should not evaluate everything");
-    }
-
-    #[test]
-    fn annealing_finds_the_minimum_and_memoizes() {
-        let mut calls = 0usize;
-        let out = Strategy::Annealing {
-            iterations: 120,
-            seed: 5,
-            initial_temp: 0.5,
-        }
-        .search(&space(), &Objective::Edp, |a| {
-            calls += 1;
-            fake_eval(a)
-        });
-        let best = out
-            .iter()
-            .min_by(|a, b| a.edp.partial_cmp(&b.edp).unwrap())
-            .unwrap();
-        assert_eq!(best.params.frequency(), Some(MegaHertz(1110)));
-        assert!(calls <= 28, "memoization bound violated: {calls}");
-    }
-
-    #[test]
-    fn annealing_is_deterministic_per_seed() {
-        let run = |seed| {
-            Strategy::Annealing {
-                iterations: 60,
-                seed,
-                initial_temp: 0.5,
-            }
-            .search(&space(), &Objective::Edp, fake_eval)
-            .len()
-        };
-        assert_eq!(run(9), run(9));
-    }
-
-    #[test]
-    fn hill_climb_does_not_reevaluate_configs() {
-        let mut calls = 0usize;
-        let _ = Strategy::HillClimb {
-            restarts: 5,
-            seed: 9,
-        }
-        .search(&space(), &Objective::Edp, |a| {
-            calls += 1;
-            fake_eval(a)
-        });
-        assert!(calls <= 28, "memoization bound violated: {calls}");
     }
 }

@@ -90,30 +90,46 @@ fn evrard_collapse_converts_potential_to_kinetic_then_heats() {
 
 #[test]
 fn turbulence_is_statistically_isotropic() {
-    // The solenoidal IC has no preferred axis: the three kinetic-energy
-    // components stay comparable while the cascade decays.
-    let (ex, ey, ez) = run(1, CommCost::default(), |ctx| {
-        let ic = subsonic_turbulence(10, 0.4, 77);
-        let mut sim = Simulation::new(ic, cfg(40));
-        for _ in 0..6 {
-            sim.step(ctx, &mut NullObserver);
-        }
-        let p = &sim.parts;
+    // The IC sums `MODES = 6` random solenoidal Fourier modes, so a single
+    // draw is not isotropic: over seeds 70..=85 the largest axis share of
+    // the kinetic energy ranges 0.36–0.71. What holds is the ensemble — no
+    // axis is preferred on average — and the solver: it adds no preferred
+    // axis, so six steps barely move any seed's shares (at most 0.026).
+    let shares = |p: &gpu_freq_scaling::sph::Particles| {
         let mut e = [0.0f64; 3];
         for i in 0..p.n_local {
             e[0] += p.m[i] * p.vx[i] * p.vx[i];
             e[1] += p.m[i] * p.vy[i] * p.vy[i];
             e[2] += p.m[i] * p.vz[i] * p.vz[i];
         }
-        (e[0], e[1], e[2])
-    })
-    .remove(0);
-    let total = ex + ey + ez;
-    for (axis, e) in [("x", ex), ("y", ey), ("z", ez)] {
-        let share = e / total;
+        let total = e[0] + e[1] + e[2];
+        e.map(|axis| axis / total)
+    };
+    const SEEDS: std::ops::RangeInclusive<u64> = 70..=85;
+    let mut mean = [0.0f64; 3];
+    for seed in SEEDS {
+        let (before, after) = run(1, CommCost::default(), |ctx| {
+            let mut sim = Simulation::new(subsonic_turbulence(10, 0.4, seed), cfg(40));
+            let before = shares(&sim.parts);
+            for _ in 0..6 {
+                sim.step(ctx, &mut NullObserver);
+            }
+            (before, shares(&sim.parts))
+        })
+        .remove(0);
+        for axis in 0..3 {
+            let moved = (after[axis] - before[axis]).abs();
+            assert!(
+                moved <= 0.05,
+                "seed {seed}: axis {axis} share moved {moved} in six steps: {before:?} -> {after:?}"
+            );
+            mean[axis] += after[axis] / SEEDS.count() as f64;
+        }
+    }
+    for (axis, share) in ["x", "y", "z"].iter().zip(mean) {
         assert!(
-            (0.1..0.65).contains(&share),
-            "axis {axis} holds {share} of kinetic energy — anisotropic"
+            (0.28..0.39).contains(&share),
+            "axis {axis} holds {share} of kinetic energy on average — anisotropic: {mean:?}"
         );
     }
 }

@@ -38,7 +38,6 @@ fn predictive_sweep_matches_exhaustive_edp_optimum_with_5x_fewer_launches() {
             TuneOptions {
                 objective: Objective::Edp,
                 iterations: 2,
-                ..Default::default()
             },
         );
         let pred =
