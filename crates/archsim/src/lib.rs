@@ -23,7 +23,6 @@
 
 pub mod cpu;
 pub mod error;
-pub mod export;
 pub mod freq;
 pub mod governor;
 pub mod gpu;

@@ -98,11 +98,6 @@ impl Node {
         Arc::clone(&self.mem)
     }
 
-    /// Number of schedulable GPU devices.
-    pub fn gpu_count(&self) -> usize {
-        self.gpus.len()
-    }
-
     /// Shared handle to GPU `index`.
     pub fn gpu(&self, index: usize) -> Result<Arc<Mutex<GpuDevice>>, ArchError> {
         self.gpus
@@ -215,16 +210,6 @@ impl Node {
             + self.gpu_energy(a, b)
             + self.aux_energy(a, b)
     }
-
-    /// Instantaneous whole-node power at `t`.
-    pub fn node_power_at(&self, t: SimInstant) -> Watts {
-        let mut p = self.cpu.lock().power_timeline().power_at(t) * f64::from(self.spec.sockets);
-        p += self.mem.lock().power_timeline().power_at(t);
-        for g in &self.gpus {
-            p += g.lock().power_timeline().power_at(t);
-        }
-        p + self.spec.aux_power
-    }
 }
 
 #[cfg(test)]
@@ -240,7 +225,7 @@ mod tests {
     #[test]
     fn lumi_node_has_8_gcds_on_4_cards() {
         let node = Node::new(systems::lumi_g().node);
-        assert_eq!(node.gpu_count(), 8);
+        assert_eq!(node.gpus().len(), 8);
         assert_eq!(node.cards(), 4);
     }
 
@@ -296,16 +281,6 @@ mod tests {
         let node = Node::new(systems::mini_hpc().node);
         node.settle_until(t(50), 0.1, 0.1);
         assert_eq!(node.recorded_until(), t(50));
-    }
-
-    #[test]
-    fn node_power_at_includes_aux_and_sockets() {
-        let node = Node::new(systems::mini_hpc().node); // 2 sockets
-        node.settle_until(t(10), 0.0, 0.0);
-        let p = node.node_power_at(t(5));
-        let spec = node.spec();
-        let floor = spec.cpu.idle_power.0 * 2.0 + spec.mem.idle_power.0 + spec.aux_power.0;
-        assert!(p.0 >= floor, "{} < {floor}", p.0);
     }
 
     #[test]

@@ -85,11 +85,6 @@ impl PowerTimeline {
         self.segments.is_empty()
     }
 
-    /// All segments, in order.
-    pub fn segments(&self) -> &[PowerSegment] {
-        &self.segments
-    }
-
     /// Instantaneous power at `t`. Instants beyond the recorded end (or on an
     /// empty timeline) read as zero; `t` exactly at a boundary reads the
     /// segment that *starts* there.

@@ -18,11 +18,6 @@ use crate::time::SimDuration;
 pub struct MegaHertz(pub u32);
 
 impl MegaHertz {
-    /// Frequency in hertz.
-    pub fn as_hz(self) -> f64 {
-        self.0 as f64 * 1e6
-    }
-
     /// Ratio of `self` to `other` as `f64` (used for frequency scaling laws).
     pub fn ratio(self, other: MegaHertz) -> f64 {
         self.0 as f64 / other.0 as f64
@@ -257,8 +252,7 @@ mod tests {
     }
 
     #[test]
-    fn megahertz_ratio_and_hz() {
+    fn megahertz_ratio() {
         assert!((MegaHertz(1410).ratio(MegaHertz(705)) - 2.0).abs() < 1e-12);
-        assert_eq!(MegaHertz(1410).as_hz(), 1.41e9);
     }
 }

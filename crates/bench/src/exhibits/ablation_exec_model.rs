@@ -7,10 +7,9 @@
 //! memory-bound distinction that Figs. 2 and 8 (and the whole ManDyn idea)
 //! rest on.
 
-use archsim::{
-    ExecModel, ExecModelKind, GpuDevice, GpuSpec, MegaHertz, NaiveInverseModel, RooflineModel,
-};
-use bench::{banner, paper_450cubed, print_table, Cli};
+use super::{Args, Exhibit};
+use crate::{paper_450cubed, print_rows, to_json, DEFAULT_STEPS};
+use archsim::{ExecModelKind, GpuDevice, GpuSpec, MegaHertz, NaiveInverseModel, RooflineModel};
 use serde::Serialize;
 use sph::FuncId;
 
@@ -31,12 +30,16 @@ fn measure(model: ExecModelKind, func: FuncId, n: f64, f: MegaHertz) -> (f64, f6
     (exec.duration().as_secs_f64(), exec.energy.0)
 }
 
-fn main() {
-    let cli = Cli::parse();
-    banner(
-        "ABLATION: execution model",
+pub(super) const EXHIBIT: Exhibit = Exhibit {
+    id: "ablation_exec_model",
+    title: "ABLATION: execution model",
+    caption:
         "Per-kernel slowdown and energy at 1005 vs 1410 MHz under roofline vs naive 1/f scaling.",
-    );
+    default_steps: DEFAULT_STEPS,
+    run,
+};
+
+fn run(_args: &Args) -> String {
     let n = paper_450cubed();
     let roof = ExecModelKind::Roofline(RooflineModel::default());
     let naive = ExecModelKind::Naive(NaiveInverseModel);
@@ -56,19 +59,7 @@ fn main() {
         });
     }
 
-    let rows: Vec<Vec<String>> = data
-        .iter()
-        .map(|r| {
-            vec![
-                r.function.clone(),
-                format!("{:.3}", r.roofline_slowdown),
-                format!("{:.3}", r.naive_slowdown),
-                format!("{:.3}", r.roofline_energy),
-                format!("{:.3}", r.naive_energy),
-            ]
-        })
-        .collect();
-    print_table(
+    print_rows(
         &[
             "Function",
             "t@1005 roofline",
@@ -76,7 +67,16 @@ fn main() {
             "E@1005 roofline",
             "E@1005 naive",
         ],
-        &rows,
+        &data,
+        |r| {
+            vec![
+                r.function.clone(),
+                format!("{:.3}", r.roofline_slowdown),
+                format!("{:.3}", r.naive_slowdown),
+                format!("{:.3}", r.roofline_energy),
+                format!("{:.3}", r.naive_energy),
+            ]
+        },
     );
 
     let spread = |rows: &[Row], f: fn(&Row) -> f64| {
@@ -91,11 +91,5 @@ fn main() {
     );
     println!("the naive model predicts (almost) identical slowdown everywhere, so per-kernel");
     println!("frequency selection (Fig. 2) would find nothing to exploit.");
-    // Sanity for the ablation itself.
-    let _ = RooflineModel::default().breakdown(
-        &FuncId::MomentumEnergy.workload(n),
-        MegaHertz(1410),
-        &GpuSpec::a100_pcie_40gb(),
-    );
-    cli.maybe_write_json(&data);
+    to_json(&data)
 }

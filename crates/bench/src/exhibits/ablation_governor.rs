@@ -7,8 +7,9 @@
 //! (b) a governor that targets only the utilization-feedback clock, and
 //! under (c) pinned baseline clocks, showing where the extra energy goes.
 
-use archsim::{DvfsParams, GpuDevice, GpuSpec, MegaHertz, SimDuration};
-use bench::{banner, paper_450cubed, print_table, Cli};
+use super::{drive_kernel_sequence, Args, Exhibit};
+use crate::{print_rows, to_json, DEFAULT_STEPS};
+use archsim::{DvfsParams, GpuDevice, GpuSpec, MegaHertz};
 use serde::Serialize;
 use sph::FuncId;
 
@@ -21,27 +22,18 @@ struct Row {
     transitions: u64,
 }
 
-fn run(label: &str, setup: impl FnOnce(&mut GpuDevice), steps: usize) -> Row {
+fn simulate(label: &str, setup: impl FnOnce(&mut GpuDevice), steps: usize) -> Row {
     let mut dev = GpuDevice::new(0, GpuSpec::a100_pcie_40gb());
     setup(&mut dev);
-    let n = paper_450cubed();
     let mut light_freq_weight = 0.0;
     let mut light_time = 0.0;
-    for _ in 0..steps {
-        for func in FuncId::ALL {
-            if func == FuncId::Gravity {
-                continue;
-            }
-            dev.advance_idle(func.host_overhead(1));
-            let exec = dev.run_region(&func.workload(n));
-            if func == FuncId::DomainDecompAndSync {
-                let d = exec.duration().as_secs_f64();
-                light_freq_weight += f64::from(exec.avg_freq.0) * d;
-                light_time += d;
-            }
+    drive_kernel_sequence(&mut dev, steps, |func, exec| {
+        if func == FuncId::DomainDecompAndSync {
+            let d = exec.duration().as_secs_f64();
+            light_freq_weight += f64::from(exec.avg_freq.0) * d;
+            light_time += d;
         }
-        dev.advance_idle(SimDuration::from_millis(2));
-    }
+    });
     Row {
         governor: label.to_string(),
         time_s: dev.now().as_secs_f64(),
@@ -51,20 +43,24 @@ fn run(label: &str, setup: impl FnOnce(&mut GpuDevice), steps: usize) -> Row {
     }
 }
 
-fn main() {
-    let cli = Cli::parse();
-    banner(
-        "ABLATION: DVFS governor launch boost",
+pub(super) const EXHIBIT: Exhibit = Exhibit {
+    id: "ablation_governor",
+    title: "ABLATION: DVFS governor launch boost",
+    caption:
         "Boost-on-launch vs utilization-only governor vs pinned baseline, same kernel sequence.",
-    );
-    let steps = cli.steps.max(3);
+    default_steps: DEFAULT_STEPS,
+    run,
+};
 
-    let boost = run(
+fn run(args: &Args) -> String {
+    let steps = args.steps.max(3);
+
+    let boost = simulate(
         "dvfs boost-on-launch (default)",
         |d| d.set_dvfs_params(DvfsParams::default()),
         steps,
     );
-    let util_only = run(
+    let util_only = simulate(
         "dvfs utilization-only",
         |d| {
             d.set_dvfs_params(DvfsParams {
@@ -75,7 +71,7 @@ fn main() {
         },
         steps,
     );
-    let pinned = run(
+    let pinned = simulate(
         "pinned 1410 MHz",
         |d| {
             d.set_application_clocks(MegaHertz(1410))
@@ -85,19 +81,7 @@ fn main() {
     );
 
     let data = vec![boost, util_only, pinned];
-    let rows: Vec<Vec<String>> = data
-        .iter()
-        .map(|r| {
-            vec![
-                r.governor.clone(),
-                format!("{:.3}", r.time_s),
-                format!("{:.1}", r.energy_j),
-                format!("{:.0}", r.avg_light_kernel_mhz),
-                r.transitions.to_string(),
-            ]
-        })
-        .collect();
-    print_table(
+    print_rows(
         &[
             "Governor",
             "Time [s]",
@@ -105,7 +89,16 @@ fn main() {
             "DomainDecomp avg MHz",
             "Clock transitions",
         ],
-        &rows,
+        &data,
+        |r| {
+            vec![
+                r.governor.clone(),
+                format!("{:.3}", r.time_s),
+                format!("{:.1}", r.energy_j),
+                format!("{:.0}", r.avg_light_kernel_mhz),
+                r.transitions.to_string(),
+            ]
+        },
     );
 
     println!(
@@ -121,5 +114,5 @@ fn main() {
         "{} steps. This is the §IV-E mechanism behind DVFS losing to pinned clocks on energy.",
         steps
     );
-    cli.maybe_write_json(&data);
+    to_json(&data)
 }

@@ -6,8 +6,9 @@
 //! bandwidth one-for-one, so the bandwidth-bound kernels that tolerate core
 //! down-scaling are exactly the ones a memory down-clock destroys.
 
+use super::{Args, Exhibit};
+use crate::{paper_450cubed, print_rows, to_json, DEFAULT_STEPS};
 use archsim::{GpuDevice, GpuSpec, MegaHertz};
-use bench::{banner, paper_450cubed, print_table, Cli};
 use serde::Serialize;
 use sph::FuncId;
 
@@ -30,12 +31,16 @@ fn measure(func: FuncId, mem_mhz: u32, n: f64) -> (f64, f64) {
     (exec.duration().as_secs_f64(), exec.energy.0)
 }
 
-fn main() {
-    let cli = Cli::parse();
-    banner(
-        "ABLATION: memory-clock down-scaling",
+pub(super) const EXHIBIT: Exhibit = Exhibit {
+    id: "ablation_memclock",
+    title: "ABLATION: memory-clock down-scaling",
+    caption:
         "Per-kernel cost of dropping the HBM clock 1593 -> 810 MHz at a fixed 1410 MHz core clock.",
-    );
+    default_steps: DEFAULT_STEPS,
+    run,
+};
+
+fn run(_args: &Args) -> String {
     let n = paper_450cubed();
     let cases = [
         (FuncId::MomentumEnergy, "compute-bound"),
@@ -57,9 +62,10 @@ fn main() {
         });
     }
 
-    let rows: Vec<Vec<String>> = data
-        .iter()
-        .map(|r| {
+    print_rows(
+        &["Function", "Kind", "Time @810", "Energy @810", "EDP @810"],
+        &data,
+        |r| {
             vec![
                 r.function.clone(),
                 r.kind.to_string(),
@@ -67,16 +73,12 @@ fn main() {
                 format!("{:.3}", r.energy_ratio),
                 format!("{:.3}", r.edp_ratio),
             ]
-        })
-        .collect();
-    print_table(
-        &["Function", "Kind", "Time @810", "Energy @810", "EDP @810"],
-        &rows,
+        },
     );
 
     println!("\nA memory down-clock is a pure loss: time stretches with 1/bandwidth while power");
     println!("barely drops (HBM I/O is a small share), so energy *rises* and EDP doubles or");
     println!("triples — worst exactly where core down-scaling is safest (bandwidth-bound");
     println!("kernels). That asymmetry is why §III-D pins only the compute frequency.");
-    cli.maybe_write_json(&data);
+    to_json(&data)
 }

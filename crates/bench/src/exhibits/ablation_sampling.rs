@@ -5,11 +5,11 @@
 //! to the power dynamics; this ablation sweeps the sampling period on a real
 //! kernel sequence and shows where polling starts to miss the spikes.
 
+use super::{drive_kernel_sequence, Args, Exhibit};
+use crate::{print_rows, to_json, DEFAULT_STEPS};
 use archsim::{GpuDevice, GpuSpec, SimDuration, SimInstant};
-use bench::{banner, paper_450cubed, print_table, Cli};
 use pmt::{backends::NvmlSensor, Pmt};
 use serde::Serialize;
-use sph::FuncId;
 use std::sync::Arc;
 
 #[derive(Serialize)]
@@ -20,33 +20,22 @@ struct Row {
     error_pct: f64,
 }
 
-fn main() {
-    let cli = Cli::parse();
-    banner(
-        "ABLATION: sensor sampling period",
-        "Loop energy estimated by polling at various periods vs the exact integral.",
-    );
+pub(super) const EXHIBIT: Exhibit = Exhibit {
+    id: "ablation_sampling",
+    title: "ABLATION: sensor sampling period",
+    caption: "Loop energy estimated by polling at various periods vs the exact integral.",
+    default_steps: DEFAULT_STEPS,
+    run,
+};
 
+fn run(args: &Args) -> String {
     // Run a few DVFS time-steps so the power trace has realistic structure
     // (boost ramps, idle dips, launch-overhead plateaus).
     let gpu = Arc::new(parking_lot::Mutex::new(GpuDevice::new(
         0,
         GpuSpec::a100_pcie_40gb(),
     )));
-    {
-        let mut dev = gpu.lock();
-        let n = paper_450cubed();
-        for _ in 0..cli.steps.max(3) {
-            for func in FuncId::ALL {
-                if func == FuncId::Gravity {
-                    continue;
-                }
-                dev.advance_idle(func.host_overhead(1));
-                dev.run_region(&func.workload(n));
-            }
-            dev.advance_idle(SimDuration::from_millis(2));
-        }
-    }
+    drive_kernel_sequence(&mut gpu.lock(), args.steps.max(3), |_, _| {});
     let end = gpu.lock().now();
     let pmt = Pmt::new(Box::new(NvmlSensor::from_raw(0, Arc::clone(&gpu))));
     let exact = pmt.joules_between(SimInstant::ZERO, end).0;
@@ -63,20 +52,20 @@ fn main() {
         });
     }
 
-    let rows: Vec<Vec<String>> = data
-        .iter()
-        .map(|r| {
+    print_rows(
+        &["Period [ms]", "Sampled [J]", "Exact [J]", "Error"],
+        &data,
+        |r| {
             vec![
                 format!("{:.1}", r.period_ms),
                 format!("{:.1}", r.sampled_j),
                 format!("{:.1}", r.exact_j),
                 format!("{:+.2}%", r.error_pct),
             ]
-        })
-        .collect();
-    print_table(&["Period [ms]", "Sampled [J]", "Exact [J]", "Error"], &rows);
+        },
+    );
 
     println!("\nAt the 100 ms (10 Hz) period of Cray pm_counters the error stays small for");
     println!("SPH-EXA-like kernels (hundreds of ms each); multi-second polling starts to alias.");
-    cli.maybe_write_json(&data);
+    to_json(&data)
 }

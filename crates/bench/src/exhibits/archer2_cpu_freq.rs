@@ -4,7 +4,8 @@
 //! trade is even better: the host mostly idles, so `--cpu-freq` cuts node
 //! energy at essentially zero time cost.
 
-use bench::{banner, print_table, production_spec, Cli, PHYSICS_N_SIDE};
+use super::{Args, Exhibit};
+use crate::{print_rows, production_spec, to_json, DEFAULT_STEPS, PHYSICS_N_SIDE};
 use freqscale::{run_experiment, WorkloadKind};
 use serde::Serialize;
 
@@ -16,13 +17,16 @@ struct Row {
     node_energy_norm: f64,
 }
 
-fn main() {
-    let cli = Cli::parse();
-    banner(
-        "BACKGROUND: ARCHER2-style CPU frequency reduction",
+pub(super) const EXHIBIT: Exhibit = Exhibit {
+    id: "archer2_cpu_freq",
+    title: "BACKGROUND: ARCHER2-style CPU frequency reduction",
+    caption:
         "Slurm --cpu-freq sweep on a CSCS-A100 node running GPU-resident turbulence (4 ranks).",
-    );
+    default_steps: DEFAULT_STEPS,
+    run,
+};
 
+fn run(args: &Args) -> String {
     let mk = |khz: Option<u64>| {
         let mut spec = production_spec(
             archsim::cscs_a100(),
@@ -32,7 +36,7 @@ fn main() {
                 mach: 0.3,
                 seed: 7,
             },
-            cli.steps,
+            args.steps,
             150e6,
         );
         spec.slurm_cpu_freq_khz = khz;
@@ -58,20 +62,17 @@ fn main() {
         });
     }
 
-    let rows: Vec<Vec<String>> = data
-        .iter()
-        .map(|r| {
+    print_rows(
+        &["CPU frequency", "Time", "CPU energy", "Node energy"],
+        &data,
+        |r| {
             vec![
                 format!("{:.2} GHz", r.cpu_freq_ghz),
                 format!("{:.4}", r.time_norm),
                 format!("{:.4}", r.cpu_energy_norm),
                 format!("{:.4}", r.node_energy_norm),
             ]
-        })
-        .collect();
-    print_table(
-        &["CPU frequency", "Time", "CPU energy", "Node energy"],
-        &rows,
+        },
     );
 
     let two = data
@@ -84,5 +85,5 @@ fn main() {
     );
     println!("\"limited performance loss\" is exact here: the loop is GPU-bound, so the CPU");
     println!("down-clock is pure node-energy saving (the §II-B background, quantified).");
-    cli.maybe_write_json(&data);
+    to_json(&data)
 }

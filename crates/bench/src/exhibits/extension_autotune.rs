@@ -6,8 +6,9 @@
 //! pinning. This bench shows the convergence: warm-up costs a little, the
 //! steady state matches offline ManDyn.
 
+use super::{Args, Exhibit};
+use crate::{minihpc_spec, paper_450cubed, print_rows, to_json, DEFAULT_STEPS};
 use archsim::GpuSpec;
-use bench::{banner, minihpc_spec, paper_450cubed, print_table, Cli};
 use freqscale::{policy::paper_mandyn_table, run_experiment, FreqPolicy};
 use online::OnlineTunerConfig;
 use serde::Serialize;
@@ -21,12 +22,15 @@ struct Row {
     edp_norm: f64,
 }
 
-fn main() {
-    let cli = Cli::parse();
-    banner(
-        "EXTENSION: online auto-tuning",
-        "ManDynOnline (no offline pass) vs offline-tuned ManDyn vs baseline, by run length.",
-    );
+pub(super) const EXHIBIT: Exhibit = Exhibit {
+    id: "extension_autotune",
+    title: "EXTENSION: online auto-tuning",
+    caption: "ManDynOnline (no offline pass) vs offline-tuned ManDyn vs baseline, by run length.",
+    default_steps: DEFAULT_STEPS,
+    run,
+};
+
+fn run(args: &Args) -> String {
     let gpu = GpuSpec::a100_pcie_40gb();
     let mandyn_table = paper_mandyn_table(&gpu);
     let n = paper_450cubed();
@@ -34,8 +38,8 @@ fn main() {
     let mut data = Vec::new();
     // Short runs amortize the warm-up poorly; long runs converge to ManDyn.
     for steps in [6usize, 12, 24, 48] {
-        if cli.steps != bench::DEFAULT_STEPS && steps > cli.steps * 6 {
-            continue; // allow --steps to cap the sweep cost
+        if steps > args.steps * 6 {
+            continue; // a small --steps caps the sweep cost (the default 8 keeps all four)
         }
         let base = run_experiment(&minihpc_spec(FreqPolicy::Baseline, steps, n));
         for policy in [
@@ -54,9 +58,10 @@ fn main() {
         }
     }
 
-    let rows: Vec<Vec<String>> = data
-        .iter()
-        .map(|r| {
+    print_rows(
+        &["Steps", "Policy", "Time", "GPU energy", "EDP"],
+        &data,
+        |r| {
             vec![
                 r.steps.to_string(),
                 r.policy.clone(),
@@ -64,9 +69,8 @@ fn main() {
                 format!("{:.4}", r.energy_norm),
                 format!("{:.4}", r.edp_norm),
             ]
-        })
-        .collect();
-    print_table(&["Steps", "Policy", "Time", "GPU energy", "EDP"], &rows);
+        },
+    );
 
     if let (Some(m), Some(o)) = (
         data.iter().rev().find(|r| r.policy == "mandyn"),
@@ -79,5 +83,5 @@ fn main() {
         println!("— the warm-up cost amortizes away, removing the paper's offline KernelTuner");
         println!("prerequisite; each kernel is pinned once its estimate has converged.");
     }
-    cli.maybe_write_json(&data);
+    to_json(&data)
 }

@@ -10,7 +10,8 @@
 //! shape from the same first-order model: `E = P_node * t`, with per-language
 //! relative runtimes from the reference's reported ranges.
 
-use bench::{banner, print_table, Cli};
+use super::{Args, Exhibit};
+use crate::{print_rows, to_json, DEFAULT_STEPS};
 use serde::Serialize;
 
 #[derive(Serialize)]
@@ -20,13 +21,16 @@ struct LangPoint {
     rel_energy: f64,
 }
 
-fn main() {
-    let cli = Cli::parse();
-    banner(
-        "FIG. 1 (background)",
+pub(super) const EXHIBIT: Exhibit = Exhibit {
+    id: "fig1",
+    title: "FIG. 1 (background)",
+    caption:
         "Language efficiency vs time-to-solution for N-body codes (shape per Portegies Zwart 2020).",
-    );
+    default_steps: DEFAULT_STEPS,
+    run,
+};
 
+fn run(_args: &Args) -> String {
     // (language, relative runtime vs C++, relative sustained node power).
     // GPU runs shift power up ~1.6x but runtime down ~20x.
     let langs = [
@@ -46,17 +50,17 @@ fn main() {
         })
         .collect();
 
-    let rows: Vec<Vec<String>> = points
-        .iter()
-        .map(|p| {
+    print_rows(
+        &["Language", "Rel. time-to-solution", "Rel. energy"],
+        &points,
+        |p| {
             vec![
                 p.language.to_string(),
                 format!("{:.2}", p.rel_time_to_solution),
                 format!("{:.2}", p.rel_energy),
             ]
-        })
-        .collect();
-    print_table(&["Language", "Rel. time-to-solution", "Rel. energy"], &rows);
+        },
+    );
 
     // The figure's headline: CUDA ~an order of magnitude more efficient.
     let cuda = &points[0];
@@ -66,5 +70,5 @@ fn main() {
         cpp.rel_time_to_solution / cuda.rel_time_to_solution,
         cpp.rel_energy / cuda.rel_energy
     );
-    cli.maybe_write_json(&points);
+    to_json(&points)
 }

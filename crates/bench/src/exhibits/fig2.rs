@@ -1,8 +1,9 @@
 //! Fig. 2 — GPU frequencies per function optimized for the best EDP outcome
 //! (Subsonic Turbulence, 450³ particles, KernelTuner sweep 1005–1410 MHz).
 
+use super::{Args, Exhibit};
+use crate::{paper_450cubed, print_table, to_json, DEFAULT_STEPS};
 use archsim::{GpuSpec, MegaHertz};
-use bench::{banner, paper_450cubed, print_table, Cli};
 use freqscale::policy::tune_table;
 use serde::Serialize;
 use tuner::Objective;
@@ -14,12 +15,15 @@ struct Row {
     edp_vs_1410: f64,
 }
 
-fn main() {
-    let cli = Cli::parse();
-    banner(
-        "FIG. 2",
-        "Per-function best-EDP GPU compute frequency (KernelTuner-style sweep, 1005-1410 MHz, 450^3 particles).",
-    );
+pub(super) const EXHIBIT: Exhibit = Exhibit {
+    id: "fig2",
+    title: "FIG. 2",
+    caption: "Per-function best-EDP GPU compute frequency (KernelTuner-style sweep, 1005-1410 MHz, 450^3 particles).",
+    default_steps: DEFAULT_STEPS,
+    run,
+};
+
+fn run(_args: &Args) -> String {
     let gpu = GpuSpec::a100_pcie_40gb();
     let (table, detail) = tune_table(
         &gpu,
@@ -61,5 +65,5 @@ fn main() {
         "bandwidth-bound kernels (XMass {}, NormalizationGradh {}) tune to the sweep floor — Fig. 2's pattern.",
         table[&sph::FuncId::XMass], table[&sph::FuncId::NormalizationGradh]
     );
-    cli.maybe_write_json(&data);
+    to_json(&data)
 }

@@ -2,7 +2,8 @@
 //! Subsonic Turbulence at 150 M particles per GPU, 8–48 GPU cards
 //! (CSCS-A100) and 16–96 GCDs (LUMI-G), normalized to the largest run.
 
-use bench::{banner, n_side_for_ranks, print_table, production_spec, Cli};
+use super::{rank_sweep, Args, Exhibit};
+use crate::{n_side_for_ranks, print_rows, production_spec, to_json, DEFAULT_STEPS};
 use freqscale::{run_experiment, WorkloadKind};
 use serde::Serialize;
 
@@ -46,37 +47,25 @@ fn sweep(system: archsim::SystemSpec, counts: &[usize], steps: usize) -> Vec<Row
         .collect()
 }
 
-fn main() {
-    let cli = Cli::parse();
-    banner(
-        "FIG. 3",
-        "PMT vs Slurm energy, normalized to 48 GPUs (CSCS-A100) / 96 GCDs (LUMI-G). \
+pub(super) const EXHIBIT: Exhibit = Exhibit {
+    id: "fig3",
+    title: "FIG. 3",
+    caption: "PMT vs Slurm energy, normalized to 48 GPUs (CSCS-A100) / 96 GCDs (LUMI-G). \
          PMT excludes setup + auxiliary; Slurm accounts the whole job.",
-    );
+    default_steps: DEFAULT_STEPS,
+    run,
+};
 
+fn run(args: &Args) -> String {
     let mut all = Vec::new();
-    all.extend(sweep(
-        archsim::cscs_a100(),
-        &[8, 16, 24, 32, 40, 48],
-        cli.steps,
-    ));
-    all.extend(sweep(archsim::lumi_g(), &[16, 32, 48, 64, 96], cli.steps));
+    for (system, counts) in [
+        (archsim::cscs_a100(), &[8, 16, 24, 32, 40, 48][..]),
+        (archsim::lumi_g(), &[16, 32, 48, 64, 96]),
+    ] {
+        all.extend(sweep(system, rank_sweep(counts, args.check), args.steps));
+    }
 
-    let rows: Vec<Vec<String>> = all
-        .iter()
-        .map(|r| {
-            vec![
-                r.system.clone(),
-                r.gpus.to_string(),
-                format!("{:.0}", r.pmt_j),
-                format!("{:.0}", r.slurm_j),
-                format!("{:.3}", r.pmt_norm),
-                format!("{:.3}", r.slurm_norm),
-                format!("{:.1}%", (1.0 - r.pmt_j / r.slurm_j) * 100.0),
-            ]
-        })
-        .collect();
-    print_table(
+    print_rows(
         &[
             "System",
             "GPUs",
@@ -86,7 +75,18 @@ fn main() {
             "Slurm norm",
             "Slurm-PMT gap",
         ],
-        &rows,
+        &all,
+        |r| {
+            vec![
+                r.system.clone(),
+                r.gpus.to_string(),
+                format!("{:.0}", r.pmt_j),
+                format!("{:.0}", r.slurm_j),
+                format!("{:.3}", r.pmt_norm),
+                format!("{:.3}", r.slurm_norm),
+                format!("{:.1}%", (1.0 - r.pmt_j / r.slurm_j) * 100.0),
+            ]
+        },
     );
     println!(
         "\nShape check: normalized PMT and Slurm curves track each other per system; the absolute"
@@ -94,5 +94,5 @@ fn main() {
     println!(
         "gap is the job-setup + auxiliary energy PMT's loop-scoped window does not see (§IV-A)."
     );
-    cli.maybe_write_json(&all);
+    to_json(&all)
 }

@@ -1,8 +1,9 @@
 //! Fig. 5 — breakdown of energy consumption by SPH-EXA function, per device,
 //! for the same four cases as Fig. 4.
 
-use bench::{banner, n_side_for_ranks, print_table, production_spec, Cli};
-use freqscale::{run_experiment, WorkloadKind};
+use super::{paper_cases, Args, Exhibit};
+use crate::{print_table, to_json, DEFAULT_STEPS};
+use freqscale::run_experiment;
 use serde::Serialize;
 use std::collections::BTreeMap;
 
@@ -17,53 +18,18 @@ struct CaseData {
     cpu_shares_pct: BTreeMap<String, f64>,
 }
 
-fn main() {
-    let cli = Cli::parse();
-    banner(
-        "FIG. 5",
+pub(super) const EXHIBIT: Exhibit = Exhibit {
+    id: "fig5",
+    title: "FIG. 5",
+    caption:
         "Per-function energy shares over the loop (GPU energy and CPU-proportional time), 32 ranks.",
-    );
+    default_steps: DEFAULT_STEPS,
+    run,
+};
 
-    let ranks = 32;
-    let n_side = n_side_for_ranks(ranks);
-    let cases = [
-        (
-            "LUMI-Turb",
-            archsim::lumi_g(),
-            WorkloadKind::Turbulence {
-                n_side,
-                mach: 0.3,
-                seed: 7,
-            },
-            150e6,
-        ),
-        (
-            "LUMI-Evr",
-            archsim::lumi_g(),
-            WorkloadKind::Evrard { n_side },
-            80e6,
-        ),
-        (
-            "CSCS-A100-Turb",
-            archsim::cscs_a100(),
-            WorkloadKind::Turbulence {
-                n_side,
-                mach: 0.3,
-                seed: 7,
-            },
-            150e6,
-        ),
-        (
-            "CSCS-A100-Evr",
-            archsim::cscs_a100(),
-            WorkloadKind::Evrard { n_side },
-            80e6,
-        ),
-    ];
-
+fn run(args: &Args) -> String {
     let mut data = Vec::new();
-    for (name, system, workload, target) in cases {
-        let spec = production_spec(system, ranks, workload, cli.steps, target);
+    for (name, spec) in paper_cases(args.steps) {
         let r = run_experiment(&spec);
         let agg = r.functions_all_ranks();
         let gpu_total: f64 = agg.values().map(|f| f.gpu_j).sum();
@@ -122,5 +88,5 @@ fn main() {
     println!(
         "(paper: 25.29% vs 45.80% — the kernel is relatively more expensive on the AMD GCDs)."
     );
-    cli.maybe_write_json(&data);
+    to_json(&data)
 }

@@ -2,8 +2,9 @@
 //! of the Subsonic Turbulence simulation at different per-GPU particle
 //! counts, single A100 (miniHPC), normalized to the 1410 MHz baseline.
 
+use super::{Args, Exhibit};
+use crate::{minihpc_spec, print_table, sparkline, to_json, DEFAULT_STEPS};
 use archsim::MegaHertz;
-use bench::{banner, minihpc_spec, print_table, sparkline, Cli};
 use freqscale::{run_experiment, FreqPolicy};
 use serde::Serialize;
 
@@ -15,13 +16,16 @@ struct Series {
     edp_vs_freq: Vec<(u32, f64)>,
 }
 
-fn main() {
-    let cli = Cli::parse();
-    banner(
-        "FIG. 6",
+pub(super) const EXHIBIT: Exhibit = Exhibit {
+    id: "fig6",
+    title: "FIG. 6",
+    caption:
         "Normalized EDP vs static GPU frequency for 450^3 .. 200^3 particles per GPU (1 x A100).",
-    );
+    default_steps: DEFAULT_STEPS,
+    run,
+};
 
+fn run(args: &Args) -> String {
     let freqs = [1410u32, 1350, 1305, 1245, 1200, 1155, 1110, 1050, 1005];
     let sizes = [
         ("450^3", 450u32),
@@ -33,12 +37,12 @@ fn main() {
     let mut data = Vec::new();
     for (label, side) in sizes {
         let n = f64::from(side).powi(3);
-        let base = run_experiment(&minihpc_spec(FreqPolicy::Baseline, cli.steps, n));
+        let base = run_experiment(&minihpc_spec(FreqPolicy::Baseline, args.steps, n));
         let mut series = Vec::new();
         for f in freqs {
             let r = run_experiment(&minihpc_spec(
                 FreqPolicy::Static(MegaHertz(f)),
-                cli.steps,
+                args.steps,
                 n,
             ));
             let (_t, _e, edp) = r.normalized_to(&base);
@@ -86,5 +90,5 @@ fn main() {
         e_big, e_small
     );
     println!("the under-utilized problem drops significantly further (paper: best near 1110 MHz).");
-    cli.maybe_write_json(&data);
+    to_json(&data)
 }

@@ -2,8 +2,9 @@
 //! governor, and ManDyn (dynamic per-function frequencies), Subsonic
 //! Turbulence at 450³ on one A100, normalized to the 1410 MHz baseline.
 
+use super::{Args, Exhibit};
+use crate::{minihpc_spec, paper_450cubed, print_rows, to_json, DEFAULT_STEPS};
 use archsim::{GpuSpec, MegaHertz};
-use bench::{banner, minihpc_spec, paper_450cubed, print_table, Cli};
 use freqscale::{
     best_edp, pareto_front, policy::paper_mandyn_table, run_experiment, FreqPolicy, PolicyPoint,
 };
@@ -17,14 +18,17 @@ struct Row {
     edp_norm: f64,
 }
 
-fn main() {
-    let cli = Cli::parse();
-    banner(
-        "FIG. 7",
-        "Normalized time / GPU energy / EDP: static 1005-1410 MHz vs DVFS vs ManDyn (450^3, 1 x A100).",
-    );
+pub(super) const EXHIBIT: Exhibit = Exhibit {
+    id: "fig7",
+    title: "FIG. 7",
+    caption: "Normalized time / GPU energy / EDP: static 1005-1410 MHz vs DVFS vs ManDyn (450^3, 1 x A100).",
+    default_steps: DEFAULT_STEPS,
+    run,
+};
+
+fn run(args: &Args) -> String {
     let n = paper_450cubed();
-    let base = run_experiment(&minihpc_spec(FreqPolicy::Baseline, cli.steps, n));
+    let base = run_experiment(&minihpc_spec(FreqPolicy::Baseline, args.steps, n));
 
     let table = paper_mandyn_table(&GpuSpec::a100_pcie_40gb());
     let mut policies: Vec<FreqPolicy> = [1350u32, 1305, 1245, 1200, 1155, 1110, 1050, 1005]
@@ -42,7 +46,7 @@ fn main() {
     }];
     let mut points = vec![PolicyPoint::from_result(&base)];
     for policy in policies {
-        let r = run_experiment(&minihpc_spec(policy, cli.steps, n));
+        let r = run_experiment(&minihpc_spec(policy, args.steps, n));
         let (t, e, edp) = r.normalized_to(&base);
         points.push(PolicyPoint::from_result(&r));
         data.push(Row {
@@ -53,18 +57,14 @@ fn main() {
         });
     }
 
-    let rows: Vec<Vec<String>> = data
-        .iter()
-        .map(|r| {
-            vec![
-                r.policy.clone(),
-                format!("{:.4}", r.time_norm),
-                format!("{:.4}", r.energy_norm),
-                format!("{:.4}", r.edp_norm),
-            ]
-        })
-        .collect();
-    print_table(&["Policy", "Time", "GPU energy", "EDP"], &rows);
+    print_rows(&["Policy", "Time", "GPU energy", "EDP"], &data, |r| {
+        vec![
+            r.policy.clone(),
+            format!("{:.4}", r.time_norm),
+            format!("{:.4}", r.energy_norm),
+            format!("{:.4}", r.edp_norm),
+        ]
+    });
 
     // §IV-D frames this as a Pareto question: report the front.
     let front = pareto_front(&points);
@@ -102,5 +102,5 @@ fn main() {
         mandyn.edp_norm,
         s1005.edp_norm
     );
-    cli.maybe_write_json(&data);
+    to_json(&data)
 }

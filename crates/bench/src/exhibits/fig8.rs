@@ -2,8 +2,9 @@
 //! (b) energy and (c) EDP of each SPH-EXA function, Subsonic Turbulence at
 //! 450³ on one A100, normalized to 1410 MHz.
 
+use super::{Args, Exhibit};
+use crate::{minihpc_spec, paper_450cubed, print_table, to_json, DEFAULT_STEPS};
 use archsim::MegaHertz;
-use bench::{banner, minihpc_spec, paper_450cubed, print_table, Cli};
 use freqscale::{run_experiment, ExperimentResult, FreqPolicy};
 use serde::Serialize;
 use std::collections::BTreeMap;
@@ -22,16 +23,19 @@ fn per_function(r: &ExperimentResult) -> BTreeMap<String, (f64, f64)> {
         .collect()
 }
 
-fn main() {
-    let cli = Cli::parse();
-    banner(
-        "FIG. 8 (a, b, c)",
-        "Per-function normalized time / energy / EDP at static frequencies (450^3, 1 x A100).",
-    );
+pub(super) const EXHIBIT: Exhibit = Exhibit {
+    id: "fig8",
+    title: "FIG. 8 (a, b, c)",
+    caption: "Per-function normalized time / energy / EDP at static frequencies (450^3, 1 x A100).",
+    default_steps: DEFAULT_STEPS,
+    run,
+};
+
+fn run(args: &Args) -> String {
     let n = paper_450cubed();
     let freqs = [1320u32, 1230, 1110, 1005];
 
-    let base = run_experiment(&minihpc_spec(FreqPolicy::Baseline, cli.steps, n));
+    let base = run_experiment(&minihpc_spec(FreqPolicy::Baseline, args.steps, n));
     let base_funcs = per_function(&base);
 
     let mut series: BTreeMap<String, FuncSeries> = base_funcs
@@ -50,7 +54,7 @@ fn main() {
     for f in freqs {
         let r = run_experiment(&minihpc_spec(
             FreqPolicy::Static(MegaHertz(f)),
-            cli.steps,
+            args.steps,
             n,
         ));
         for (name, (t, e)) in per_function(&r) {
@@ -97,5 +101,5 @@ fn main() {
         xm.0, xm.1, xm.2
     );
     let data: Vec<&FuncSeries> = series.values().collect();
-    cli.maybe_write_json(&data);
+    to_json(&data)
 }

@@ -1,7 +1,8 @@
 //! Fig. 9 — device frequencies set by DVFS on a single A100 during Subsonic
 //! Turbulence execution (450³ particles) for 10 time-steps.
 
-use bench::{banner, minihpc_spec, paper_450cubed, print_table, Cli};
+use super::{Args, Exhibit};
+use crate::{minihpc_spec, paper_450cubed, print_table, to_json};
 use freqscale::{run_experiment, FreqPolicy};
 use serde::Serialize;
 
@@ -13,18 +14,17 @@ struct TraceData {
     per_function_mhz: Vec<(String, f64)>,
 }
 
-fn main() {
-    let mut cli = Cli::parse();
+pub(super) const EXHIBIT: Exhibit = Exhibit {
+    id: "fig9",
+    title: "FIG. 9",
+    caption: "DVFS-chosen device clock during 10 time-steps (450^3, 1 x A100), sampled at 10 ms.",
     // Fig. 9 is defined as a 10-step trace.
-    if cli.steps == bench::DEFAULT_STEPS {
-        cli.steps = 10;
-    }
-    banner(
-        "FIG. 9",
-        "DVFS-chosen device clock during 10 time-steps (450^3, 1 x A100), sampled at 10 ms.",
-    );
+    default_steps: 10,
+    run,
+};
 
-    let mut spec = minihpc_spec(FreqPolicy::Dvfs, cli.steps, paper_450cubed());
+fn run(args: &Args) -> String {
+    let mut spec = minihpc_spec(FreqPolicy::Dvfs, args.steps, paper_450cubed());
     spec.collect_trace = true;
     let r = run_experiment(&spec);
     let rank = &r.per_rank[0];
@@ -65,5 +65,5 @@ fn main() {
             .map(|(k, f)| (k.clone(), f.avg_freq_mhz))
             .collect(),
     };
-    cli.maybe_write_json(&data);
+    to_json(&data)
 }

@@ -4,12 +4,11 @@
 //! classes — Nvidia A100, AMD MI250X GCD, Intel Max 1550 — and compares the
 //! achievable energy/EDP gains.
 
+use super::{Args, Exhibit};
+use crate::{minihpc_spec, paper_450cubed, print_rows, to_json, DEFAULT_STEPS};
 use archsim::{CpuSpec, GpuSpec, MegaHertz, MemSpec, NodeSpec, SystemSpec, Watts};
-use bench::{banner, paper_450cubed, print_table, Cli, PHYSICS_N_SIDE};
-use freqscale::{policy::tune_table, run_experiment, ExperimentSpec, FreqPolicy, WorkloadKind};
-use ranks::CommCost;
+use freqscale::{policy::tune_table, run_experiment, ExperimentSpec, FreqPolicy};
 use serde::Serialize;
-use sph::Kernel;
 use tuner::Objective;
 
 #[derive(Serialize)]
@@ -46,13 +45,15 @@ fn dev_system(name: &str, gpu: GpuSpec) -> SystemSpec {
     }
 }
 
-fn main() {
-    let cli = Cli::parse();
-    banner(
-        "FUTURE WORK: architecture sweep",
-        "ManDyn tuned and evaluated per architecture (A100 / MI250X GCD / Intel Max 1550).",
-    );
+pub(super) const EXHIBIT: Exhibit = Exhibit {
+    id: "futurework_arch_sweep",
+    title: "FUTURE WORK: architecture sweep",
+    caption: "ManDyn tuned and evaluated per architecture (A100 / MI250X GCD / Intel Max 1550).",
+    default_steps: DEFAULT_STEPS,
+    run,
+};
 
+fn run(args: &Args) -> String {
     // Per-architecture sweep ranges (~70-100 % of max clock, as the paper
     // chose 1005-1410 for the A100).
     let archs: Vec<(&str, GpuSpec, MegaHertz, MegaHertz)> = vec![
@@ -80,35 +81,11 @@ fn main() {
     for (name, gpu, lo, hi) in archs {
         let (table, _) = tune_table(&gpu, paper_450cubed(), lo, hi, Objective::Edp, false);
         let system = dev_system(name, gpu);
+        // miniHPC's single-GPU turbulence run, moved onto this GPU's node.
         let mk = |policy: FreqPolicy| ExperimentSpec {
             system: system.clone(),
-            ranks: 1,
-            workload: WorkloadKind::Turbulence {
-                n_side: PHYSICS_N_SIDE,
-                mach: 0.3,
-                seed: 42,
-            },
-            steps: cli.steps,
-            policy,
-            target_particles_per_rank: paper_450cubed(),
             setup: archsim::SimDuration::from_secs(1),
-            comm: CommCost::default(),
-            kernel: Kernel::CubicSpline,
-            target_neighbors: 40,
-            collect_trace: false,
-            slurm_gpu_freq: None,
-            slurm_cpu_freq_khz: None,
-            report_dir: None,
-            power_cap_w: None,
-            table_store: None,
-            memory_clock: None,
-            faults: None,
-            scenario: None,
-            checkpoint_dir: None,
-            checkpoint_every: 0,
-            restore_from: None,
-            repart_skew_threshold: None,
-            halo_overlap: true,
+            ..minihpc_spec(policy, args.steps, paper_450cubed())
         };
         let base = run_experiment(&mk(FreqPolicy::Baseline));
         let mandyn = run_experiment(&mk(FreqPolicy::ManDyn(table)));
@@ -125,20 +102,7 @@ fn main() {
         });
     }
 
-    let rows: Vec<Vec<String>> = data
-        .iter()
-        .map(|r| {
-            vec![
-                r.arch.clone(),
-                format!("{}-{}", r.sweep_mhz.0, r.sweep_mhz.1),
-                format!("{:+.2}%", (r.mandyn_time - 1.0) * 100.0),
-                format!("{:+.2}%", (r.mandyn_energy - 1.0) * 100.0),
-                format!("{:.3}", r.mandyn_edp),
-                format!("{:.3}", r.static_floor_edp),
-            ]
-        })
-        .collect();
-    print_table(
+    print_rows(
         &[
             "Architecture",
             "Sweep [MHz]",
@@ -147,11 +111,21 @@ fn main() {
             "ManDyn EDP",
             "Static-floor EDP",
         ],
-        &rows,
+        &data,
+        |r| {
+            vec![
+                r.arch.clone(),
+                format!("{}-{}", r.sweep_mhz.0, r.sweep_mhz.1),
+                format!("{:+.2}%", (r.mandyn_time - 1.0) * 100.0),
+                format!("{:+.2}%", (r.mandyn_energy - 1.0) * 100.0),
+                format!("{:.3}", r.mandyn_edp),
+                format!("{:.3}", r.static_floor_edp),
+            ]
+        },
     );
     println!("\nThe per-kernel frequency split generalizes: every architecture shows a ManDyn");
     println!("EDP gain. The magnitude tracks the roofline ridge: on the Intel part (highest");
     println!("bandwidth) most kernels are memory-bound and tolerate deep down-scaling, while");
     println!("the MI250X GCD's high FLOP/byte ridge leaves little frequency slack per kernel.");
-    cli.maybe_write_json(&data);
+    to_json(&data)
 }

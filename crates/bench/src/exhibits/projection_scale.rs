@@ -8,14 +8,15 @@
 //! baseline — per-GPU percentages hold, so the absolute saving scales with
 //! the machine.
 
+use super::{print_host_scaling, rank_sweep, Args, Exhibit};
+use crate::{
+    n_side_for_ranks, paper_450cubed, print_rows, production_spec, to_json, DEFAULT_STEPS,
+};
 use archsim::{GpuSpec, SystemSpec};
-use bench::{banner, n_side_for_ranks, paper_450cubed, print_table, Cli};
 use freqscale::{
     policy::paper_mandyn_table, run_experiment, ExperimentSpec, FreqPolicy, WorkloadKind,
 };
-use ranks::CommCost;
 use serde::Serialize;
-use sph::Kernel;
 
 #[derive(Serialize)]
 struct Row {
@@ -34,45 +35,32 @@ fn unlocked_cscs() -> SystemSpec {
     sys
 }
 
-fn main() {
-    let cli = Cli::parse();
-    banner(
-        "PROJECTION: ManDyn at scale",
-        "Per-GPU ManDyn savings projected onto a multi-node A100 partition (centre permits clock control).",
-    );
+pub(super) const EXHIBIT: Exhibit = Exhibit {
+    id: "projection_scale",
+    title: "PROJECTION: ManDyn at scale",
+    caption: "Per-GPU ManDyn savings projected onto a multi-node A100 partition (centre permits clock control).",
+    default_steps: DEFAULT_STEPS,
+    run,
+};
+
+fn run(args: &Args) -> String {
     let table = paper_mandyn_table(&GpuSpec::a100_sxm4_80gb());
 
     let mut data = Vec::new();
-    for ranks in [8usize, 16, 32, 64] {
+    for &ranks in rank_sweep(&[8, 16, 32, 64], args.check) {
         let mk = |policy: FreqPolicy| ExperimentSpec {
-            system: unlocked_cscs(),
-            ranks,
-            workload: WorkloadKind::Turbulence {
-                n_side: n_side_for_ranks(ranks),
-                mach: 0.3,
-                seed: 7,
-            },
-            steps: cli.steps,
             policy,
-            target_particles_per_rank: paper_450cubed(),
-            setup: archsim::SimDuration::from_secs(2),
-            comm: CommCost::default(),
-            kernel: Kernel::CubicSpline,
-            target_neighbors: 40,
-            collect_trace: false,
-            slurm_gpu_freq: None,
-            slurm_cpu_freq_khz: None,
-            report_dir: None,
-            power_cap_w: None,
-            table_store: None,
-            memory_clock: None,
-            faults: None,
-            scenario: None,
-            checkpoint_dir: None,
-            checkpoint_every: 0,
-            restore_from: None,
-            repart_skew_threshold: None,
-            halo_overlap: true,
+            ..production_spec(
+                unlocked_cscs(),
+                ranks,
+                WorkloadKind::Turbulence {
+                    n_side: n_side_for_ranks(ranks),
+                    mach: 0.3,
+                    seed: 7,
+                },
+                args.steps,
+                paper_450cubed(),
+            )
         };
         let base = run_experiment(&mk(FreqPolicy::Baseline));
         let mandyn = run_experiment(&mk(FreqPolicy::ManDyn(table.clone())));
@@ -90,19 +78,7 @@ fn main() {
         });
     }
 
-    let rows: Vec<Vec<String>> = data
-        .iter()
-        .map(|r| {
-            vec![
-                r.ranks.to_string(),
-                format!("{:.4}", r.time_norm),
-                format!("{:.4}", r.energy_norm),
-                format!("{:.1}", r.gpu_j_saved),
-                format!("{:.1}", r.node_j_saved),
-            ]
-        })
-        .collect();
-    print_table(
+    print_rows(
         &[
             "GPUs",
             "ManDyn time",
@@ -110,7 +86,16 @@ fn main() {
             "GPU J saved",
             "Node J saved",
         ],
-        &rows,
+        &data,
+        |r| {
+            vec![
+                r.ranks.to_string(),
+                format!("{:.4}", r.time_norm),
+                format!("{:.4}", r.energy_norm),
+                format!("{:.1}", r.gpu_j_saved),
+                format!("{:.1}", r.node_j_saved),
+            ]
+        },
     );
 
     let first = data.first().expect("rows");
@@ -129,25 +114,8 @@ fn main() {
     println!("paper's 14.7 B-particle runs this is the 'more sustainable large-scale simulations'");
     println!("claim of §I, made concrete.");
 
-    // --- host-side section: real SPH per-rank cost at projection scale ----
-    // The projection argument leans on per-GPU work staying constant; the
-    // real host loop at fixed particles/rank shows exactly that (per-rank
-    // CPU time per steady step flat as ranks grow).
-    let per_rank = if cli.check { 2_000 } else { 25_000 };
-    let host = bench::host_weak_scaling(&[1, 2, 4], per_rank, if cli.check { 2 } else { 3 }, None);
-    println!("\nHost-side SPH per-rank cost ({per_rank} particles/rank, CPU s per steady step):");
-    let host_rows: Vec<Vec<String>> = host
-        .iter()
-        .map(|r| {
-            vec![
-                r.ranks.to_string(),
-                r.particles.to_string(),
-                format!("{:.3}", r.cpu_s_per_rank_step),
-                format!("{:.3}", r.cpu_norm),
-            ]
-        })
-        .collect();
-    print_table(&["ranks", "particles", "cpu s/step", "norm"], &host_rows);
+    // The projection argument leans on per-GPU work staying constant.
+    print_host_scaling("per-rank cost", args.check);
 
-    cli.maybe_write_json(&data);
+    to_json(&data)
 }

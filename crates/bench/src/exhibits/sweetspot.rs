@@ -6,17 +6,18 @@
 //! kernel mix ([`sph::WorkloadProfile`]) and every device template its own
 //! envelope, so the tuned table — and the normalized sweet spot — must
 //! differ per device for the same scenario. This exhibit reproduces the
-//! paper's A100-vs-MI250X contrast and hard-fails if the contrast is
+//! paper's A100-vs-MI250X contrast and panics if the contrast is
 //! vacuous (identical sweet spots on ≥2 device classes would mean the zoo
 //! axes are not actually exercising the model).
 //!
 //! ```sh
-//! cargo run --release -p bench --bin exhibit_sweetspot -- --json figs/zoo_sweetspots.json
-//! cargo run --release -p bench --bin exhibit_sweetspot -- --check   # 1 scenario, 2 devices
+//! cargo run --release -p bench --bin exhibit -- sweetspot --json zoo-sweetspots.json
+//! cargo run --release -p bench --bin exhibit -- sweetspot --check   # 1 scenario, 2 devices
 //! ```
 
+use super::{Args, Exhibit};
+use crate::{paper_450cubed, print_rows, to_json, DEFAULT_STEPS};
 use archsim::{DeviceTemplate, GpuSpec, MegaHertz, BUILTIN_DEVICES};
-use bench::{banner, paper_450cubed, print_table, Cli};
 use serde::Serialize;
 use sph::{FuncId, WorkloadProfile};
 use tuner::{tune_kernel, Objective, ParamSpace, TuneOptions};
@@ -45,7 +46,7 @@ struct Contrast {
 }
 
 #[derive(Serialize)]
-struct Exhibit {
+struct SweetSpots {
     problem_size: f64,
     cells: Vec<Cell>,
     /// Pairwise same-scenario contrasts against the first device.
@@ -107,19 +108,22 @@ fn tune_cell(
     }
 }
 
-fn main() {
-    let cli = Cli::parse();
-    banner(
-        "ZOO EXHIBIT: sweet spot vs device",
-        "Per-kernel best-EDP frequency for every scenario x device cell; the A100-vs-MI250X contrast generalized.",
-    );
-    let iterations = if cli.check { 1 } else { 2 };
-    let devices: Vec<&str> = if cli.check {
+pub(super) const EXHIBIT: Exhibit = Exhibit {
+    id: "sweetspot",
+    title: "ZOO EXHIBIT: sweet spot vs device",
+    caption: "Per-kernel best-EDP frequency for every scenario x device cell; the A100-vs-MI250X contrast generalized.",
+    default_steps: DEFAULT_STEPS,
+    run,
+};
+
+fn run(args: &Args) -> String {
+    let iterations = if args.check { 1 } else { 2 };
+    let devices: Vec<&str> = if args.check {
         vec!["a100-sxm4-80gb", "mi250x-gcd"]
     } else {
         BUILTIN_DEVICES.to_vec()
     };
-    let scenarios: Vec<&str> = if cli.check {
+    let scenarios: Vec<&str> = if args.check {
         vec!["sod"]
     } else {
         freqscale::SCENARIOS.to_vec()
@@ -142,40 +146,30 @@ fn main() {
         }
     }
 
-    let rows: Vec<Vec<String>> = cells
-        .iter()
-        .map(|c| {
-            vec![
-                c.scenario.clone(),
-                c.device.clone(),
-                format!("{}-{}", c.sweep_mhz.0, c.sweep_mhz.1),
-                format!("{:.3}", c.mean_normalized),
-            ]
-        })
-        .collect();
-    print_table(
+    print_rows(
         &[
             "Scenario",
             "Device",
             "Sweep [MHz]",
             "Mean sweet spot (norm.)",
         ],
-        &rows,
+        &cells,
+        |c| {
+            vec![
+                c.scenario.clone(),
+                c.device.clone(),
+                format!("{}-{}", c.sweep_mhz.0, c.sweep_mhz.1),
+                format!("{:.3}", c.mean_normalized),
+            ]
+        },
     );
 
     // Same-scenario contrast of every device against the first (the
     // A100-class reference): the normalized per-kernel tables must differ.
     let mut contrasts = Vec::new();
-    for scenario in &scenarios {
-        let of = |device_idx: usize| {
-            cells
-                .iter()
-                .find(|c| {
-                    c.scenario == *scenario
-                        && c.device == DeviceTemplate::builtin(devices[device_idx]).unwrap().name
-                })
-                .expect("cell exists")
-        };
+    for (s, scenario) in scenarios.iter().enumerate() {
+        // `cells` is device-major.
+        let of = |device_idx: usize| &cells[device_idx * scenarios.len() + s];
         let a = of(0);
         for k in 1..devices.len() {
             let b = of(k);
@@ -215,18 +209,14 @@ fn main() {
     let distinct = contrasts.iter().any(|c| {
         c.kernels_differing > 0 || (c.mean_normalized_a - c.mean_normalized_b).abs() > 1e-9
     });
-    if !distinct {
-        eprintln!("error: every device class produced the identical normalized sweet spot");
-        std::process::exit(1);
-    }
+    assert!(
+        distinct,
+        "every device class produced the identical normalized sweet spot"
+    );
 
-    if cli.check {
-        eprintln!("--check: contrast holds on the smoke cell, skipping JSON");
-        return;
-    }
-    cli.maybe_write_json(&Exhibit {
+    to_json(&SweetSpots {
         problem_size: n,
         cells,
         contrasts,
-    });
+    })
 }

@@ -4,7 +4,8 @@
 //! work. Weak scaling holds when time-to-solution stays flat (up to the
 //! log-P collective term) and energy grows linearly with GPUs.
 
-use bench::{banner, n_side_for_ranks, print_table, production_spec, Cli};
+use super::{print_host_scaling, rank_sweep, Args, Exhibit};
+use crate::{n_side_for_ranks, print_rows, production_spec, to_json, DEFAULT_STEPS};
 use freqscale::{run_experiment, WorkloadKind};
 use serde::Serialize;
 
@@ -18,17 +19,19 @@ struct Row {
     slurm_j: f64,
 }
 
-fn main() {
-    let cli = Cli::parse();
-    banner(
-        "WEAK SCALING (Table I parameters)",
-        "Subsonic Turbulence at 150 M particles/GPU on CSCS-A100, 4-96 GPUs (paper: 0.6-14.7 B total).",
-    );
+pub(super) const EXHIBIT: Exhibit = Exhibit {
+    id: "weak_scaling",
+    title: "WEAK SCALING (Table I parameters)",
+    caption: "Subsonic Turbulence at 150 M particles/GPU on CSCS-A100, 4-96 GPUs (paper: 0.6-14.7 B total).",
+    default_steps: DEFAULT_STEPS,
+    run,
+};
 
+fn run(args: &Args) -> String {
     // The paper's -n list maps to these GPU counts at 150 M/GPU.
-    let gpu_counts = [4usize, 8, 16, 32, 64, 96];
+    let gpu_counts = rank_sweep(&[4, 8, 16, 32, 64, 96], args.check);
     let mut data: Vec<Row> = Vec::new();
-    for &gpus in &gpu_counts {
+    for &gpus in gpu_counts {
         let spec = production_spec(
             archsim::cscs_a100(),
             gpus,
@@ -37,7 +40,7 @@ fn main() {
                 mach: 0.3,
                 seed: 7,
             },
-            cli.steps,
+            args.steps,
             150e6,
         );
         let r = run_experiment(&spec);
@@ -54,20 +57,7 @@ fn main() {
         });
     }
 
-    let rows: Vec<Vec<String>> = data
-        .iter()
-        .map(|r| {
-            vec![
-                format!("{:.1} B", r.total_particles_billion),
-                r.gpus.to_string(),
-                format!("{:.3}", r.time_s),
-                format!("{:.4}", r.time_norm),
-                format!("{:.1}", r.energy_per_gpu_j),
-                format!("{:.0}", r.slurm_j),
-            ]
-        })
-        .collect();
-    print_table(
+    print_rows(
         &[
             "Particles",
             "GPUs",
@@ -76,7 +66,17 @@ fn main() {
             "GPU J / GPU",
             "Slurm [J]",
         ],
-        &rows,
+        &data,
+        |r| {
+            vec![
+                format!("{:.1} B", r.total_particles_billion),
+                r.gpus.to_string(),
+                format!("{:.3}", r.time_s),
+                format!("{:.4}", r.time_norm),
+                format!("{:.1}", r.energy_per_gpu_j),
+                format!("{:.0}", r.slurm_j),
+            ]
+        },
     );
 
     let worst = data
@@ -96,25 +96,7 @@ fn main() {
     println!("the regime in which the paper's per-GPU percentage savings translate directly");
     println!("to megajoules at the 14.7 B-particle scale of Table I.");
 
-    // --- host-side section: the *real* SPH loop, not the execution model --
-    // Per-rank CPU time per steady step at a fixed particles/rank — the
-    // laptop-scale analogue of the table above (10⁵ particles at 4 ranks;
-    // `bench_scaling` covers the 10⁶ row and the checked-in artifact).
-    let per_rank = if cli.check { 2_000 } else { 25_000 };
-    let host = bench::host_weak_scaling(&[1, 2, 4], per_rank, if cli.check { 2 } else { 3 }, None);
-    println!("\nHost-side SPH weak scaling ({per_rank} particles/rank, CPU s per steady step):");
-    let host_rows: Vec<Vec<String>> = host
-        .iter()
-        .map(|r| {
-            vec![
-                r.ranks.to_string(),
-                r.particles.to_string(),
-                format!("{:.3}", r.cpu_s_per_rank_step),
-                format!("{:.3}", r.cpu_norm),
-            ]
-        })
-        .collect();
-    print_table(&["ranks", "particles", "cpu s/step", "norm"], &host_rows);
+    print_host_scaling("weak scaling", args.check);
 
-    cli.maybe_write_json(&data);
+    to_json(&data)
 }

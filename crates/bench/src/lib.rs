@@ -1,30 +1,25 @@
-//! # bench — regenerators for every table and figure of the paper
+//! # bench — the paper's exhibits and the `BENCH_*.json` generators
 //!
-//! One binary per exhibit (run with `cargo run --release -p bench --bin
-//! <name>`):
+//! Every table, figure, ablation and extension is one entry of the
+//! [`EXHIBITS`] registry (`crates/bench/src/exhibits/<id>.rs`), run by the
+//! single `exhibit` binary:
 //!
-//! | binary    | paper exhibit |
-//! |-----------|---------------|
-//! | `table1`  | Table I — simulation and computing system parameters |
-//! | `fig1`    | Fig. 1 — language efficiency vs time-to-solution (background, from ref. \[9\]) |
-//! | `fig2`    | Fig. 2 — tuned best-EDP frequency per SPH-EXA function |
-//! | `fig3`    | Fig. 3 — PMT vs Slurm energy validation, 8–48 GPUs / 16–96 GCDs |
-//! | `fig4`    | Fig. 4 — energy breakdown by device |
-//! | `fig5`    | Fig. 5 — energy breakdown by SPH-EXA function |
-//! | `fig6`    | Fig. 6 — EDP vs static frequency across particle counts |
-//! | `fig7`    | Fig. 7 — time / energy / EDP: static vs DVFS vs ManDyn |
-//! | `fig8`    | Fig. 8 — per-function time / energy / EDP vs static frequency |
-//! | `fig9`    | Fig. 9 — DVFS clock trace over 10 time-steps |
-//! | `ablation_exec_model` | design ablation: roofline vs naive 1/f execution model |
-//! | `ablation_sampling`   | design ablation: energy error vs sensor sampling period |
-//! | `ablation_governor`   | design ablation: launch-boost governor vs utilization-only |
+//! ```sh
+//! cargo run --release -p bench --bin exhibit -- --list
+//! cargo run --release -p bench --bin exhibit -- fig7 --json fig7.json
+//! cargo run --release -p bench --bin exhibit -- all   # results/<id>.json
+//! ```
 //!
-//! Each binary prints the figure's rows/series as text and, when `--json
-//! <path>` is passed, also writes the underlying data as JSON.
+//! An exhibit prints its rows/series as text and returns the underlying data
+//! as a JSON document; parsing flags, the banner and writing `--json` belong
+//! to the driver. The four `bench_*` binaries own the checked-in
+//! `BENCH_*.json` artifacts and share this crate's [`Cli`].
+
+pub mod exhibits;
+pub use exhibits::{Args, Exhibit, EXHIBITS};
 
 use freqscale::{ExperimentSpec, FreqPolicy, WorkloadKind};
 use ranks::CommCost;
-use sph::Kernel;
 
 /// Laptop-scale lattice size used by the figure regenerators: large enough
 /// for healthy neighbor statistics on every rank, small enough to keep every
@@ -41,19 +36,19 @@ pub fn paper_450cubed() -> f64 {
 
 /// Standard miniHPC single-GPU turbulence spec (Figs. 2, 6–9).
 pub fn minihpc_spec(policy: FreqPolicy, steps: usize, target: f64) -> ExperimentSpec {
-    let mut spec = ExperimentSpec::minihpc_turbulence(policy, steps);
-    spec.workload = WorkloadKind::Turbulence {
-        n_side: PHYSICS_N_SIDE,
-        mach: 0.3,
-        seed: 42,
-    };
-    spec.target_particles_per_rank = target;
-    spec.kernel = Kernel::CubicSpline;
-    spec.comm = CommCost::default();
-    spec
+    ExperimentSpec {
+        workload: WorkloadKind::Turbulence {
+            n_side: PHYSICS_N_SIDE,
+            mach: 0.3,
+            seed: 42,
+        },
+        target_particles_per_rank: target,
+        ..ExperimentSpec::minihpc_turbulence(policy, steps)
+    }
 }
 
-/// Production-system spec for the validation/breakdown figures (Figs. 3–5).
+/// Production-system spec for the validation/breakdown figures (Figs. 3–5)
+/// and every multi-rank exhibit: the miniHPC defaults on another system.
 pub fn production_spec(
     system: archsim::SystemSpec,
     ranks: usize,
@@ -65,27 +60,8 @@ pub fn production_spec(
         system,
         ranks,
         workload,
-        steps,
-        policy: FreqPolicy::Baseline,
         target_particles_per_rank: target,
-        setup: archsim::SimDuration::from_secs(2),
-        comm: CommCost::default(),
-        kernel: Kernel::CubicSpline,
-        target_neighbors: 40,
-        collect_trace: false,
-        slurm_gpu_freq: None,
-        slurm_cpu_freq_khz: None,
-        report_dir: None,
-        power_cap_w: None,
-        table_store: None,
-        memory_clock: None,
-        faults: None,
-        scenario: None,
-        checkpoint_dir: None,
-        checkpoint_every: 0,
-        restore_from: None,
-        repart_skew_threshold: None,
-        halo_overlap: true,
+        ..ExperimentSpec::minihpc_turbulence(FreqPolicy::Baseline, steps)
     }
 }
 
@@ -96,9 +72,13 @@ pub fn n_side_for_ranks(ranks: usize) -> usize {
     (total_needed.cbrt().ceil() as usize).max(PHYSICS_N_SIDE)
 }
 
+/// The flags every binary of this crate understands.
+const FLAGS: &str = "[--steps N] [--json PATH] [--force] [--check]";
+
 /// Tiny CLI: `--steps N`, `--json PATH`, `--force` and `--check` are
 /// understood by every binary. `--check` is the CI smoke mode: run a single
 /// rep and never (re)write a checked-in artifact.
+#[derive(Debug)]
 pub struct Cli {
     pub steps: usize,
     pub json: Option<String>,
@@ -107,59 +87,69 @@ pub struct Cli {
 }
 
 impl Cli {
+    /// The process's own flags with the global [`DEFAULT_STEPS`]; a flag
+    /// that does not parse prints the reason and the usage line, exit 2.
     pub fn parse() -> Cli {
-        let args: Vec<String> = std::env::args().collect();
-        let mut steps = DEFAULT_STEPS;
+        let args: Vec<String> = std::env::args().skip(1).collect();
+        Cli::parse_from(&args, DEFAULT_STEPS).unwrap_or_else(|msg| usage_exit(&msg, FLAGS))
+    }
+
+    /// Parse `args` (the flags only, no program name). `--steps` is
+    /// optional: absent, `steps` is the caller's `default_steps`; given, it
+    /// is honoured whatever its value.
+    pub fn parse_from(args: &[String], default_steps: usize) -> Result<Cli, String> {
+        let mut steps = None;
         let mut json = None;
         let mut force = false;
         let mut check = false;
-        let mut i = 1;
-        while i < args.len() {
-            match args[i].as_str() {
+        let mut it = args.iter();
+        while let Some(arg) = it.next() {
+            match arg.as_str() {
                 "--steps" => {
-                    steps = args
-                        .get(i + 1)
-                        .and_then(|s| s.parse().ok())
-                        .unwrap_or_else(|| panic!("--steps needs a number"));
-                    i += 2;
-                }
-                "--json" => {
-                    json = Some(
-                        args.get(i + 1)
-                            .unwrap_or_else(|| panic!("--json needs a path"))
-                            .clone(),
+                    let v = it.next().ok_or("--steps needs a number")?;
+                    steps = Some(
+                        v.parse()
+                            .map_err(|_| format!("--steps needs a number, got {v:?}"))?,
                     );
-                    i += 2;
                 }
-                "--force" => {
-                    force = true;
-                    i += 1;
-                }
-                "--check" => {
-                    check = true;
-                    i += 1;
-                }
-                other => panic!(
-                    "unknown argument {other:?} (expected --steps N / --json PATH / --force / --check)"
-                ),
+                "--json" => json = Some(it.next().ok_or("--json needs a path")?.clone()),
+                "--force" => force = true,
+                "--check" => check = true,
+                other => return Err(format!("unknown argument {other:?}")),
             }
         }
-        Cli {
-            steps,
+        Ok(Cli {
+            steps: steps.unwrap_or(default_steps),
             json,
             force,
             check,
-        }
+        })
     }
 
     /// Write `data` as pretty JSON when `--json` was given.
     pub fn maybe_write_json<T: serde::Serialize>(&self, data: &T) {
+        self.maybe_write_json_text(&to_json(data));
+    }
+
+    /// Write an already rendered JSON document when `--json` was given.
+    pub fn maybe_write_json_text(&self, body: &str) {
         if let Some(path) = &self.json {
-            let body = serde_json::to_string_pretty(data).expect("serializable");
             std::fs::write(path, body).unwrap_or_else(|e| panic!("writing {path}: {e}"));
             eprintln!("wrote {path}");
         }
     }
+}
+
+/// Print `msg` and the usage line for `flags` to stderr, then exit 2.
+pub fn usage_exit(msg: &str, flags: &str) -> ! {
+    let exe = std::env::args().next().unwrap_or_default();
+    eprintln!("error: {msg}\nusage: {exe} {flags}");
+    std::process::exit(2);
+}
+
+/// Pretty JSON, the form every `--json` file of this crate has.
+pub fn to_json<T: serde::Serialize>(data: &T) -> String {
+    serde_json::to_string_pretty(data).expect("serializable")
 }
 
 /// Guard for checked-in scaling artifacts: multi-worker timings measured on
@@ -333,6 +323,11 @@ pub fn print_table(headers: &[&str], rows: &[Vec<String>]) {
     }
 }
 
+/// [`print_table`] with one row per item of `data`.
+pub fn print_rows<T>(headers: &[&str], data: &[T], row: impl Fn(&T) -> Vec<String>) {
+    print_table(headers, &data.iter().map(row).collect::<Vec<_>>());
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -348,6 +343,32 @@ mod tests {
         assert!(refuse_single_core_overwrite(8, true, false).is_ok());
         let msg = refuse_single_core_overwrite(1, true, false).unwrap_err();
         assert!(msg.contains("--force"), "message must name the override");
+    }
+
+    fn flags(args: &[&str]) -> Vec<String> {
+        args.iter().map(|a| a.to_string()).collect()
+    }
+
+    #[test]
+    fn steps_default_is_the_callers_and_an_explicit_value_always_wins() {
+        assert_eq!(Cli::parse_from(&[], 10).unwrap().steps, 10);
+        // Fig. 9's case: asking for the *global* default must not be
+        // mistaken for "not given" and replaced by the entry's own.
+        let cli = Cli::parse_from(&flags(&["--steps", "8", "--check"]), 10).unwrap();
+        assert_eq!(cli.steps, DEFAULT_STEPS);
+        assert!(cli.check && !cli.force && cli.json.is_none());
+        let cli = Cli::parse_from(&flags(&["--json", "out.json", "--force"]), 8).unwrap();
+        assert_eq!(cli.json.as_deref(), Some("out.json"));
+        assert!(cli.force && !cli.check);
+    }
+
+    #[test]
+    fn bad_flags_are_errors_not_panics() {
+        let err = |args: &[&str]| Cli::parse_from(&flags(args), 8).unwrap_err();
+        assert!(err(&["--jobs"]).contains("unknown argument \"--jobs\""));
+        assert!(err(&["--steps"]).contains("--steps needs a number"));
+        assert!(err(&["--check", "--json"]).contains("--json needs a path"));
+        assert!(err(&["--steps", "x"]).contains("got \"x\""));
     }
 
     #[test]

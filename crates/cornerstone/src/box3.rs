@@ -47,11 +47,6 @@ impl Box3 {
         self.zmax - self.zmin
     }
 
-    /// Longest edge.
-    pub fn max_extent(&self) -> f64 {
-        self.lx().max(self.ly()).max(self.lz())
-    }
-
     /// True if `(x, y, z)` lies inside (closed) bounds.
     pub fn contains(&self, x: f64, y: f64, z: f64) -> bool {
         x >= self.xmin
@@ -134,7 +129,6 @@ mod tests {
         assert_eq!(b.lx(), 1.0);
         assert!(b.contains(0.5, 0.5, 0.5));
         assert!(!b.contains(1.5, 0.5, 0.5));
-        assert_eq!(b.max_extent(), 1.0);
     }
 
     #[test]

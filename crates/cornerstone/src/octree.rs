@@ -119,14 +119,6 @@ impl Octree {
         self.leaves.partition_point(|&b| b <= key) - 1
     }
 
-    /// Deepest leaf level in the tree.
-    pub fn max_depth(&self) -> u32 {
-        (0..self.len())
-            .map(|i| self.leaf_level(i))
-            .max()
-            .unwrap_or(0)
-    }
-
     /// Check all structural invariants (used by property tests and after
     /// exchanges). Returns a human-readable violation if any.
     pub fn validate(&self, n_particles: usize) -> Result<(), String> {
@@ -279,7 +271,8 @@ mod tests {
         keys.sort_unstable();
         let t = Octree::build(&keys, 32);
         t.validate(keys.len()).unwrap();
-        assert!(t.max_depth() > 5, "cluster must force deep refinement");
+        let deepest = (0..t.len()).map(|i| t.leaf_level(i)).max();
+        assert!(deepest > Some(5), "cluster must force deep refinement");
     }
 
     #[test]

@@ -1,11 +1,11 @@
-//! # nvml-shim — NVML/rocm-smi-shaped control plane over simulated GPUs
+//! # nvml-shim — NVML-shaped control plane over simulated GPUs
 //!
 //! The paper's contribution is instrumentation that calls
 //! `nvmlDeviceSetApplicationsClocks` before each computational kernel
 //! (§III-D). This crate reproduces the relevant slice of the NVML surface —
 //! device handles, power/energy/clock/utilization queries, applications-clock
-//! control, clocks-event reasons — plus the rocm-smi equivalents used on
-//! LUMI-G, all over [`archsim`] devices.
+//! control, clocks-event reasons — over [`archsim`] devices. LUMI-G's AMD
+//! GCDs are driven through the same handles: the devices are vendor-neutral.
 //!
 //! ```
 //! use archsim::{GpuDevice, GpuSpec};
@@ -23,7 +23,6 @@
 
 pub mod device;
 pub mod error;
-pub mod rocm;
 
 use std::sync::Arc;
 
@@ -33,7 +32,6 @@ use archsim::GpuDevice;
 
 pub use device::{clocks_event_reasons, ClockType, NvmlDevice, TemperatureSensor, Utilization};
 pub use error::NvmlError;
-pub use rocm::{RocmSmi, RsmiError};
 
 /// The NVML library handle (`nvmlInit_v2` equivalent). Owns the node's device
 /// registry for the lifetime of the session.
@@ -66,12 +64,6 @@ impl Nvml {
                 index,
                 count: self.devices.len(),
             })
-    }
-
-    /// `nvmlSystemGetDriverVersion` equivalent: the simulator's version
-    /// string, so monitoring stacks have something to log.
-    pub fn driver_version(&self) -> String {
-        format!("archsim-nvml {}", env!("CARGO_PKG_VERSION"))
     }
 
     /// All device handles.
@@ -287,7 +279,6 @@ mod tests {
         assert_eq!(a.uuid(), nvml.device_by_index(0).unwrap().uuid(), "stable");
         assert_ne!(a.uuid(), b.uuid(), "distinct per index");
         assert!(a.uuid().starts_with("GPU-"));
-        assert!(nvml.driver_version().starts_with("archsim-nvml"));
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //!
 //! * [`archsim`] — CPU+GPU node architecture simulator (roofline execution,
 //!   DVFS power model, boost governor, virtual time);
-//! * [`nvml_shim`] — NVML/rocm-smi-shaped device control plane;
+//! * [`nvml_shim`] — NVML-shaped device control plane;
 //! * [`pm_counters`] — HPE/Cray 10 Hz out-of-band node energy counters;
 //! * [`pmt`] — Power Measurement Toolkit (sensor trait + backends);
 //! * [`ranks`] — MPI-like rank runtime with virtual-clock collectives;
