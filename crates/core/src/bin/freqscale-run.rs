@@ -8,6 +8,11 @@
 //! (`freqscale::run_experiments`); the merged report is a JSON array in spec
 //! order.
 //!
+//! A spec is refused before any work by the library's checks alone:
+//! `ExperimentSpec::validate` (every path a spec names included) and
+//! `freqscale::shared_checkpoint_dir`. The `--print-*template` flags print
+//! the checked-in `specs/minihpc_{baseline,online,predictive}.json`.
+//!
 //! ```sh
 //! cargo run --release -p freqscale --bin freqscale-run -- --print-template > spec.json
 //! # edit spec.json ...
@@ -16,40 +21,7 @@
 //! cargo run --release -p freqscale --bin freqscale-report -- report.json
 //! ```
 
-use freqscale::{run_experiments, ExperimentSpec, FreqPolicy};
-use online::{OnlineTunerConfig, PredictiveConfig};
-
-fn template() -> ExperimentSpec {
-    let mut spec = ExperimentSpec::minihpc_turbulence(FreqPolicy::Baseline, 10);
-    spec.collect_trace = true;
-    spec
-}
-
-/// Online-ManDyn starter spec: the in-run tuner with default search
-/// parameters, a power trace for cap auditing, and a table store so repeat
-/// runs warm-start.
-fn online_template() -> ExperimentSpec {
-    let mut spec = ExperimentSpec::minihpc_turbulence(
-        FreqPolicy::ManDynOnline(OnlineTunerConfig::default()),
-        40,
-    );
-    spec.collect_trace = true;
-    spec.table_store = Some(std::path::PathBuf::from("freqscale-tables"));
-    spec
-}
-
-/// Predictive-ManDyn starter spec: probe-fit-jump tuning with the memory
-/// P-state axis open, plus a table store so fitted coefficients persist and
-/// repeat runs skip even the probe phase.
-fn predictive_template() -> ExperimentSpec {
-    let mut spec = ExperimentSpec::minihpc_turbulence(
-        FreqPolicy::ManDynPredictive(PredictiveConfig { tune_memory: true }),
-        40,
-    );
-    spec.collect_trace = true;
-    spec.table_store = Some(std::path::PathBuf::from("freqscale-tables"));
-    spec
-}
+use freqscale::{run_experiments, shared_checkpoint_dir, ExperimentSpec};
 
 fn usage() -> ! {
     eprintln!(
@@ -129,25 +101,23 @@ fn main() {
                 }
                 fault_profile = Some(profile);
             }
+            // The checked-in starter specs: each asks for a power trace, and
+            // the two tuners' specs name a table store so repeat runs warm-start.
             "--print-template" => {
-                println!(
+                print!(
                     "{}",
-                    serde_json::to_string_pretty(&template()).expect("template serializes")
+                    include_str!("../../../../specs/minihpc_baseline.json")
                 );
                 return;
             }
             "--print-online-template" => {
-                println!(
-                    "{}",
-                    serde_json::to_string_pretty(&online_template()).expect("template serializes")
-                );
+                print!("{}", include_str!("../../../../specs/minihpc_online.json"));
                 return;
             }
             "--print-predictive-template" => {
-                println!(
+                print!(
                     "{}",
-                    serde_json::to_string_pretty(&predictive_template())
-                        .expect("template serializes")
+                    include_str!("../../../../specs/minihpc_predictive.json")
                 );
                 return;
             }
@@ -251,52 +221,19 @@ fn main() {
                 spec.restore_from = Some(dir.clone());
             }
             // Anything that parses but cannot run (no ranks, an undersized
-            // workload, an off-table memory clock, a refused tuner config)
-            // is a spec error here, not a panic inside a rank thread.
+            // workload, an off-table memory clock, a refused tuner config,
+            // an unwritable directory, a restore point it cannot resume) is
+            // a spec error here, not a panic inside a rank thread.
             spec.validate()
                 .unwrap_or_else(|e| fail(format!("spec {path}: {e}")));
             spec
         })
         .collect();
-    // Checkpoint/restore failure modes surface here, before any simulation
-    // work: an unwritable or shared checkpoint directory or a missing /
-    // mismatched restore point is a clean CLI error, not a mid-run panic.
-    let mut checkpointing: Vec<(std::path::PathBuf, &str)> = Vec::new();
-    for (path, spec) in positional.iter().zip(&specs) {
-        if let Some(dir) = &spec.checkpoint_dir {
-            if let Err(e) = std::fs::create_dir_all(dir) {
-                fail(format!(
-                    "checkpoint dir {} is not writable: {e}",
-                    dir.display()
-                ));
-            }
-            let probe = dir.join(format!(".probe.{}", std::process::id()));
-            match std::fs::write(&probe, b"probe") {
-                Ok(()) => {
-                    let _ = std::fs::remove_file(&probe);
-                }
-                Err(e) => fail(format!(
-                    "checkpoint dir {} is not writable: {e}",
-                    dir.display()
-                )),
-            }
-            // Two specs' blobs would share temp names and tear each other,
-            // or one's device stage would re-commit the other's manifests
-            // under its own spec hash.
-            let canonical = std::fs::canonicalize(dir).unwrap_or_else(|_| dir.clone());
-            if let Some((_, first)) = checkpointing.iter().find(|(d, _)| *d == canonical) {
-                fail(format!(
-                    "specs {first} and {path} both checkpoint to {}",
-                    dir.display()
-                ));
-            }
-            checkpointing.push((canonical, path));
-        }
-        if let Some(dir) = &spec.restore_from {
-            if let Err(e) = freqscale::RestorePoint::discover(dir, spec) {
-                fail(format!("--restore {}: {e}", dir.display()));
-            }
-        }
+    // `run_experiments` would panic on these; refuse them cleanly.
+    if let Some((a, b)) = shared_checkpoint_dir(&specs) {
+        let dir = specs[b].checkpoint_dir.as_ref().expect("a shared dir");
+        let (a, b, dir) = (&positional[a], &positional[b], dir.display());
+        fail(format!("specs {a} and {b} both checkpoint to {dir}"));
     }
     for spec in &specs {
         eprintln!(

@@ -234,7 +234,8 @@ pub struct RestorePoint {
 
 impl RestorePoint {
     /// Locate the newest committed checkpoint under `dir` and validate its
-    /// manifest against the spec (physics-identity hash and rank count).
+    /// manifest against the spec (physics-identity hash and rank count) and
+    /// its splits against the rank world they partition.
     pub fn discover(dir: &Path, spec: &ExperimentSpec) -> Result<Self, String> {
         let checkpoint = latest_checkpoint(dir)
             .ok_or_else(|| format!("no committed checkpoint found under {}", dir.display()))?;
@@ -256,6 +257,20 @@ impl RestorePoint {
                 manifest.spec_hash,
                 expect
             ));
+        }
+        // Every rank adopts these splits; `Assignment::from_splits` asserts
+        // the rule inside the rank threads.
+        if let Some(splits) = &manifest.splits {
+            if splits.len() != spec.ranks + 1 {
+                return Err(format!(
+                    "checkpoint {} holds {} splits for {} ranks",
+                    checkpoint.display(),
+                    splits.len(),
+                    spec.ranks
+                ));
+            }
+            cornerstone::Assignment::try_from_splits(splits.clone())
+                .map_err(|e| format!("checkpoint {}: {e}", checkpoint.display()))?;
         }
         Ok(RestorePoint {
             dir: checkpoint,
@@ -310,7 +325,7 @@ mod tests {
             ranks: spec.ranks,
             spec_hash: spec_hash(spec),
             workload: spec.workload.name().to_string(),
-            splits: Some(vec![0, u64::MAX]),
+            splits: Some(vec![0, cornerstone::KEY_END]),
             learned_table: Default::default(),
             models: Default::default(),
         }
@@ -390,6 +405,32 @@ mod tests {
         reranked.ranks = 2;
         let err = RestorePoint::discover(&dir, &reranked).expect_err("must refuse");
         assert!(err.contains("ranks"), "{err}");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn splits_no_rank_world_can_adopt_are_refused() {
+        use cornerstone::KEY_END;
+        let dir = tmpdir("splits");
+        let mut spec = ExperimentSpec::minihpc_turbulence(FreqPolicy::Baseline, 10);
+        spec.ranks = 2;
+        let ck = Checkpointer::new(&dir, 5, spec_hash(&spec));
+        ck.prepare(5);
+        let mut m = manifest(5, &spec);
+        for (splits, want) in [
+            (vec![0, KEY_END], "holds 2 splits for 2 ranks"),
+            (vec![0, KEY_END, KEY_END / 2], "must run from 0 to KEY_END"),
+            (vec![KEY_END / 2, 0, KEY_END], "must run from 0 to KEY_END"),
+            (vec![0, u64::MAX, KEY_END], "must be sorted"),
+        ] {
+            m.splits = Some(splits);
+            ck.commit(&m);
+            let err = RestorePoint::discover(&dir, &spec).expect_err("must refuse");
+            assert!(err.contains(want), "{err}");
+        }
+        m.splits = Some(vec![0, KEY_END / 2, KEY_END]);
+        ck.commit(&m);
+        assert!(RestorePoint::discover(&dir, &spec).is_ok());
         let _ = fs::remove_dir_all(&dir);
     }
 

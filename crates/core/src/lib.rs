@@ -58,8 +58,8 @@ pub use instrument::EnergyInstrument;
 pub use policy::{paper_mandyn_table, tune_table, FreqPolicy, FreqTable};
 pub use report::{ExperimentResult, FunctionReport, NodeBreakdown, RankReport};
 pub use runner::{
-    physics_groups, run_experiment, run_experiment_warm, run_experiments, ExperimentSpec,
-    WorkloadKind,
+    physics_groups, run_experiment, run_experiment_warm, run_experiments, shared_checkpoint_dir,
+    ExperimentSpec, WorkloadKind,
 };
 pub use scenario::{system_for_device, workload_for, SCENARIOS};
 pub use serving::ExperimentExecutor;

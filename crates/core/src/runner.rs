@@ -257,6 +257,14 @@ impl ExperimentSpec {
     /// a panic inside the runner or a rank thread. Every spec entry point —
     /// `freqscale-run`, `freqscale-matrix`, the serving executor — calls
     /// this (after [`ExperimentSpec::resolve_scenario`]) before any work.
+    ///
+    /// It checks the node, the run's sizes and bounds, the memory and Slurm
+    /// clocks, the power cap, the fault profile, the tuner config, that
+    /// `restore_from` holds a checkpoint this spec resumes
+    /// ([`RestorePoint::discover`]), and last that `table_store`,
+    /// `report_dir` and `checkpoint_dir` can be created (they stay) and
+    /// written. Two specs sharing a checkpoint directory are a batch's
+    /// error: [`shared_checkpoint_dir`].
     pub fn validate(&self) -> Result<(), String> {
         // An embedded system deserializes unchecked, and the node model
         // divides by its device counts and clocks from its tables.
@@ -391,16 +399,26 @@ impl ExperimentSpec {
         self.policy
             .tuner(&self.system.node.gpu)
             .map_err(|e| e.to_string())?;
+        // `run_group` and the ranks panic on a restore point they cannot use.
+        if let Some(dir) = &self.restore_from {
+            RestorePoint::discover(dir, self)
+                .map_err(|e| format!("restore_from {}: {e}", dir.display()))?;
+        }
         // Last, so a spec refused above creates nothing: the run creates
-        // these directories anyway, and one it cannot create would panic at
-        // the start (table store) or after the whole run (reports).
+        // these directories anyway, and one it cannot write would panic at
+        // the start, at a checkpoint or after the whole run.
         for (field, dir) in [
             ("table_store", &self.table_store),
             ("report_dir", &self.report_dir),
+            ("checkpoint_dir", &self.checkpoint_dir),
         ] {
             if let Some(dir) = dir {
+                let probe = dir.join(format!(".probe.{}", std::process::id()));
                 std::fs::create_dir_all(dir)
-                    .map_err(|e| format!("{field} {}: {e}", dir.display()))?;
+                    .and_then(|()| std::fs::write(&probe, b""))
+                    .map_err(|e| format!("{field} {}: not writable: {e}", dir.display()))?;
+                // A concurrent probe of the same directory may be first.
+                let _ = std::fs::remove_file(&probe);
             }
         }
         Ok(())
@@ -504,9 +522,9 @@ fn checkpointer(spec: &ExperimentSpec) -> Option<Checkpointer> {
 /// in order.
 fn run_group(specs: &[&ExperimentSpec], external: Option<&WarmState>) -> Vec<ExperimentResult> {
     let lead = specs[0];
-    // Every manifest is validated up front (the CLI has already turned a
-    // mismatch into a clean error; a programmatic caller gets the panic),
-    // so each member resumes from the checkpoint the physics restores.
+    // Every manifest is validated up front (`ExperimentSpec::validate` has
+    // turned a mismatch into an error; a caller that skipped it gets the
+    // panic), so each member resumes from the checkpoint the physics restores.
     let restores: Vec<Option<RestorePoint>> = specs
         .iter()
         .map(|spec| {
@@ -1024,6 +1042,23 @@ pub fn physics_groups(specs: &[ExperimentSpec]) -> Vec<Vec<usize>> {
     groups
 }
 
+/// The first two specs, by index, whose `checkpoint_dir`s are one directory
+/// once canonicalized: their blobs would tear each other, or one's device
+/// stage would re-commit the other's manifests under its own spec hash.
+pub fn shared_checkpoint_dir(specs: &[ExperimentSpec]) -> Option<(usize, usize)> {
+    let mut seen: Vec<(PathBuf, usize)> = Vec::new();
+    for (i, spec) in specs.iter().enumerate() {
+        if let Some(dir) = &spec.checkpoint_dir {
+            let canonical = std::fs::canonicalize(dir).unwrap_or_else(|_| dir.clone());
+            if let Some(&(_, first)) = seen.iter().find(|(d, _)| *d == canonical) {
+                return Some((first, i));
+            }
+            seen.push((canonical, i));
+        }
+    }
+    None
+}
+
 /// Run several experiments, at most `jobs` groups at a time (`0` means the
 /// `par` layer's default worker count), and return the results in spec
 /// order. Every result is identical to what [`run_experiment`] returns for
@@ -1039,7 +1074,14 @@ pub fn physics_groups(specs: &[ExperimentSpec]) -> Vec<Vec<usize>> {
 /// `jobs` says, so a later spec warm-starts from what an earlier one saved.
 /// The groups share the machine: their data-parallel sweeps split `par`'s
 /// worker count between the jobs (see [`par::par_map_threads`]).
+///
+/// Panics, before any stage runs, on two specs that share a checkpoint
+/// directory ([`shared_checkpoint_dir`]).
 pub fn run_experiments(specs: &[ExperimentSpec], jobs: usize) -> Vec<ExperimentResult> {
+    if let Some((a, b)) = shared_checkpoint_dir(specs) {
+        let dir = specs[b].checkpoint_dir.as_ref().expect("a shared dir");
+        panic!("specs {a} and {b} both checkpoint to {}", dir.display());
+    }
     let threads = match jobs {
         _ if specs.iter().any(has_side_effects) => 1,
         0 => par::max_threads(),
@@ -1140,6 +1182,95 @@ mod tests {
         spec.workload = turbulence(MAX_N_SIDE + 1);
         let err = spec.validate().unwrap_err();
         assert!(err.contains("n_side must be at most 128"), "{err}");
+    }
+
+    #[test]
+    fn validate_checks_the_checkpoint_dir_and_the_restore_point() {
+        let tmp = std::env::temp_dir().join(format!("freqscale-spec-paths-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&tmp);
+        std::fs::create_dir_all(&tmp).unwrap();
+        let file = tmp.join("file");
+        std::fs::write(&file, b"").unwrap();
+        let mut spec = ExperimentSpec::minihpc_turbulence(FreqPolicy::Baseline, 1);
+        spec.workload = WorkloadKind::Turbulence {
+            n_side: 6,
+            mach: 0.3,
+            seed: 1,
+        };
+        spec.target_neighbors = 30;
+        // A directory under a regular file cannot be created.
+        let under = file.join("ckpt");
+        let err = ExperimentSpec {
+            checkpoint_dir: Some(under.clone()),
+            ..spec.clone()
+        }
+        .validate()
+        .unwrap_err();
+        let want = format!("checkpoint_dir {}: not writable: ", under.display());
+        assert!(err.starts_with(&want), "{err}");
+        // A restore point that is not there, or that another spec committed.
+        let ckpt = tmp.join("ckpt");
+        let restore = |spec: &ExperimentSpec| ExperimentSpec {
+            restore_from: Some(ckpt.clone()),
+            ..spec.clone()
+        };
+        let err = restore(&spec).validate().unwrap_err();
+        assert!(err.contains("no committed checkpoint"), "{err}");
+        run_experiment(&ExperimentSpec {
+            checkpoint_dir: Some(ckpt.clone()),
+            checkpoint_every: 1,
+            ..spec.clone()
+        });
+        assert_eq!(restore(&spec).validate(), Ok(()));
+        let other = ExperimentSpec {
+            target_neighbors: 32,
+            ..spec.clone()
+        };
+        let err = restore(&other).validate().unwrap_err();
+        assert!(err.contains("different experiment"), "{err}");
+        let _ = std::fs::remove_dir_all(&tmp);
+    }
+
+    #[test]
+    fn run_experiments_refuses_two_specs_sharing_a_checkpoint_dir() {
+        let dir =
+            std::env::temp_dir().join(format!("freqscale-shared-ckpt-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        // Two spellings of one directory, around a spec that names none.
+        let spelled = dir.join("..").join(dir.file_name().unwrap());
+        let spec = ExperimentSpec {
+            checkpoint_dir: Some(dir.clone()),
+            checkpoint_every: 1,
+            ..ExperimentSpec::minihpc_turbulence(FreqPolicy::Baseline, 1)
+        };
+        let specs = [
+            spec.clone(),
+            ExperimentSpec {
+                checkpoint_dir: None,
+                ..spec.clone()
+            },
+            ExperimentSpec {
+                checkpoint_dir: Some(spelled.clone()),
+                steps: 2,
+                ..spec
+            },
+        ];
+        assert_eq!(shared_checkpoint_dir(&specs), Some((0, 2)));
+        assert_eq!(shared_checkpoint_dir(&specs[..2]), None);
+        let panic = std::panic::catch_unwind(|| run_experiments(&specs, 2)).unwrap_err();
+        assert_eq!(
+            panic.downcast_ref::<String>().map(String::as_str),
+            Some(&*format!(
+                "specs 0 and 2 both checkpoint to {}",
+                spelled.display()
+            ))
+        );
+        assert!(
+            std::fs::read_dir(&dir).unwrap().next().is_none(),
+            "no checkpoint may be written"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -8,8 +8,10 @@
 //! [`crate::runner::run_experiment_warm`] with the leased warm state. A
 //! submitted spec's own `table_store` is dropped at parse: the daemon's
 //! table server is the only warm-state store a served job reads or writes,
-//! so its per-key versions have one writer. A spec that names a
-//! `checkpoint_dir` is refused at submission.
+//! so its per-key versions have one writer. A served spec names no other
+//! path: one that names a `checkpoint_dir`, `report_dir` or `restore_from`
+//! is refused at submission, before [`ExperimentSpec::validate`] would
+//! create or read it, so the daemon touches no path a client chose.
 //!
 //! The `freqscale-serve` and `freqscale-submit` binaries are thin wrappers
 //! around this module plus `serve::daemon`/`serve::client`.
@@ -40,15 +42,21 @@ impl ExperimentExecutor {
 impl Executor for ExperimentExecutor {
     fn validate(&self, spec_json: &str) -> Result<JobMeta, String> {
         let spec = Self::parse(spec_json)?;
-        // A submission cannot choose a directory for the daemon to write,
-        // and two jobs of one spec would write the same one.
-        if spec.checkpoint_dir.is_some() {
-            return Err("checkpoint_dir is not accepted from a served spec".into());
+        // A submission cannot choose a path for the daemon to create, read
+        // or write, and two jobs of one spec would write the same one.
+        // Refused before `validate`, which creates the directories it checks.
+        for (field, path) in [
+            ("checkpoint_dir", &spec.checkpoint_dir),
+            ("report_dir", &spec.report_dir),
+            ("restore_from", &spec.restore_from),
+        ] {
+            if path.is_some() {
+                return Err(format!("{field} is not accepted from a served spec"));
+            }
         }
         // Refuse obviously broken submissions before they occupy a queue
-        // slot. Runtime chaos (a checkpoint gone by the time the job runs,
-        // faults firing mid-run) is the worker's problem and is contained
-        // there.
+        // slot. Runtime chaos (faults firing mid-run) is the worker's
+        // problem and is contained there.
         spec.validate()?;
         // `validate` accepted the tuner config; this build only answers
         // whether the policy learns at all.
@@ -213,13 +221,23 @@ mod tests {
             .validate(&serde_json::to_string(&spec).unwrap())
             .unwrap_err();
         assert!(err.starts_with("fault profile:"), "{err}");
-        // A checkpoint directory is the daemon's to choose, not the client's.
-        let mut spec = online_spec();
-        spec.checkpoint_dir = Some(std::env::temp_dir().join("freqscale-served-ckpt"));
-        let err = ExperimentExecutor
-            .validate(&serde_json::to_string(&spec).unwrap())
-            .unwrap_err();
-        assert!(err.contains("checkpoint_dir"), "{err}");
+        // A path is the daemon's to choose, not the client's, and a refused
+        // one is neither created nor read.
+        let dir = std::env::temp_dir().join(format!("freqscale-served-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        for field in ["checkpoint_dir", "report_dir", "restore_from"] {
+            let mut spec = online_spec();
+            match field {
+                "checkpoint_dir" => spec.checkpoint_dir = Some(dir.clone()),
+                "report_dir" => spec.report_dir = Some(dir.clone()),
+                _ => spec.restore_from = Some(dir.clone()),
+            }
+            let err = ExperimentExecutor
+                .validate(&serde_json::to_string(&spec).unwrap())
+                .unwrap_err();
+            assert_eq!(err, format!("{field} is not accepted from a served spec"));
+            assert!(!dir.exists(), "{field}: {} was created", dir.display());
+        }
     }
 
     #[test]

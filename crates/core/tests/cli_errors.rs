@@ -540,6 +540,41 @@ fn restore_under_a_different_spec_is_refused() {
 }
 
 #[test]
+fn restore_from_a_manifest_with_malformed_splits_is_refused() {
+    // Every rank adopts the manifest's splits, and `Assignment::from_splits`
+    // asserts their rule inside a rank thread: discovery refuses them first.
+    let tmp = std::env::temp_dir().join(format!("freqscale-ckpt-splits-{}", std::process::id()));
+    let ckpt = tmp.join("checkpoints");
+    std::fs::create_dir_all(&tmp).unwrap();
+    let mut spec =
+        freqscale::ExperimentSpec::minihpc_turbulence(freqscale::FreqPolicy::Baseline, 2);
+    spec.ranks = 2;
+    let path = write_spec("ckpt-splits", &spec);
+    let path = path.to_str().unwrap();
+    let out = run(&[
+        path,
+        "--checkpoint-dir",
+        ckpt.to_str().unwrap(),
+        "--checkpoint-every",
+        "1",
+    ]);
+    assert_eq!(out.status.code(), Some(0), "stderr:\n{}", stderr(&out));
+
+    let step = freqscale::latest_checkpoint(&ckpt).expect("a committed checkpoint");
+    let mut manifest = freqscale::load_manifest(&step).unwrap();
+    let end = cornerstone::KEY_END;
+    assert_eq!(manifest.splits.as_ref().map(Vec::len), Some(3));
+    manifest.splits = Some(vec![0, end, end / 2]);
+    let body = serde_json::to_string_pretty(&manifest).unwrap();
+    std::fs::write(step.join("manifest.json"), body).unwrap();
+    let out = run(&[path, "--restore", ckpt.to_str().unwrap()]);
+    assert_clean_failure(&out, "splits must run from 0 to KEY_END");
+
+    let _ = std::fs::remove_file(path);
+    let _ = std::fs::remove_dir_all(&tmp);
+}
+
+#[test]
 fn no_arguments_prints_usage_exit_2() {
     let out = run(&[]);
     assert_eq!(out.status.code(), Some(2));

@@ -29,14 +29,22 @@ impl Assignment {
 
     /// Build directly from split keys (first must be 0, last `KEY_END`).
     pub fn from_splits(splits: Vec<u64>) -> Self {
-        assert!(splits.len() >= 2, "need at least one domain");
-        assert_eq!(splits[0], 0);
-        assert_eq!(*splits.last().unwrap(), KEY_END);
-        assert!(
-            splits.windows(2).all(|w| w[0] <= w[1]),
-            "splits must be sorted"
-        );
-        Assignment { splits }
+        Self::try_from_splits(splits).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`Assignment::from_splits`] for splits read from outside the run (a
+    /// checkpoint manifest): the same rule, a breach returned as an error.
+    pub fn try_from_splits(splits: Vec<u64>) -> Result<Self, String> {
+        if splits.len() < 2 {
+            return Err("splits must name at least one domain".to_string());
+        }
+        if splits[0] != 0 || splits[splits.len() - 1] != KEY_END {
+            return Err(format!("splits must run from 0 to KEY_END {KEY_END}"));
+        }
+        if !splits.windows(2).all(|w| w[0] <= w[1]) {
+            return Err("splits must be sorted".to_string());
+        }
+        Ok(Assignment { splits })
     }
 
     /// Number of domains.

@@ -1,7 +1,8 @@
 //! End-to-end acceptance for the experiment service (`crates/serve` +
 //! `ExperimentExecutor`): K concurrent same-key submissions share one
-//! exploration, queue overflow is rejected cleanly, and chaos (a killed job,
-//! a corrupt store entry) leaves the daemon serving.
+//! exploration, queue overflow is rejected cleanly, and chaos (a spec that
+//! names a missing restore point, a corrupt store entry) leaves the daemon
+//! serving. `crates/serve/tests/daemon.rs` holds a job that panics.
 
 use std::path::PathBuf;
 use std::sync::{Arc, Condvar, Mutex};
@@ -296,9 +297,9 @@ fn queue_overflow_rejects_queue_full_without_wedging() {
     handle.join();
 }
 
-/// ISSUE acceptance: chaos — a job killed mid-run (panicking executor) and
-/// a corrupt store entry — leaves the daemon accepting and completing new
-/// submissions.
+/// Chaos — a spec naming a restore point that is not
+/// there, and a corrupt store entry — leaves the daemon accepting and
+/// completing new submissions. The first is refused at submission.
 #[test]
 fn killed_job_and_corrupt_store_entry_leave_daemon_serving() {
     let store_dir = tmp("chaos-store");
@@ -322,8 +323,7 @@ fn killed_job_and_corrupt_store_entry_leave_daemon_serving() {
 
     let handle = start("chaos", 8, 2, Some(store_dir.clone()));
 
-    // Kill vector: passes validation, then dies inside the runner — the
-    // checkpoint it restores from is not there when the job runs.
+    // The checkpoint it restores from is not there.
     let mut killer = baseline_spec(2);
     killer.restore_from = Some(tmp("chaos-no-checkpoint"));
 
@@ -337,15 +337,10 @@ fn killed_job_and_corrupt_store_entry_leave_daemon_serving() {
     .expect("submit");
 
     let killed = results.iter().find(|r| r.name == "killer").unwrap();
-    assert!(!killed.ok, "a missing checkpoint must fail the job");
+    let reason = killed.rejected.as_deref().unwrap_or("");
     assert!(
-        killed
-            .error
-            .as_deref()
-            .unwrap_or("")
-            .contains("no committed checkpoint"),
-        "failure surfaces the panic message: {:?}",
-        killed.error
+        reason.starts_with("invalid_spec:") && reason.contains("restore_from"),
+        "a served spec names no restore point: {killed:?}"
     );
 
     // The corrupt entry cost one cold-start exploration, not a crash.
@@ -368,7 +363,8 @@ fn killed_job_and_corrupt_store_entry_leave_daemon_serving() {
     assert!(fresh[0].ok, "{fresh:?}");
 
     let stats = client::stats(handle.socket()).expect("stats");
-    assert_eq!(stats.jobs_failed, 1);
+    assert_eq!(stats.jobs_rejected, 1);
+    assert_eq!(stats.jobs_failed, 0);
     assert_eq!(stats.jobs_completed, 2);
     client::shutdown(handle.socket()).expect("shutdown");
     handle.join();
