@@ -24,6 +24,16 @@
 //! served in `Stats` as `sacct` pipe text; the per-job row rides in its
 //! `Finished` event.
 //!
+//! ## What one client can hold
+//!
+//! A connection's request frames are read through a [`MAX_FRAME_BYTES`]
+//! cap: a longer frame is answered `Rejected { reason: "bad_request: frame
+//! longer than … bytes" }` and the connection is closed. At most
+//! [`MAX_CONNECTIONS`] connections are served at once; the next one gets
+//! one `Rejected { reason: "busy: … connections open" }` frame and is
+//! closed. So no client can make the daemon grow a buffer or a thread
+//! without bound.
+//!
 //! ## Client disconnects
 //!
 //! Event writes go through a per-connection handle that downgrades write
@@ -31,11 +41,12 @@
 //! still happens, and the daemon keeps serving — a disconnect can never
 //! wedge a worker.
 
-use std::io::{self, BufRead, BufReader};
+use std::io::{self, BufRead, BufReader, Read};
+use std::net::Shutdown;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
@@ -46,6 +57,13 @@ use slurm_sim::{SacctRow, SACCT_HEADER};
 use crate::protocol::{write_frame, Event, Request, ServerStats, PROTOCOL_VERSION};
 use crate::queue::BoundedQueue;
 use crate::tables::{Lease, TableServer, TableServerConfig};
+
+/// Longest request frame a connection may send, its newline not counted:
+/// about 400 times the largest checked-in spec.
+pub const MAX_FRAME_BYTES: usize = 1 << 20;
+
+/// Connections served at once; the accept loop refuses the next one.
+pub const MAX_CONNECTIONS: usize = 64;
 
 /// What an executor learns from validating a spec, before any work runs.
 #[derive(Debug, Clone)]
@@ -167,6 +185,8 @@ struct Shared {
     tables: TableServer,
     socket: PathBuf,
     stop: AtomicBool,
+    /// Open connections, each held by one [`ConnectionSlot`].
+    connections: AtomicUsize,
     next_id: AtomicU64,
     jobs_submitted: AtomicU64,
     jobs_rejected: AtomicU64,
@@ -224,6 +244,7 @@ impl Daemon {
             tables,
             socket: cfg.socket.clone(),
             stop: AtomicBool::new(false),
+            connections: AtomicUsize::new(0),
             next_id: AtomicU64::new(0),
             jobs_submitted: AtomicU64::new(0),
             jobs_rejected: AtomicU64::new(0),
@@ -302,35 +323,80 @@ fn accept_loop(listener: UnixListener, shared: &Arc<Shared>) {
             break;
         }
         match stream {
-            Ok(s) => {
-                let shared = shared.clone();
+            Ok(mut s) => {
+                let Some(slot) = ConnectionSlot::open(shared) else {
+                    let _ = write_frame(
+                        &mut s,
+                        &Event::Rejected {
+                            reason: format!("busy: {MAX_CONNECTIONS} connections open"),
+                            name: None,
+                        },
+                    );
+                    continue;
+                };
                 // Connection threads are detached: they end at client EOF,
                 // and jobs hold their own writer handle, so a connection
-                // thread never outlives anything that matters.
+                // thread never outlives anything that matters. The slot is
+                // given back when the thread ends, or here if it never
+                // starts.
                 let _ = std::thread::Builder::new()
                     .name("serve-client".into())
-                    .spawn(move || handle_client(&shared, s));
+                    .spawn(move || handle_client(&slot.0, s));
             }
             Err(_) => continue,
         }
     }
 }
 
+/// One of the [`MAX_CONNECTIONS`] open-connection slots, given back on drop.
+struct ConnectionSlot(Arc<Shared>);
+
+impl ConnectionSlot {
+    fn open(shared: &Arc<Shared>) -> Option<Self> {
+        let open = shared.connections.fetch_add(1, Ordering::Relaxed);
+        let slot = ConnectionSlot(shared.clone());
+        (open < MAX_CONNECTIONS).then_some(slot)
+    }
+}
+
+impl Drop for ConnectionSlot {
+    fn drop(&mut self) {
+        self.0.connections.fetch_sub(1, Ordering::Relaxed);
+    }
+}
+
 fn handle_client(shared: &Arc<Shared>, stream: UnixStream) {
-    let reader = match stream.try_clone() {
+    let mut reader = match stream.try_clone() {
         Ok(s) => BufReader::new(s),
         Err(_) => return,
     };
     let client = ClientHandle::new(stream);
-    for line in reader.lines() {
-        let line = match line {
-            Ok(l) => l,
-            Err(_) => break,
+    let mut frame = Vec::new();
+    loop {
+        frame.clear();
+        // One byte past the cap tells an over-long frame from one that
+        // ends exactly at it.
+        let cap = MAX_FRAME_BYTES as u64 + 1;
+        match (&mut reader).take(cap).read_until(b'\n', &mut frame) {
+            Ok(0) | Err(_) => break,
+            Ok(_) => {}
+        }
+        if frame.len() > MAX_FRAME_BYTES && frame.last() != Some(&b'\n') {
+            client.send(&Event::Rejected {
+                reason: format!("bad_request: frame longer than {MAX_FRAME_BYTES} bytes"),
+                name: None,
+            });
+            let _ = reader.get_ref().shutdown(Shutdown::Read);
+            break;
+        }
+        let Ok(line) = std::str::from_utf8(&frame) else {
+            break;
         };
-        if line.trim().is_empty() {
+        let line = line.trim();
+        if line.is_empty() {
             continue;
         }
-        let req: Request = match serde_json::from_str(line.trim()) {
+        let req: Request = match serde_json::from_str(line) {
             Ok(r) => r,
             Err(e) => {
                 client.send(&Event::Rejected {

@@ -58,8 +58,10 @@ pub enum Event {
         position: usize,
     },
     /// The submission was not enqueued. `reason` is `queue_full` for
-    /// backpressure, `invalid_spec: …` for a spec the executor refused, or
-    /// `bad_request: …` for an unparsable frame.
+    /// backpressure, `invalid_spec: …` for a spec the executor refused,
+    /// `bad_request: …` for an unparsable frame or an over-long one (which
+    /// also closes the connection), or `busy: …` for a connection past the
+    /// daemon's limit, which is then closed.
     Rejected {
         reason: String,
         #[serde(default)]

@@ -6,10 +6,13 @@ use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
 use std::sync::{Arc, Condvar, Mutex};
+use std::time::Duration;
 
 use serde::{Deserialize, Serialize};
-use serve::daemon::{Daemon, Executor, JobMeta, JobOutcome, ServeConfig};
-use serve::protocol::{Event, Request};
+use serve::daemon::{
+    Daemon, Executor, JobMeta, JobOutcome, ServeConfig, MAX_CONNECTIONS, MAX_FRAME_BYTES,
+};
+use serve::protocol::{read_frame, Event, Request};
 use serve::tables::TableServerConfig;
 use serve::{client, PROTOCOL_VERSION};
 
@@ -365,6 +368,74 @@ fn invalid_spec_rejected_before_queueing() {
         .unwrap_or("")
         .contains("unknown mode"));
     assert!(results[2].ok, "valid spec unaffected by rejected siblings");
+    handle.stop();
+    handle.join();
+}
+
+/// Connect with a read timeout, so a daemon that never answers fails the
+/// test instead of hanging it.
+fn connect(path: &PathBuf) -> UnixStream {
+    let s = UnixStream::connect(path).unwrap();
+    s.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+    s
+}
+
+/// The next event on `r`, or `None` at EOF, on a reset connection or after
+/// the read timeout.
+fn next_event(r: &mut BufReader<UnixStream>) -> Option<Event> {
+    read_frame(r).ok().flatten()
+}
+
+#[test]
+fn over_long_frame_is_refused_and_a_fresh_connection_pings() {
+    let (handle, _gate, path) = start("longframe", 8, 1);
+    let mut w = connect(&path);
+    let mut r = BufReader::new(w.try_clone().unwrap());
+    // The daemon stops reading one byte past its cap and closes the
+    // connection, so the rest of this write fails.
+    let _ = w.write_all(&vec![b' '; 2 * MAX_FRAME_BYTES]);
+    match next_event(&mut r) {
+        Some(Event::Rejected { reason, name }) => {
+            assert_eq!(
+                reason,
+                format!("bad_request: frame longer than {MAX_FRAME_BYTES} bytes")
+            );
+            assert_eq!(name, None);
+        }
+        other => panic!("expected the over-long frame refused, got {other:?}"),
+    }
+    assert!(next_event(&mut r).is_none(), "the connection is closed");
+    assert!(client::ping(&path).unwrap(), "a fresh connection is served");
+    handle.stop();
+    handle.join();
+}
+
+#[test]
+fn connection_past_the_cap_is_refused_until_one_closes() {
+    let (handle, _gate, path) = start("conncap", 8, 1);
+    // The accept loop counts connections in arrival order, so with the
+    // cap's worth held open the next one is the first past it.
+    let mut idle: Vec<UnixStream> = (0..MAX_CONNECTIONS)
+        .map(|_| UnixStream::connect(&path).unwrap())
+        .collect();
+    let extra = connect(&path);
+    match next_event(&mut BufReader::new(extra)) {
+        Some(Event::Rejected { reason, .. }) => {
+            assert_eq!(reason, format!("busy: {MAX_CONNECTIONS} connections open"));
+        }
+        other => panic!("expected the connection past the cap refused, got {other:?}"),
+    }
+    // A closed connection gives its slot back once its thread sees EOF.
+    idle.pop();
+    let served = (0..500).any(|_| {
+        let pong = matches!(client::ping(&path), Ok(true));
+        if !pong {
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        pong
+    });
+    assert!(served, "a connection after one closed is served");
+    drop(idle);
     handle.stop();
     handle.join();
 }

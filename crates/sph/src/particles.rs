@@ -102,6 +102,15 @@ impl Particles {
         Self::default()
     }
 
+    /// Empty set whose columns each hold `n` particles without growing.
+    pub(crate) fn with_capacity(n: usize) -> Self {
+        let mut p = Self::default();
+        for v in p.fields_mut() {
+            v.reserve_exact(n);
+        }
+        p
+    }
+
     /// Total stored particles (local + halo).
     pub fn len(&self) -> usize {
         self.x.len()
@@ -206,29 +215,72 @@ impl Particles {
     /// Number of f64 fields in a packed halo/migration record.
     pub const PACK_FIELDS: usize = 13;
 
+    /// The packed record of particle `i`: `x y z vx vy vz m h rho p c u
+    /// alpha`. Halo and migration buffers, FSNP snapshots and the state
+    /// digest all read this one field order; `push_packed` is its inverse.
+    #[inline]
+    pub(crate) fn packed(&self, i: usize) -> [f64; Self::PACK_FIELDS] {
+        [
+            self.x[i],
+            self.y[i],
+            self.z[i],
+            self.vx[i],
+            self.vy[i],
+            self.vz[i],
+            self.m[i],
+            self.h[i],
+            self.rho[i],
+            self.p[i],
+            self.c[i],
+            self.u[i],
+            self.alpha[i],
+        ]
+    }
+
     /// Serialize the halo-relevant state of `indices` into a flat f64 buffer
     /// (for the rank runtime's byte channels). Also used for domain
     /// migration, so the viscosity switch `alpha` travels along.
     pub fn pack_halo(&self, indices: &[usize]) -> Vec<f64> {
         let mut out = Vec::with_capacity(indices.len() * Self::PACK_FIELDS);
         for &i in indices {
-            out.extend_from_slice(&[
-                self.x[i],
-                self.y[i],
-                self.z[i],
-                self.vx[i],
-                self.vy[i],
-                self.vz[i],
-                self.m[i],
-                self.h[i],
-                self.rho[i],
-                self.p[i],
-                self.c[i],
-                self.u[i],
-                self.alpha[i],
-            ]);
+            out.extend_from_slice(&self.packed(i));
         }
         out
+    }
+
+    /// Append one particle from a record built by `packed`. Fields the
+    /// record does not carry start at [`Particles::push`]'s defaults:
+    /// `xmass` is `m`, `gradh` is 1 and the rest are 0.
+    #[inline]
+    pub(crate) fn push_packed(&mut self, record: [f64; Self::PACK_FIELDS]) {
+        let [x, y, z, vx, vy, vz, m, h, rho, p, c, u, alpha] = record;
+        self.x.push(x);
+        self.y.push(y);
+        self.z.push(z);
+        self.vx.push(vx);
+        self.vy.push(vy);
+        self.vz.push(vz);
+        self.m.push(m);
+        self.h.push(h);
+        self.rho.push(rho);
+        self.p.push(p);
+        self.c.push(c);
+        self.u.push(u);
+        self.du.push(0.0);
+        self.ax.push(0.0);
+        self.ay.push(0.0);
+        self.az.push(0.0);
+        self.gradh.push(1.0);
+        self.xmass.push(m);
+        self.divv.push(0.0);
+        self.curlv.push(0.0);
+        self.alpha.push(alpha);
+        self.c11.push(0.0);
+        self.c12.push(0.0);
+        self.c13.push(0.0);
+        self.c22.push(0.0);
+        self.c23.push(0.0);
+        self.c33.push(0.0);
     }
 
     /// Append halos from a buffer produced by [`Particles::pack_halo`].
@@ -240,33 +292,7 @@ impl Particles {
             Self::PACK_FIELDS
         );
         for chunk in data.chunks_exact(Self::PACK_FIELDS) {
-            self.x.push(chunk[0]);
-            self.y.push(chunk[1]);
-            self.z.push(chunk[2]);
-            self.vx.push(chunk[3]);
-            self.vy.push(chunk[4]);
-            self.vz.push(chunk[5]);
-            self.m.push(chunk[6]);
-            self.h.push(chunk[7]);
-            self.rho.push(chunk[8]);
-            self.p.push(chunk[9]);
-            self.c.push(chunk[10]);
-            self.u.push(chunk[11]);
-            self.du.push(0.0);
-            self.ax.push(0.0);
-            self.ay.push(0.0);
-            self.az.push(0.0);
-            self.gradh.push(1.0);
-            self.xmass.push(chunk[6]);
-            self.divv.push(0.0);
-            self.curlv.push(0.0);
-            self.alpha.push(chunk[12]);
-            self.c11.push(0.0);
-            self.c12.push(0.0);
-            self.c13.push(0.0);
-            self.c22.push(0.0);
-            self.c23.push(0.0);
-            self.c33.push(0.0);
+            self.push_packed(chunk.try_into().expect("PACK_FIELDS-long chunks"));
         }
     }
 

@@ -433,12 +433,24 @@ impl Simulation {
     /// Order-sensitive digest of the carried state (pack-blob bits plus the
     /// integrator clocks). Equal digests on every rank of two runs mean the
     /// runs continue bit-identically.
+    ///
+    /// This is FNV-1a over [`Simulation::capture_snapshot`]'s bytes followed
+    /// by the step index, `time` bits and `dt` bits, all little-endian,
+    /// hashed as the snapshot stream is produced rather than from a copy.
     pub fn state_digest(&self) -> u64 {
-        let mut bytes = crate::snapshot::encode_particles(&self.parts);
-        bytes.extend_from_slice(&self.step_index.to_le_bytes());
-        bytes.extend_from_slice(&self.time.to_bits().to_le_bytes());
-        bytes.extend_from_slice(&self.dt.to_bits().to_le_bytes());
-        crate::snapshot::fnv1a(&bytes)
+        let mut h = crate::snapshot::Fnv1a::new();
+        crate::snapshot::write_stream(&self.parts, |bytes| h.write(bytes));
+        // The snapshot's trailer is the FNV-1a of the stream before it.
+        let trailer = h.finish();
+        for word in [
+            trailer,
+            self.step_index,
+            self.time.to_bits(),
+            self.dt.to_bits(),
+        ] {
+            h.write(&word.to_le_bytes());
+        }
+        h.finish()
     }
 
     /// Run one full time-step.
@@ -1254,6 +1266,59 @@ mod tests {
             full, resumed,
             "multirank kill/restore must replay migration and halos exactly"
         );
+    }
+
+    /// [`Simulation::state_digest`] as first defined: FNV-1a over a
+    /// materialized v2 snapshot (the pack fields spelled out column by
+    /// column, then the trailer) followed by the three clock words.
+    fn reference_digest(sim: &Simulation) -> u64 {
+        let p = &sim.parts;
+        let mut bytes = b"FSNP".to_vec();
+        bytes.extend_from_slice(&2u32.to_le_bytes());
+        bytes.extend_from_slice(&(p.n_local as u64).to_le_bytes());
+        for i in 0..p.n_local {
+            for v in [
+                p.x[i], p.y[i], p.z[i], p.vx[i], p.vy[i], p.vz[i], p.m[i], p.h[i], p.rho[i],
+                p.p[i], p.c[i], p.u[i], p.alpha[i],
+            ] {
+                bytes.extend_from_slice(&v.to_le_bytes());
+            }
+        }
+        let trailer = crate::snapshot::fnv1a(&bytes);
+        bytes.extend_from_slice(&trailer.to_le_bytes());
+        assert_eq!(
+            bytes,
+            sim.capture_snapshot(),
+            "the snapshot is the v2 layout"
+        );
+        bytes.extend_from_slice(&sim.step_index().to_le_bytes());
+        bytes.extend_from_slice(&sim.time().to_bits().to_le_bytes());
+        bytes.extend_from_slice(&sim.dt().to_bits().to_le_bytes());
+        crate::snapshot::fnv1a(&bytes)
+    }
+
+    #[test]
+    fn state_digest_hashes_the_snapshot_and_the_clocks() {
+        let turbulence = ranks::run(1, CommCost::default(), |ctx| {
+            let mut sim = Simulation::new(subsonic_turbulence(8, 0.3, 11), small_cfg(40));
+            for _ in 0..3 {
+                sim.step(ctx, &mut NullObserver);
+            }
+            (sim.state_digest(), reference_digest(&sim))
+        });
+        let evrard = ranks::run(2, CommCost::default(), |ctx| {
+            let mut sim = Simulation::distribute(evrard(8), small_cfg(40), ctx.rank(), ctx.size());
+            for _ in 0..3 {
+                sim.step(ctx, &mut NullObserver);
+            }
+            (sim.state_digest(), reference_digest(&sim))
+        });
+        for (case, (digest, reference)) in turbulence.into_iter().chain(evrard).enumerate() {
+            assert_eq!(
+                digest, reference,
+                "digest {case} departs from its definition"
+            );
+        }
     }
 
     #[test]

@@ -2,13 +2,16 @@
 //! `ExperimentExecutor`): K concurrent same-key submissions share one
 //! exploration, queue overflow is rejected cleanly, and chaos (a spec that
 //! names a missing restore point, a corrupt store entry) leaves the daemon
-//! serving. `crates/serve/tests/daemon.rs` holds a job that panics.
+//! serving. A served job's report is the batch run's, byte for byte.
+//! `crates/serve/tests/daemon.rs` holds a job that panics.
 
 use std::path::PathBuf;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use gpu_freq_scaling::freqscale::{ExperimentExecutor, ExperimentSpec, FreqPolicy, WorkloadKind};
+use gpu_freq_scaling::freqscale::{
+    run_experiment, ExperimentExecutor, ExperimentSpec, FreqPolicy, WorkloadKind,
+};
 use gpu_freq_scaling::online::{OnlineTunerConfig, PredictiveConfig, TableStore};
 use gpu_freq_scaling::serve::{
     client, Daemon, DaemonHandle, Executor, JobMeta, JobOutcome, ServeConfig, TableServerConfig,
@@ -369,6 +372,31 @@ fn killed_job_and_corrupt_store_entry_leave_daemon_serving() {
     client::shutdown(handle.socket()).expect("shutdown");
     handle.join();
     let _ = std::fs::remove_dir_all(&store_dir);
+}
+
+/// A served job's report is the batch run's, byte for byte: three
+/// concurrent submissions of one Baseline spec each finish with
+/// `run_experiment(&spec).to_json()`.
+#[test]
+fn served_reports_equal_the_batch_report() {
+    let spec = baseline_spec(4);
+    let batch = run_experiment(&spec).to_json();
+    let handle = start("same-report", 4, 3, None);
+    let subs: Vec<(String, String)> = (0..3)
+        .map(|i| (format!("base-{i}"), spec_json(&spec)))
+        .collect();
+    let results = client::submit_all(handle.socket(), &subs).expect("submit");
+    assert_eq!(results.len(), 3);
+    for r in &results {
+        assert!(r.ok, "{}: {:?} {:?}", r.name, r.error, r.rejected);
+        assert!(
+            r.report.as_deref() == Some(batch.as_str()),
+            "{}: the served report differs from the batch run's",
+            r.name
+        );
+    }
+    client::shutdown(handle.socket()).expect("shutdown");
+    handle.join();
 }
 
 /// A submission cannot choose a directory for the daemon to write: a spec
