@@ -187,8 +187,8 @@ fn main() {
     if positional.is_empty() {
         usage();
     }
-    // Every spec would write the same step directories, manifest and
-    // `LATEST` into the one directory, concurrently under --jobs.
+    // Every spec would write the same step directories and manifests into
+    // the one directory, concurrently under --jobs.
     if checkpoint_dir.is_some() && positional.len() > 1 {
         fail(format!(
             "--checkpoint-dir takes exactly one spec (got {})",

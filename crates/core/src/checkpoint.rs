@@ -12,23 +12,23 @@
 //! Crash safety follows the `TableStore` discipline: every file is written
 //! to a `*.tmp.<pid>` sibling and renamed into place, and the manifest is
 //! written **last** — a directory without a manifest is an aborted write
-//! and is ignored by [`latest_checkpoint`]. The `LATEST` pointer file is a
-//! convenience for log-watchers and CI polling (the device stage's
-//! re-commits walk it through the steps a second time); discovery never
-//! trusts it over the manifest scan.
+//! and is ignored by [`latest_checkpoint`], which finds the newest commit
+//! by scanning the manifests; no pointer file names it.
 //!
-//! A run's two stages (see [`crate::runner`]) both commit. The physics
-//! stage writes the rank blobs: rank 0 creates the step directory before a
-//! barrier, every rank writes its blob, and after a second barrier rank 0
-//! commits a manifest with the clocks and splits and no tuner state. So a
-//! run that dies in its physics stage, nearly all of its wall time, resumes
-//! from its last checkpoint. The device stage then re-commits each manifest
-//! with its spec's hash and the tuner state at that step. A restore from a
-//! manifest the device stage never reached continues the particles
-//! bit-identically, but its tuner starts from the table store, or cold. A
-//! kill between a step's blobs and its manifest leaves blobs with no
-//! manifest — an aborted write — and a restore resumes from the previous
-//! commit.
+//! Each file is written once, but for a manifest that must carry tuner
+//! state. The physics stage (see [`crate::runner`]) writes the
+//! rank blobs: rank 0 creates the step directory before a barrier, every
+//! rank writes its blob, and after a second barrier rank 0 commits a
+//! manifest with the clocks and splits and no tuner state. So a run that
+//! dies in its physics stage, nearly all of its wall time, resumes from its
+//! last checkpoint. The device stage adds a commit only to carry tuner
+//! state: it re-commits a manifest when its tuner holds learned state at
+//! that step, and leaves the file alone otherwise (Baseline, static, DVFS
+//! and ManDyn runs never re-commit). A restore from a manifest the device
+//! stage never reached continues the particles bit-identically, but its
+//! tuner starts from the table store, or cold. A kill between a step's
+//! blobs and its manifest leaves blobs with no manifest — an aborted write
+//! — and a restore resumes from the previous commit.
 //!
 //! A corrupt or truncated rank snapshot is never fatal: the loader moves it
 //! aside to `rank-NNNN.bin.corrupt`, warns, and the run cold-starts from
@@ -49,7 +49,7 @@ use crate::runner::ExperimentSpec;
 pub const MANIFEST_VERSION: u32 = 1;
 
 /// Everything needed to continue a run besides the per-rank particle blobs.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Manifest {
     pub version: u32,
     /// Steps completed when the checkpoint was taken; the restored run
@@ -112,10 +112,6 @@ fn write_atomic(dest: &Path, bytes: &[u8]) -> std::io::Result<()> {
     Ok(())
 }
 
-fn step_dir_name(step: u64) -> String {
-    format!("step-{step:06}")
-}
-
 fn rank_file_name(rank: usize) -> String {
     format!("rank-{rank:04}.bin")
 }
@@ -151,7 +147,7 @@ impl Checkpointer {
     }
 
     pub fn step_dir(&self, step: u64) -> PathBuf {
-        self.dir.join(step_dir_name(step))
+        self.dir.join(format!("step-{step:06}"))
     }
 
     /// Phase 1 (rank 0 only, before the first barrier): create the step
@@ -167,7 +163,7 @@ impl Checkpointer {
     }
 
     /// Phase 3 (rank 0 only, after the second barrier): commit by writing
-    /// the manifest, then repoint `LATEST`.
+    /// the manifest.
     pub fn commit(&self, manifest: &Manifest) {
         let body = serde_json::to_string_pretty(manifest).expect("manifest serializes");
         write_atomic(
@@ -175,17 +171,12 @@ impl Checkpointer {
             body.as_bytes(),
         )
         .expect("write checkpoint manifest");
-        write_atomic(
-            &self.dir.join("LATEST"),
-            step_dir_name(manifest.step).as_bytes(),
-        )
-        .expect("write LATEST pointer");
     }
 }
 
 /// Find the newest *committed* checkpoint (highest step with a readable
 /// manifest) under `dir`. Directories without a manifest — aborted writes —
-/// are skipped; the `LATEST` pointer is not trusted.
+/// are skipped.
 pub fn latest_checkpoint(dir: &Path) -> Option<PathBuf> {
     let entries = fs::read_dir(dir).ok()?;
     let mut best: Option<(u64, PathBuf)> = None;

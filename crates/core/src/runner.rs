@@ -13,8 +13,8 @@
 //! SPH, commits the checkpoints as it goes, and returns per rank a tape of
 //! every call and every comm op, in a call or outside one. The device stage
 //! learns what the physics did only from that tape: it replays it through
-//! the spec's cluster, instruments, policy and faults, re-commits each
-//! checkpoint with the tuner state at its step and closes the job. Specs
+//! the spec's cluster, instruments, policy and faults, re-commits a
+//! checkpoint whose tuner state it must add and closes the job. Specs
 //! with equal keys ([`physics_groups`]) share one physics stage.
 
 use std::path::PathBuf;
@@ -819,19 +819,22 @@ fn device_stage(
                 Entry::Step(step) => sph::replay_step(ctx, &mut inst, target, step),
                 Entry::Comm(ops) => ops.iter().for_each(|&op| ctx.replay(op)),
                 Entry::Checkpoint(manifest) => {
-                    // Re-commit the physics stage's manifest with this
-                    // spec's hash and the tuner state at this step.
+                    // Re-commit the physics stage's manifest only to add
+                    // this spec's tuner state at this step.
                     if ctx.rank() == 0 {
                         let ck = checkpointer
                             .as_ref()
                             .expect("a checkpoint entry implies a checkpoint_dir");
                         let WarmState { table, models } = inst.learned();
-                        ck.commit(&Manifest {
+                        let learned = Manifest {
                             spec_hash: ck.spec_hash(),
                             learned_table: table,
                             models,
                             ..manifest.clone()
-                        });
+                        };
+                        if learned != *manifest {
+                            ck.commit(&learned);
+                        }
                     }
                 }
             }
@@ -1270,6 +1273,45 @@ mod tests {
             std::fs::read_dir(&dir).unwrap().next().is_none(),
             "no checkpoint may be written"
         );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_device_stage_that_learns_nothing_writes_no_checkpoint_file() {
+        let dir = std::env::temp_dir().join(format!("freqscale-one-write-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut spec = ExperimentSpec {
+            checkpoint_dir: Some(dir.clone()),
+            checkpoint_every: 2,
+            ..ExperimentSpec::minihpc_turbulence(FreqPolicy::Baseline, 6)
+        };
+        spec.workload = WorkloadKind::Turbulence {
+            n_side: 8,
+            mach: 0.3,
+            seed: 7,
+        };
+        spec.target_neighbors = 30;
+        spec.ranks = 2;
+        let tapes = physics_stage(&spec.physics_key(), checkpointer(&spec).as_ref(), None);
+        for step in [2, 4, 6] {
+            let manifest = dir.join(format!("step-{step:06}")).join("manifest.json");
+            std::fs::remove_file(manifest).expect("the physics stage committed it");
+        }
+        device_stage(&spec, None, None, &tapes);
+        // Left: the three step directories, each holding the two blobs and
+        // no manifest, pointer or temporary file.
+        let list = |dir: &std::path::Path| -> Vec<String> {
+            let mut names: Vec<String> = std::fs::read_dir(dir)
+                .unwrap()
+                .map(|e| e.unwrap().file_name().into_string().unwrap())
+                .collect();
+            names.sort();
+            names
+        };
+        assert_eq!(list(&dir), ["step-000002", "step-000004", "step-000006"]);
+        for step in list(&dir) {
+            assert_eq!(list(&dir.join(step)), ["rank-0000.bin", "rank-0001.bin"]);
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 
